@@ -734,37 +734,47 @@ std::vector<RankStats> ParallelLbm::gather_stats() {
   return out;
 }
 
-namespace {
-/// Gather pattern shared by the profile getters: the plane owner ships
-/// the profile to rank 0.
-std::vector<double> gather_profile(
-    transport::Communicator& comm, const lbm::Slab& slab, lbm::index_t gx,
-    const std::function<std::vector<double>()>& local_profile) {
-  const double ext[2] = {static_cast<double>(slab.x_begin()),
-                         static_cast<double>(slab.nx_local())};
+std::vector<int> ParallelLbm::gather_plane_owners() {
+  const double ext[2] = {static_cast<double>(slab_->x_begin()),
+                         static_cast<double>(slab_->nx_local())};
   const std::vector<double> all =
-      comm.allgather(std::span<const double>(ext, 2));
-  int owner = -1;
-  for (int r = 0; r < comm.size(); ++r) {
+      comm_.allgather(std::span<const double>(ext, 2));
+  std::vector<int> owners(static_cast<std::size_t>(cfg_.global.nx), -1);
+  for (int r = 0; r < comm_.size(); ++r) {
     const auto b = static_cast<lbm::index_t>(all[2 * static_cast<std::size_t>(r)]);
     const auto nl =
         static_cast<lbm::index_t>(all[2 * static_cast<std::size_t>(r) + 1]);
-    if (gx >= b && gx < b + nl) {
+    SLIPFLOW_REQUIRE_MSG(b >= 0 && b + nl <= cfg_.global.nx,
+                         "rank " << r << " slab [" << b << ", " << b + nl
+                                 << ") outside the domain");
+    for (lbm::index_t gx = b; gx < b + nl; ++gx) {
+      int& owner = owners[static_cast<std::size_t>(gx)];
+      SLIPFLOW_REQUIRE_MSG(owner < 0, "plane " << gx << " owned by ranks "
+                                                << owner << " and " << r);
       owner = r;
-      break;
     }
   }
+  return owners;
+}
+
+std::vector<double> ParallelLbm::gather_profile(
+    std::span<const int> owners, lbm::index_t gx,
+    const std::function<std::vector<double>()>& local_profile) {
+  std::vector<int> gathered;
+  if (owners.empty()) owners = gathered = gather_plane_owners();
+  const int owner = gx >= 0 && gx < static_cast<lbm::index_t>(owners.size())
+                        ? owners[static_cast<std::size_t>(gx)]
+                        : -1;
   SLIPFLOW_REQUIRE_MSG(owner >= 0, "no rank owns plane " << gx);
-  if (comm.rank() == owner) {
+  if (comm_.rank() == owner) {
     std::vector<double> prof = local_profile();
     if (owner == 0) return prof;
-    comm.send(0, kTagProfile, prof);
+    comm_.send(0, kTagProfile, prof);
     return {};
   }
-  if (comm.rank() == 0) return comm.recv(owner, kTagProfile);
+  if (comm_.rank() == 0) return comm_.recv(owner, kTagProfile);
   return {};
 }
-}  // namespace
 
 void ParallelLbm::refresh_observables() {
   SLIPFLOW_REQUIRE_MSG(initialized_, "call initialize() before refresh");
@@ -780,16 +790,17 @@ void ParallelLbm::refresh_observables() {
     lbm::compute_forces_and_velocity(*slab_);
 }
 
-std::vector<double> ParallelLbm::gather_velocity_profile_y(lbm::index_t gx,
-                                                           lbm::index_t z) {
-  return gather_profile(comm_, *slab_, gx, [&] {
+std::vector<double> ParallelLbm::gather_velocity_profile_y(
+    lbm::index_t gx, lbm::index_t z, std::span<const int> owners) {
+  return gather_profile(owners, gx, [&] {
     return lbm::velocity_profile_y(*slab_, gx, z);
   });
 }
 
 std::vector<double> ParallelLbm::gather_density_profile_y(
-    std::size_t component, lbm::index_t gx, lbm::index_t z) {
-  return gather_profile(comm_, *slab_, gx, [&] {
+    std::size_t component, lbm::index_t gx, lbm::index_t z,
+    std::span<const int> owners) {
+  return gather_profile(owners, gx, [&] {
     return lbm::density_profile_y(*slab_, component, gx, z);
   });
 }

@@ -14,6 +14,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -163,13 +164,19 @@ class ParallelLbm {
   /// before collecting profile observables.
   void refresh_observables();
 
+  /// Owner rank of every global plane, identical on every rank.
+  /// Collective: one allgather of the slab extents.
+  std::vector<int> gather_plane_owners();
+
   /// Gather a full-domain y-profile on rank 0 (empty on other ranks).
-  /// All ranks must call these collectively.
-  std::vector<double> gather_velocity_profile_y(lbm::index_t gx,
-                                                lbm::index_t z);
-  std::vector<double> gather_density_profile_y(std::size_t component,
-                                               lbm::index_t gx,
-                                               lbm::index_t z);
+  /// All ranks must call these collectively. `owners` is the current
+  /// gather_plane_owners() table, or empty to gather it here; callers
+  /// sweeping many planes pass it to skip one allgather per profile.
+  std::vector<double> gather_velocity_profile_y(
+      lbm::index_t gx, lbm::index_t z, std::span<const int> owners = {});
+  std::vector<double> gather_density_profile_y(
+      std::size_t component, lbm::index_t gx, lbm::index_t z,
+      std::span<const int> owners = {});
 
   /// Total mass of one component across all ranks (identical everywhere).
   double global_mass(std::size_t component);
@@ -244,6 +251,11 @@ class ParallelLbm {
   void remap_step();
   void remap_local();
   void remap_global();
+  /// The profile getters' gather: the owner of plane gx (per `owners`,
+  /// gathered here when empty) ships local_profile() to rank 0.
+  std::vector<double> gather_profile(
+      std::span<const int> owners, lbm::index_t gx,
+      const std::function<std::vector<double>()>& local_profile);
   /// Donor-side transfer: detach k planes at `side` and ship them; k may
   /// be clamped to 0, in which case an empty header still goes out so the
   /// receiver never blocks.

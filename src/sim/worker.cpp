@@ -102,9 +102,11 @@ std::string collect_observables(ParallelLbm& run,
   // Mid-channel y-profiles of every global plane: covers every rank's
   // slab wherever the remapper left the boundaries.
   const lbm::index_t z = global.nz / 2;
+  const std::vector<int> owners = run.gather_plane_owners();
   for (lbm::index_t gx = 0; gx < global.nx; ++gx) {
-    const std::vector<double> ux = run.gather_velocity_profile_y(gx, z);
-    const std::vector<double> rho = run.gather_density_profile_y(0, gx, z);
+    const std::vector<double> ux = run.gather_velocity_profile_y(gx, z, owners);
+    const std::vector<double> rho =
+        run.gather_density_profile_y(0, gx, z, owners);
     if (comm.rank() == 0) {
       for (std::size_t j = 0; j < ux.size(); ++j)
         os << "ux " << gx << " " << j << " " << hexd(ux[j]) << "\n";

@@ -4,17 +4,19 @@
 #include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
+#include <sys/syscall.h>
 #include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <sstream>
-#include <thread>
 
 #include "transport/fdio.hpp"
 #include "transport/frame.hpp"
@@ -40,12 +42,46 @@ struct HbConn {
 struct Worker {
   pid_t pid = -1;
   int err_fd = -1;
+  int pid_fd = -1;  ///< readable once the worker exits; -1 = tick-only
   bool done = false;
   int status = 0;
   std::string err;
   double last_beat = -1.0;
   long long last_phase = -1;
 };
+
+/// Supervision cadence: the longest the loop sleeps without an event. It
+/// bounds the staleness of the heartbeat-grace check and the on_tick
+/// rate, and is the whole reaping latency where pidfds are unavailable.
+constexpr double kTickSeconds = 0.050;
+
+/// A descriptor that polls readable when `pid` exits, or -1 (the kernel
+/// predates pidfd_open). Called through syscall(): not every libc wraps
+/// it. The fd is close-on-exec by construction.
+int open_pidfd(pid_t pid) {
+  return static_cast<int>(::syscall(SYS_pidfd_open, pid, 0));
+}
+
+/// Read every available byte from a nonblocking fd into `out`; closes the
+/// fd (and sets it to -1) at EOF or on a hard error, so a dead descriptor
+/// never keeps poll() waking.
+template <class Sink>
+void drain_fd(int& fd, Sink&& out) {
+  char buf[4096];
+  for (;;) {
+    const ssize_t n = ::read(fd, buf, sizeof(buf));
+    if (n > 0) {
+      out(buf, static_cast<std::size_t>(n));
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    if (n == 0 || (errno != EAGAIN && errno != EWOULDBLOCK)) {
+      ::close(fd);
+      fd = -1;
+    }
+    return;
+  }
+}
 
 }  // namespace
 
@@ -136,36 +172,27 @@ LaunchResult launch_workers(const LaunchConfig& cfg) {
     }
     ::close(pipefd[1]);
     set_nonblocking(pipefd[0]);
-    workers[static_cast<std::size_t>(r)].pid = pid;
-    workers[static_cast<std::size_t>(r)].err_fd = pipefd[0];
+    Worker& w = workers[static_cast<std::size_t>(r)];
+    w.pid = pid;
+    w.err_fd = pipefd[0];
+    w.pid_fd = open_pidfd(pid);
   }
 
   LaunchResult result;
   result.last_phase.assign(static_cast<std::size_t>(cfg.ranks), -1);
 
+  bool failed = false;
   auto fail = [&](int rank, const std::string& why) {
-    if (!result.ok && !result.diagnostic.empty()) return;  // keep first
+    failed = true;
     result.failed_rank = rank;
     result.diagnostic = why;
   };
 
   auto drain_stderr = [&] {
-    char buf[4096];
-    for (Worker& w : workers) {
-      if (w.err_fd < 0) continue;
-      for (;;) {
-        const ssize_t n = ::read(w.err_fd, buf, sizeof(buf));
-        if (n > 0) {
-          w.err.append(buf, static_cast<std::size_t>(n));
-          continue;
-        }
-        if (n == 0) {
-          ::close(w.err_fd);
-          w.err_fd = -1;
-        }
-        break;
-      }
-    }
+    for (Worker& w : workers)
+      if (w.err_fd >= 0)
+        drain_fd(w.err_fd,
+                 [&](const char* p, std::size_t n) { w.err.append(p, n); });
   };
 
   auto pump_heartbeats = [&] {
@@ -175,22 +202,12 @@ LaunchResult launch_workers(const LaunchConfig& cfg) {
       set_nonblocking(fd);
       conns.push_back(HbConn{fd, -1, {}});
     }
-    char buf[4096];
     for (HbConn& c : conns) {
       if (c.fd < 0) continue;
-      for (;;) {
-        const ssize_t n = ::read(c.fd, buf, sizeof(buf));
-        if (n > 0) {
-          c.buf.insert(c.buf.end(), reinterpret_cast<std::byte*>(buf),
-                       reinterpret_cast<std::byte*>(buf) + n);
-          continue;
-        }
-        if (n == 0) {
-          ::close(c.fd);
-          c.fd = -1;
-        }
-        break;
-      }
+      drain_fd(c.fd, [&](const char* p, std::size_t n) {
+        const auto* b = reinterpret_cast<const std::byte*>(p);
+        c.buf.insert(c.buf.end(), b, b + n);
+      });
       std::size_t off = 0;
       while (c.buf.size() - off >= kFrameHeaderBytes) {
         FrameHeader h;
@@ -228,6 +245,13 @@ LaunchResult launch_workers(const LaunchConfig& cfg) {
     }
   };
 
+  auto reap = [&](Worker& w, int status) {
+    w.done = true;
+    w.status = status;
+    if (w.pid_fd >= 0) ::close(w.pid_fd);
+    w.pid_fd = -1;
+  };
+
   auto kill_all = [&] {
     for (Worker& w : workers) {
       if (w.done) continue;
@@ -236,55 +260,80 @@ LaunchResult launch_workers(const LaunchConfig& cfg) {
     }
     for (Worker& w : workers) {
       if (w.done) continue;
-      ::waitpid(w.pid, &w.status, 0);
-      w.done = true;
+      int status = 0;
+      ::waitpid(w.pid, &status, 0);
+      reap(w, status);
     }
+  };
+
+  // Sleep until something needs the supervisor — a heartbeat connection
+  // or frame, worker stderr, a worker exit (pidfd) — or until `until`.
+  auto wait_for_events = [&](double until) {
+    std::vector<pollfd> fds;
+    fds.push_back({listener, POLLIN, 0});
+    for (const HbConn& c : conns)
+      if (c.fd >= 0) fds.push_back({c.fd, POLLIN, 0});
+    for (const Worker& w : workers) {
+      if (w.err_fd >= 0) fds.push_back({w.err_fd, POLLIN, 0});
+      if (w.pid_fd >= 0) fds.push_back({w.pid_fd, POLLIN, 0});
+    }
+    const double wait = until - mono_now();
+    const int ms = wait > 0.0 ? static_cast<int>(std::ceil(wait * 1e3)) : 0;
+    ::poll(fds.data(), fds.size(), ms);  // EINTR is just an early wake
   };
 
   const double deadline = t0 + cfg.wall_clock_timeout;
   int running = cfg.ranks;
-  bool failed = false;
-  while (running > 0 && !failed) {
+  // Exit attribution. A SIGKILLed rank's peers fail on the closed
+  // connection moments later, and either exit may be reaped first. So
+  // after the first failing exit the loop keeps reaping for a settle
+  // window (one tick, or until every rank is reaped) before blaming:
+  // the signalled rank — the injected fault — wins over the peers that
+  // merely exited nonzero.
+  int first_signaled = -1, first_nonzero = -1;
+  double settle_end = -1.0;
+  while (running > 0) {
     pump_heartbeats();
     drain_stderr();
     if (cfg.on_tick) cfg.on_tick();
 
-    // Reap exits. When several workers die in one tick, blame the one
-    // that was signalled — the injected fault — not the peers that then
-    // failed with transport errors.
-    int first_signaled = -1, first_nonzero = -1;
     for (int r = 0; r < cfg.ranks; ++r) {
       Worker& w = workers[static_cast<std::size_t>(r)];
       if (w.done) continue;
       int status = 0;
-      const pid_t got = ::waitpid(w.pid, &status, WNOHANG);
-      if (got != w.pid) continue;
-      w.done = true;
-      w.status = status;
+      if (::waitpid(w.pid, &status, WNOHANG) != w.pid) continue;
+      reap(w, status);
       --running;
       if (WIFSIGNALED(status) && first_signaled < 0) first_signaled = r;
       if (WIFEXITED(status) && WEXITSTATUS(status) != 0 && first_nonzero < 0)
         first_nonzero = r;
     }
-    if (first_signaled >= 0) {
-      const Worker& w = workers[static_cast<std::size_t>(first_signaled)];
-      fail(first_signaled,
-           "rank " + std::to_string(first_signaled) + " killed by signal " +
-               std::to_string(WTERMSIG(w.status)) +
-               " (last reported phase " + std::to_string(w.last_phase) + ")");
-      failed = true;
-    } else if (first_nonzero >= 0) {
-      const Worker& w = workers[static_cast<std::size_t>(first_nonzero)];
-      fail(first_nonzero,
-           "rank " + std::to_string(first_nonzero) + " exited with code " +
-               std::to_string(WEXITSTATUS(w.status)) +
-               " (last reported phase " + std::to_string(w.last_phase) + ")");
-      failed = true;
+    const double now = mono_now();
+    if (first_signaled >= 0 || first_nonzero >= 0) {
+      if (settle_end < 0.0) settle_end = now + kTickSeconds;
+      if (running > 0 && now < settle_end && now < deadline) {
+        wait_for_events(std::min(settle_end, deadline));
+        continue;
+      }
+      if (first_signaled >= 0) {
+        const Worker& w = workers[static_cast<std::size_t>(first_signaled)];
+        fail(first_signaled,
+             "rank " + std::to_string(first_signaled) + " killed by signal " +
+                 std::to_string(WTERMSIG(w.status)) +
+                 " (last reported phase " + std::to_string(w.last_phase) +
+                 ")");
+      } else {
+        const Worker& w = workers[static_cast<std::size_t>(first_nonzero)];
+        fail(first_nonzero,
+             "rank " + std::to_string(first_nonzero) + " exited with code " +
+                 std::to_string(WEXITSTATUS(w.status)) +
+                 " (last reported phase " + std::to_string(w.last_phase) +
+                 ")");
+      }
+      break;
     }
-    if (failed) break;
 
     if (cfg.heartbeat_grace > 0.0) {
-      const double now = mono_now();
       for (int r = 0; r < cfg.ranks; ++r) {
         const Worker& w = workers[static_cast<std::size_t>(r)];
         if (w.done) continue;
@@ -294,14 +343,13 @@ LaunchResult launch_workers(const LaunchConfig& cfg) {
           fail(r, "rank " + std::to_string(r) + " heartbeat silent for " +
                       std::to_string(since) + "s (last reported phase " +
                       std::to_string(w.last_phase) + ")");
-          failed = true;
           break;
         }
       }
     }
     if (failed) break;
 
-    if (mono_now() >= deadline) {
+    if (now >= deadline) {
       std::ostringstream os;
       os << "wall-clock timeout after " << cfg.wall_clock_timeout
          << "s; per-rank last phases:";
@@ -309,18 +357,18 @@ LaunchResult launch_workers(const LaunchConfig& cfg) {
         os << " rank" << r << "="
            << workers[static_cast<std::size_t>(r)].last_phase;
       fail(-1, os.str());
-      failed = true;
       break;
     }
-    if (running > 0)
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    if (running > 0) wait_for_events(std::min(now + kTickSeconds, deadline));
   }
 
   if (failed) kill_all();
   pump_heartbeats();
   drain_stderr();
-  for (Worker& w : workers)
+  for (Worker& w : workers) {
     if (w.err_fd >= 0) ::close(w.err_fd);
+    if (w.pid_fd >= 0) ::close(w.pid_fd);
+  }
   for (HbConn& c : conns)
     if (c.fd >= 0) ::close(c.fd);
   ::close(listener);
@@ -334,22 +382,6 @@ LaunchResult launch_workers(const LaunchConfig& cfg) {
   for (int r = 0; r < cfg.ranks; ++r)
     result.last_phase[static_cast<std::size_t>(r)] =
         workers[static_cast<std::size_t>(r)].last_phase;
-  if (!failed) {
-    // The loop above can exit with running == 0 but a straggler having
-    // exited nonzero in the very last reap — recheck all statuses.
-    for (int r = 0; r < cfg.ranks; ++r) {
-      const Worker& w = workers[static_cast<std::size_t>(r)];
-      if (WIFSIGNALED(w.status)) {
-        fail(r, "rank " + std::to_string(r) + " killed by signal " +
-                    std::to_string(WTERMSIG(w.status)));
-        failed = true;
-      } else if (WIFEXITED(w.status) && WEXITSTATUS(w.status) != 0) {
-        fail(r, "rank " + std::to_string(r) + " exited with code " +
-                    std::to_string(WEXITSTATUS(w.status)));
-        failed = true;
-      }
-    }
-  }
   result.ok = !failed;
   if (failed) {
     std::ostringstream os;

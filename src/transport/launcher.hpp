@@ -7,7 +7,10 @@
 /// Supervision turns the three silent failure modes of a real cluster
 /// run into named, bounded diagnostics:
 ///   - a worker that dies (crash, SIGKILL fault injection) is reported as
-///     "rank R killed by signal S" the moment it is reaped;
+///     "rank R killed by signal S". Exits are reaped when the worker's
+///     pidfd becomes readable, so a launch returns as soon as its last
+///     worker exits (kernels without pidfd_open fall back to the 50 ms
+///     supervision tick);
 ///   - a worker that freezes (SIGSTOP, livelock) is caught by heartbeat
 ///     silence: every worker beats (rank, phase) on the launcher's
 ///     monitor socket, and a beat older than `heartbeat_grace` fails the
@@ -57,8 +60,9 @@ struct LaunchConfig {
   /// not block; the campaign server uses it to stream job progress to
   /// the submitting client while launch_workers is still running.
   std::function<void(int rank, long long phase)> on_progress;
-  /// Called once per supervision tick (every ~50 ms) while the run is
-  /// alive — the hook for polling job side channels (result fragment
+  /// Called on every supervision pass while the run is alive: at least
+  /// every 50 ms, and on every wake (heartbeat, stderr, worker exit) —
+  /// the hook for polling job side channels (result fragment
   /// directories) the launcher itself knows nothing about.
   std::function<void()> on_tick;
 };
