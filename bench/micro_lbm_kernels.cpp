@@ -27,8 +27,10 @@
 ///                            the gain is vector width, not threads.
 ///
 /// The whole run pins the scalar backend; the per-backend full-phase
-/// benches (BM_FullPhase_TwoComponent_Backend_*, registered for every
-/// backend this build/CPU supports) switch it for their own loop only.
+/// benches (BM_FullPhase_TwoComponent_Backend_* on the perf box and
+/// BM_RankSlabPhase_* on one rank's slab of the README job, registered
+/// for every backend this build/CPU supports) switch it for their own
+/// loop only.
 
 #include <benchmark/benchmark.h>
 
@@ -43,6 +45,7 @@
 #include "lbm/kernels.hpp"
 #include "lbm/simulation.hpp"
 #include "lbm/stepper.hpp"
+#include "lbm/tile.hpp"
 #include "sim/parallel_lbm.hpp"
 #include "transport/shm_comm.hpp"
 #include "transport/thread_comm.hpp"
@@ -158,6 +161,25 @@ void BM_FullPhase_TwoComponent_Backend(benchmark::State& state,
                                        KernelBackend backend) {
   set_kernel_backend(backend);
   Box b(FluidParams::microchannel_defaults(), kPerfBox);
+  b.slab->plan();
+  if (backend != KernelBackend::scalar) b.slab->tiles();
+  for (auto _ : state)
+    step_phase(*b.slab, b.halo, KernelPath::plan);
+  set_cells_rate(state, *b.slab);
+  set_kernel_backend(KernelBackend::scalar);
+}
+
+/// One rank's slab of the README job spec (64x16x8 over 4 ranks): 16
+/// planes of 16x8 with walls in y and z, so 43% of the fluid cells touch
+/// a wall and 2 of 16 planes face the exchange — the thin-channel regime
+/// the row masks exist for. A full-domain 16x16x8 box runs exactly the
+/// per-rank kernel work (the x-periodic self exchange stands in for the
+/// neighbours).
+const Extents kRankSlab{16, 16, 8};
+
+void BM_RankSlabPhase(benchmark::State& state, KernelBackend backend) {
+  set_kernel_backend(backend);
+  Box b(FluidParams::microchannel_defaults(), kRankSlab);
   b.slab->plan();
   if (backend != KernelBackend::scalar) b.slab->tiles();
   for (auto _ : state)
@@ -299,11 +321,15 @@ void BM_ParallelPhase_Shm(benchmark::State& state) {
 BENCHMARK(BM_ParallelPhase_Shm)->UseManualTime();
 
 void BM_PlanBuild(benchmark::State& state) {
-  // the cost a migration adds outside the remap span: one O(owned cells)
-  // classification pass over the perf box
+  // the cost a migration adds outside the remap span on a tile backend:
+  // the O(owned cells) classification pass over the perf box plus the
+  // row-tile layout built from it
   const auto geom = std::make_shared<const ChannelGeometry>(kPerfBox);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(StreamingPlan(*geom, 0, kPerfBox.nx));
+  for (auto _ : state) {
+    const StreamingPlan plan(*geom, 0, kPerfBox.nx);
+    const TileLayout tiles(plan);
+    benchmark::DoNotOptimize(tiles.rows().data());
+  }
   state.SetItemsProcessed(state.iterations() * kPerfBox.cells());
 }
 BENCHMARK(BM_PlanBuild);
@@ -373,6 +399,12 @@ int main(int argc, char** argv) {
       BM_FullPhase_TwoComponent_Backend(s, b);
     });
   }
+  for (KernelBackend b : backends) {
+    const std::string name = std::string("BM_RankSlabPhase_") + to_string(b);
+    benchmark::RegisterBenchmark(name.c_str(), [b](benchmark::State& s) {
+      BM_RankSlabPhase(s, b);
+    });
+  }
 
   int bargc = static_cast<int>(bargs.size());
   benchmark::Initialize(&bargc, bargs.data());
@@ -421,6 +453,9 @@ int main(int argc, char** argv) {
     summary.add(std::string("mlups_backend_") + to_string(b),
                 reporter.get(std::string("BM_FullPhase_TwoComponent_Backend_") +
                              to_string(b)));
+  for (KernelBackend b : backends)
+    summary.add(std::string("mlups_rank_slab_") + to_string(b),
+                reporter.get(std::string("BM_RankSlabPhase_") + to_string(b)));
   summary.add("tile_speedup", tile_speedup);
   summary.add("require_tile_speedup", require_tile_speedup);
   summary.add("bytes_per_cell_two_component", bytes_per_cell(2));

@@ -59,7 +59,8 @@ double owned_mass(const Slab& slab, std::size_t component);
 
 /// Collide only the two boundary-adjacent owned planes into f_post — the
 /// minimum the f-halo exchange needs before fused_collide_stream re-does
-/// collision and streaming in one fused pass.
+/// collision and streaming in one fused pass. On a tile backend the BGK
+/// components sweep each plane as one contiguous vector range.
 void collide_boundary_planes(Slab& slab);
 
 /// Fused collide + stream: collide every owned fluid cell once (BGK or
@@ -85,16 +86,16 @@ void compute_forces_and_velocity_plan(Slab& slab);
 // exactly once per phase by exactly one piece, so any partition —
 // including a threaded one — is bit-identical to the fused calls above.
 
-/// Collide+stream the slices [run_begin, run_end) of
-/// plan.stream_interior() and [cell_begin, cell_end) of
-/// plan.stream_boundary(). Reads only owned f/n/ueq; writes only the
-/// f_post slots those cells' pushes and links own, so disjoint slices
-/// may run concurrently. No halo data is touched: every stream cell
-/// (boundary ones included) is halo-independent — the exchanged planes
-/// enter only through fused_collide_stream_finish's pulls.
-void fused_collide_stream_range(Slab& slab, std::size_t run_begin,
-                                std::size_t run_end, std::size_t cell_begin,
-                                std::size_t cell_end);
+/// Collide+stream the interior runs `runs` and the boundary cells
+/// `cells` (slices of plan.stream_interior() / plan.stream_boundary(), or
+/// TileLayout::stream_cells() on the tile path). Reads only owned
+/// f/n/ueq; writes only the f_post slots those cells' pushes and links
+/// own, so disjoint slices may run concurrently. No halo data is
+/// touched: every stream cell (boundary ones included) is
+/// halo-independent — the exchanged planes enter only through
+/// fused_collide_stream_finish's pulls.
+void fused_collide_stream_range(Slab& slab, std::span<const InteriorRun> runs,
+                                std::span<const StreamBoundaryCell> cells);
 
 /// Complete streaming once the f-halo landed: copy the plan's halo pulls,
 /// swap f_post into f and pin solid cells. fused_collide_stream ==
@@ -123,41 +124,49 @@ struct ForcePsiCache {
 void force_psi_prepare(Slab& slab, ForcePsiCache& cache, index_t cell_begin,
                        index_t cell_end, bool reset);
 
-/// Force/velocity for the slices [run_begin, run_end) of
-/// plan.force_interior() and [cell_begin, cell_end) of
-/// plan.force_boundary(). Each cell writes only its own ueq / total
-/// density / velocity entries, so disjoint slices may run concurrently.
-/// The caller guarantees every psi value the slice gathers is ready
-/// (inner-plane slices need owned psi only; edge-plane slices need the
-/// halo planes too — see StreamingPlan::force_*_inner_*).
+/// Force/velocity for the interior runs `runs` and the boundary cells
+/// `cells` (slices of plan.force_interior() / plan.force_boundary(), or
+/// TileLayout::force_cells() on the tile path). Each cell writes only
+/// its own ueq / total density / velocity entries, so disjoint slices
+/// may run concurrently. The caller guarantees every psi value the slice
+/// gathers is ready (inner-plane slices need owned psi only; edge-plane
+/// slices need the halo planes too — see StreamingPlan::force_*_inner_*
+/// and TileLayout::force_cells_inner_*).
 void compute_forces_plan_range(Slab& slab, const ForcePsiCache& cache,
-                               std::size_t run_begin, std::size_t run_end,
-                               std::size_t cell_begin, std::size_t cell_end);
+                               std::span<const InteriorRun> runs,
+                               std::span<const ForceBoundaryCell> cells);
 
 // --- tile/SIMD kernel path (kernels_tile*.cpp) -------------------------
-// The plan's interior runs re-chopped into vector-width tiles
-// (Slab::tiles()) and swept by unit-stride vector kernels; which ISA
-// executes is picked by KernelBackend (simd.hpp). The dispatching
-// wrappers above (fused_collide_stream, compute_density_planes,
-// compute_forces_and_velocity_plan) route interior work here whenever
-// active_kernel_backend() != scalar; boundary cells, halo pulls and MRT
-// components always take the per-cell plan path, so the tile ranges
-// below cover interior tiles only.
+// The slab's owned fluid cells as masked row tiles (Slab::tiles()),
+// swept by unit-stride vector kernels; which ISA executes is picked by
+// KernelBackend (simd.hpp). The dispatching wrappers above
+// (fused_collide_stream, collide_boundary_planes, compute_density_planes,
+// compute_forces_and_velocity_plan) route here whenever
+// active_kernel_backend() != scalar. Wall-adjacent and edge-plane cells
+// ride the rows under their lane masks; only the cells the masks cannot
+// express (TileLayout::stream_cells / force_cells: periodic wraps,
+// moving-wall links, solids) and the halo pulls take the per-cell plan
+// path, as does the collision of MRT components.
 
-/// Collide+stream the tiles [tile_begin, tile_end) of
-/// slab.tiles().stream_tiles(). Same write set as the corresponding
-/// interior runs of fused_collide_stream_range — disjoint tile slices
-/// may run concurrently. Requires backend != scalar (and supported).
+/// Collide+stream the rows [row_begin, row_end) of slab.tiles().rows()
+/// (MRT components cell by cell through the same masks). Rows write
+/// disjoint f_post slots, so disjoint row slices may run concurrently.
+/// Requires backend != scalar (and supported).
 void fused_collide_stream_tiles(Slab& slab, KernelBackend backend,
-                                std::size_t tile_begin, std::size_t tile_end);
+                                std::size_t row_begin, std::size_t row_end);
 
-/// Force/velocity for the tiles [tile_begin, tile_end) of
-/// slab.tiles().force_tiles(); the tile analogue of the interior-run part
-/// of compute_forces_plan_range, with the same psi-readiness contract
-/// (use TileLayout::force_inner_* to stay off the halo planes).
+/// Force/velocity for the rows [row_begin, row_end) of slab.tiles().rows(),
+/// with the psi-readiness contract of compute_forces_plan_range (use
+/// TileLayout::inner_* to stay off the halo planes).
 void compute_forces_tiles(Slab& slab, const ForcePsiCache& cache,
-                          KernelBackend backend, std::size_t tile_begin,
-                          std::size_t tile_end);
+                          KernelBackend backend, std::size_t row_begin,
+                          std::size_t row_end);
+
+/// BGK collision of one component's storage cells [first, first + count)
+/// into their own f_post slots on a tile backend — bit-identical to the
+/// scalar pre-collide.
+void collide_cells(Slab& slab, KernelBackend backend, std::size_t component,
+                   index_t first, index_t count);
 
 /// Density of storage cells [first, first + count) on a tile backend —
 /// bit-identical to the scalar kernel (pure additions, same order).

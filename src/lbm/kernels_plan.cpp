@@ -12,6 +12,7 @@
 #include "lbm/kernels.hpp"
 #include "lbm/mrt.hpp"
 #include "lbm/plan.hpp"
+#include "lbm/tile.hpp"
 
 namespace slipflow::lbm {
 
@@ -41,8 +42,16 @@ void collide_boundary_planes(Slab& slab) {
   const index_t pc = st.plane_cells();
   const index_t planes[2] = {1, slab.nx_local()};
   const int nplanes = slab.nx_local() == 1 ? 1 : 2;
+  const KernelBackend bk = active_kernel_backend();
   for (std::size_t c = 0; c < slab.num_components(); ++c) {
     const ComponentParams& cp = slab.params().components[c];
+    if (bk != KernelBackend::scalar && cp.collision == CollisionModel::bgk) {
+      // A plane is one contiguous cell range: the vector collide sweeps
+      // it whole, solids included, exactly like the loop below.
+      for (int p = 0; p < nplanes; ++p)
+        collide_cells(slab, bk, c, planes[p] * pc, pc);
+      continue;
+    }
     const ScalarField& n = slab.density(c);
     const VectorField& ueq = slab.ueq(c);
     const DistField& f = slab.f(c);
@@ -68,9 +77,8 @@ void collide_boundary_planes(Slab& slab) {
   }
 }
 
-void fused_collide_stream_range(Slab& slab, std::size_t run_begin,
-                                std::size_t run_end, std::size_t cell_begin,
-                                std::size_t cell_end) {
+void fused_collide_stream_range(Slab& slab, std::span<const InteriorRun> runs,
+                                std::span<const StreamBoundaryCell> cells) {
   const StreamingPlan& plan = slab.plan();
   index_t off[kQ];
   for (int d = 0; d < kQ; ++d) off[d] = plan.dir_offset(d);
@@ -102,9 +110,7 @@ void fused_collide_stream_range(Slab& slab, std::size_t run_begin,
     // the cells collide_boundary_planes already handled only when a run
     // touches them, which it never does (plane 1 / nx_local cells are
     // never stream-interior).
-    const auto& runs = plan.stream_interior();
-    for (std::size_t ri = run_begin; ri < run_end; ++ri) {
-      const InteriorRun& r = runs[ri];
+    for (const InteriorRun& r : runs) {
       for (index_t i = 0; i < r.count; ++i) {
         const index_t cell = r.cell + i;
         collide_one(cell);
@@ -117,9 +123,7 @@ void fused_collide_stream_range(Slab& slab, std::size_t run_begin,
     // back at the cell itself with the moving-wall correction term's
     // c·u_wall baked in at plan-build time.
     const auto& links = plan.links();
-    const auto& bcells = plan.stream_boundary();
-    for (std::size_t bi = cell_begin; bi < cell_end; ++bi) {
-      const StreamBoundaryCell& b = bcells[bi];
+    for (const StreamBoundaryCell& b : cells) {
       collide_one(b.cell);
       fp.at(0, b.cell) = fout[0];
       for (std::uint32_t l = b.link_begin; l < b.link_end; ++l) {
@@ -157,13 +161,14 @@ void fused_collide_stream(Slab& slab) {
   const StreamingPlan& plan = slab.plan();
   const KernelBackend bk = active_kernel_backend();
   if (bk != KernelBackend::scalar) {
-    // Tile path: interior cells through the SIMD backend, boundary cells
-    // through the link tables as ever (run range empty).
-    fused_collide_stream_tiles(slab, bk, 0, slab.tiles().stream_tiles().size());
-    fused_collide_stream_range(slab, 0, 0, 0, plan.stream_boundary().size());
+    // Tile path: every row through the SIMD backend, the cells the row
+    // masks cannot express through their link tables.
+    const TileLayout& tiles = slab.tiles();
+    fused_collide_stream_tiles(slab, bk, 0, tiles.rows().size());
+    fused_collide_stream_range(slab, {}, tiles.stream_cells());
   } else {
-    fused_collide_stream_range(slab, 0, plan.stream_interior().size(), 0,
-                               plan.stream_boundary().size());
+    fused_collide_stream_range(slab, plan.stream_interior(),
+                               plan.stream_boundary());
   }
   fused_collide_stream_finish(slab);
 }
@@ -198,8 +203,8 @@ void force_psi_prepare(Slab& slab, ForcePsiCache& cache, index_t cell_begin,
 }
 
 void compute_forces_plan_range(Slab& slab, const ForcePsiCache& cache,
-                               std::size_t run_begin, std::size_t run_end,
-                               std::size_t cell_begin, std::size_t cell_end) {
+                               std::span<const InteriorRun> runs,
+                               std::span<const ForceBoundaryCell> cells) {
   const StreamingPlan& plan = slab.plan();
   const FluidParams& prm = slab.params();
   const std::size_t nc = slab.num_components();
@@ -285,9 +290,7 @@ void compute_forces_plan_range(Slab& slab, const ForcePsiCache& cache,
   };
 
   Vec3 grad[8];
-  const auto& runs = plan.force_interior();
-  for (std::size_t ri = run_begin; ri < run_end; ++ri) {
-    const InteriorRun& r = runs[ri];
+  for (const InteriorRun& r : runs) {
     for (index_t i = 0; i < r.count; ++i) {
       const index_t cell = r.cell + i;
       for (std::size_t c2 = 0; c2 < nc; ++c2) {
@@ -305,9 +308,7 @@ void compute_forces_plan_range(Slab& slab, const ForcePsiCache& cache,
     }
   }
   const auto& nbrs = plan.force_neighbors();
-  const auto& bcells = plan.force_boundary();
-  for (std::size_t bi = cell_begin; bi < cell_end; ++bi) {
-    const ForceBoundaryCell& b = bcells[bi];
+  for (const ForceBoundaryCell& b : cells) {
     for (std::size_t c2 = 0; c2 < nc; ++c2) {
       const double* ps = psi[c2];
       Vec3 g{};
@@ -331,12 +332,12 @@ void compute_forces_and_velocity_plan(Slab& slab) {
   force_psi_prepare(slab, cache, 0, slab.storage().cells(), /*reset=*/true);
   const KernelBackend bk = active_kernel_backend();
   if (bk != KernelBackend::scalar) {
-    compute_forces_tiles(slab, cache, bk, 0, slab.tiles().force_tiles().size());
-    compute_forces_plan_range(slab, cache, 0, 0, 0,
-                              plan.force_boundary().size());
+    const TileLayout& tiles = slab.tiles();
+    compute_forces_tiles(slab, cache, bk, 0, tiles.rows().size());
+    compute_forces_plan_range(slab, cache, {}, tiles.force_cells());
   } else {
-    compute_forces_plan_range(slab, cache, 0, plan.force_interior().size(), 0,
-                              plan.force_boundary().size());
+    compute_forces_plan_range(slab, cache, plan.force_interior(),
+                              plan.force_boundary());
   }
 }
 

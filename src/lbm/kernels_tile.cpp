@@ -1,10 +1,11 @@
 /// \file kernels_tile.cpp
 /// Dispatcher of the tile/SIMD kernel path: binds Slab state into the
-/// plain-pointer contexts of kernels_tile.hpp and forwards tile ranges
-/// to the backend picked by KernelBackend. Also hosts the pieces that
-/// stay scalar inside the tile path — MRT components (the moment-space
-/// collision is not worth vectorizing at D3Q19 sizes) sweep the same
-/// tiles cell by cell so coverage is identical either way.
+/// plain-pointer contexts of kernels_tile.hpp and forwards row ranges to
+/// the backend picked by KernelBackend. Also hosts the piece that stays
+/// scalar inside the tile path — the stream step of MRT components (the
+/// moment-space collision is not worth vectorizing at D3Q19 sizes)
+/// sweeps the same rows cell by cell through the same lane masks, so
+/// coverage is identical either way.
 
 #include "lbm/kernels.hpp"
 #include "lbm/kernels_tile.hpp"
@@ -30,12 +31,13 @@ const tilek::Backend* tile_backend(KernelBackend b) {
   return nullptr;
 }
 
-/// Scalar MRT collide+push over tiles [tb, te) — the same per-cell body
-/// fused_collide_stream_range runs over interior runs.
-void mrt_stream_tiles(Slab& slab, std::size_t c, std::size_t tb,
-                      std::size_t te) {
+/// Scalar MRT collide + stream over rows [rb, re): the per-cell body of
+/// fused_collide_stream_range, with each lane's push/bounce/drop read
+/// from the row masks instead of a link table.
+void mrt_stream_rows(Slab& slab, std::size_t c, std::size_t rb,
+                     std::size_t re) {
   const StreamingPlan& plan = slab.plan();
-  const std::vector<Tile>& tiles = slab.tiles().stream_tiles();
+  const std::vector<RowTile>& rows = slab.tiles().rows();
   index_t off[kQ];
   for (int d = 0; d < kQ; ++d) off[d] = plan.dir_offset(d);
 
@@ -47,16 +49,38 @@ void mrt_stream_tiles(Slab& slab, std::size_t c, std::size_t tb,
   const MrtOperator& op = MrtOperator::instance();
   const MrtRates rates = MrtRates::for_tau(cp.tau);
   double fin[kQ], fout[kQ];
-  for (std::size_t t = tb; t < te; ++t) {
-    const Tile& tile = tiles[t];
-    for (std::int32_t i = 0; i < tile.count; ++i) {
-      const index_t cell = tile.cell + i;
+  for (std::size_t t = rb; t < re; ++t) {
+    const RowTile& row = rows[t];
+    for (std::int32_t i = 0; i < row.count; ++i) {
+      const index_t cell = row.cell + i;
+      const unsigned bit = 1u << i;
       for (int d = 0; d < kQ; ++d) fin[d] = f.at(d, cell);
       op.collide_cell(fin, fout, n[cell], ueq.at(cell), rates);
-      fp.at(0, cell) = fout[0];
-      for (int d = 1; d < kQ; ++d) fp.at(d, cell + off[d]) = fout[d];
+      for (int d = 0; d < kQ; ++d) {
+        if (row.push[d] & bit)
+          fp.at(d, cell + off[d]) = fout[d];
+        else if (row.bounce[d] & bit)
+          fp.at(kOpposite[d], cell) = fout[d];
+      }
     }
   }
+}
+
+/// BGK context of component c (rows bound only when sweeping rows).
+tilek::StreamCtx stream_ctx(Slab& slab, std::size_t c) {
+  const StreamingPlan& plan = slab.plan();
+  tilek::StreamCtx ctx{};
+  for (int d = 0; d < kQ; ++d) {
+    ctx.f[d] = slab.f(c).dir(d).data();
+    ctx.fp[d] = slab.f_post(c).dir(d).data();
+    ctx.off[d] = plan.dir_offset(d);
+  }
+  ctx.n = slab.density(c).data().data();
+  ctx.ux = slab.ueq(c).x().data().data();
+  ctx.uy = slab.ueq(c).y().data().data();
+  ctx.uz = slab.ueq(c).z().data().data();
+  ctx.inv_tau = 1.0 / slab.params().components[c].tau;
+  return ctx;
 }
 
 double eval_wall_pattern(const void* state, std::int64_t gx, std::int64_t y,
@@ -70,51 +94,50 @@ double eval_wall_pattern(const void* state, std::int64_t gx, std::int64_t y,
 }  // namespace
 
 void fused_collide_stream_tiles(Slab& slab, KernelBackend backend,
-                                std::size_t tile_begin, std::size_t tile_end) {
+                                std::size_t row_begin, std::size_t row_end) {
   const tilek::Backend* k = tile_backend(backend);
   SLIPFLOW_REQUIRE_MSG(k != nullptr,
                        "fused_collide_stream_tiles needs a tile backend");
-  const StreamingPlan& plan = slab.plan();
-  const std::vector<Tile>& tiles = slab.tiles().stream_tiles();
-  SLIPFLOW_REQUIRE(tile_begin <= tile_end && tile_end <= tiles.size());
+  const std::vector<RowTile>& rows = slab.tiles().rows();
+  SLIPFLOW_REQUIRE(row_begin <= row_end && row_end <= rows.size());
 
   for (std::size_t c = 0; c < slab.num_components(); ++c) {
-    const ComponentParams& cp = slab.params().components[c];
-    if (cp.collision == CollisionModel::mrt) {
-      mrt_stream_tiles(slab, c, tile_begin, tile_end);
+    if (slab.params().components[c].collision == CollisionModel::mrt) {
+      mrt_stream_rows(slab, c, row_begin, row_end);
       continue;
     }
-    tilek::StreamCtx ctx{};
-    ctx.tiles = tiles.data();
-    for (int d = 0; d < kQ; ++d) {
-      ctx.f[d] = slab.f(c).dir(d).data();
-      ctx.fp[d] = slab.f_post(c).dir(d).data();
-      ctx.off[d] = plan.dir_offset(d);
-    }
-    ctx.n = slab.density(c).data().data();
-    ctx.ux = slab.ueq(c).x().data().data();
-    ctx.uy = slab.ueq(c).y().data().data();
-    ctx.uz = slab.ueq(c).z().data().data();
-    ctx.inv_tau = 1.0 / cp.tau;
-    k->stream(ctx, tile_begin, tile_end);
+    tilek::StreamCtx ctx = stream_ctx(slab, c);
+    ctx.rows = rows.data();
+    k->stream(ctx, row_begin, row_end);
   }
 }
 
+void collide_cells(Slab& slab, KernelBackend backend, std::size_t component,
+                   index_t first, index_t count) {
+  const tilek::Backend* k = tile_backend(backend);
+  SLIPFLOW_REQUIRE_MSG(k != nullptr, "collide_cells needs a tile backend");
+  SLIPFLOW_REQUIRE(slab.params().components[component].collision ==
+                   CollisionModel::bgk);
+  SLIPFLOW_REQUIRE(first >= 0 && count >= 0 &&
+                   first + count <= slab.storage().cells());
+  k->collide(stream_ctx(slab, component), first, count);
+}
+
 void compute_forces_tiles(Slab& slab, const ForcePsiCache& cache,
-                          KernelBackend backend, std::size_t tile_begin,
-                          std::size_t tile_end) {
+                          KernelBackend backend, std::size_t row_begin,
+                          std::size_t row_end) {
   const tilek::Backend* k = tile_backend(backend);
   SLIPFLOW_REQUIRE_MSG(k != nullptr,
                        "compute_forces_tiles needs a tile backend");
   const StreamingPlan& plan = slab.plan();
-  const std::vector<Tile>& tiles = slab.tiles().force_tiles();
-  SLIPFLOW_REQUIRE(tile_begin <= tile_end && tile_end <= tiles.size());
+  const std::vector<RowTile>& rows = slab.tiles().rows();
+  SLIPFLOW_REQUIRE(row_begin <= row_end && row_end <= rows.size());
   const FluidParams& prm = slab.params();
   const std::size_t nc = slab.num_components();
   SLIPFLOW_REQUIRE(nc <= tilek::kMaxComp);
 
   tilek::ForceCtx ctx{};
-  ctx.tiles = tiles.data();
+  ctx.rows = rows.data();
   ctx.ncomp = static_cast<int>(nc);
   for (int d = 0; d < kQ; ++d) ctx.off[d] = plan.dir_offset(d);
   ctx.nz = slab.storage().nz;
@@ -142,7 +165,7 @@ void compute_forces_tiles(Slab& slab, const ForcePsiCache& cache,
     ctx.pattern = &eval_wall_pattern;
     ctx.pattern_state = &prm.wall_pattern;
   }
-  k->forces(ctx, tile_begin, tile_end);
+  k->forces(ctx, row_begin, row_end);
 }
 
 void compute_density_cells(Slab& slab, KernelBackend backend, index_t first,

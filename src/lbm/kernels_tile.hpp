@@ -28,10 +28,11 @@ inline constexpr int kMaxComp = 8;
 /// must equal the kTinyDensity of kernels.cpp / kernels_plan.cpp.
 inline constexpr double kTinyDensity = 1e-12;
 
-/// One component's fused collide+stream over stream tiles (BGK only;
-/// the dispatcher keeps MRT components on the scalar per-cell path).
+/// One component's BGK collision: the fused collide+stream over row
+/// tiles, or the in-place collide of a contiguous cell range (the
+/// edge-plane pre-collide). MRT components stay on the scalar path.
 struct StreamCtx {
-  const Tile* tiles = nullptr;
+  const RowTile* rows = nullptr;
   const double* f[kQ];  ///< pre-collision populations, direction-major
   double* fp[kQ];       ///< post-streaming destination arrays
   const double* n = nullptr;
@@ -42,9 +43,9 @@ struct StreamCtx {
   std::int64_t off[kQ];  ///< storage offset direction d's push lands at
 };
 
-/// The Shan-Chen force/velocity pass over force tiles, all components.
+/// The Shan-Chen force/velocity pass over row tiles, all components.
 struct ForceCtx {
-  const Tile* tiles = nullptr;
+  const RowTile* rows = nullptr;
   int ncomp = 0;
   std::int64_t off[kQ];
   std::int64_t nz = 0;  ///< yz = y*nz + z decode for wall patterns
@@ -79,10 +80,14 @@ struct DensityCtx {
 
 /// Entry points one ISA instantiation exports.
 struct Backend {
-  void (*stream)(const StreamCtx&, std::size_t tile_begin,
-                 std::size_t tile_end);
-  void (*forces)(const ForceCtx&, std::size_t tile_begin,
-                 std::size_t tile_end);
+  /// Collide+stream rows [row_begin, row_end).
+  void (*stream)(const StreamCtx&, std::size_t row_begin,
+                 std::size_t row_end);
+  /// Collide cells [first, first + count) into their own f_post slots.
+  void (*collide)(const StreamCtx&, std::int64_t first, std::int64_t count);
+  /// Force/velocity of rows [row_begin, row_end).
+  void (*forces)(const ForceCtx&, std::size_t row_begin,
+                 std::size_t row_end);
   void (*density)(const DensityCtx&, std::int64_t first, std::int64_t count);
 };
 

@@ -4,10 +4,10 @@
 /// unrolls and auto-vectorizes to whatever the build's baseline ISA
 /// offers (SSE2 on default x86 builds, NEON on arm, ...). This is the
 /// only tile backend in -DSLIPFLOW_DISABLE_SIMD=ON builds and on
-/// non-x86 targets. Per-lane operation order matches the scalar path,
-/// so results are bit-identical wherever the compiler does not contract
-/// mul+add into FMA (default builds; under -march=native the tests fall
-/// back to the 1e-13 pin).
+/// non-x86 targets. Per-lane operation order matches the scalar path
+/// and this TU compiles under the determinism contract's
+/// -ffp-contract=off, so results are bit-identical to it in every build
+/// flavour.
 
 #include <cmath>
 #include <cstdint>
@@ -78,15 +78,17 @@ struct VGen {
     return r;
   }
 
-  // Masked tail ops: lanes < n load/store, the rest read as +0.0 and are
-  // never written.
-  static VGen loadu_n(const double* p, int n) {
+  // Masked ops: lane i loads/stores iff bit i of m is set; dead lanes
+  // read +0.0 and their addresses are never touched.
+  static VGen loadu_m(const double* p, unsigned m) {
     VGen r;
-    for (std::int64_t i = 0; i < kW; ++i) r.v[i] = i < n ? p[i] : 0.0;
+    for (std::int64_t i = 0; i < kW; ++i)
+      r.v[i] = (m >> i) & 1u ? p[i] : 0.0;
     return r;
   }
-  static void storeu_n(double* p, VGen a, int n) {
-    for (std::int64_t i = 0; i < n; ++i) p[i] = a.v[i];
+  static void storeu_m(double* p, VGen a, unsigned m) {
+    for (std::int64_t i = 0; i < kW; ++i)
+      if ((m >> i) & 1u) p[i] = a.v[i];
   }
 };
 
@@ -95,8 +97,8 @@ struct VGen {
 }  // namespace
 
 const Backend* tile_backend_autovec() {
-  static constexpr Backend b{&stream_tiles_impl<VGen>, &forces_tiles_impl<VGen>,
-                             &density_impl<VGen>};
+  static constexpr Backend b{&stream_rows_impl<VGen>, &collide_impl<VGen>,
+                             &forces_rows_impl<VGen>, &density_impl<VGen>};
   return &b;
 }
 

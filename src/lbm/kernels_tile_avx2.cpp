@@ -1,6 +1,6 @@
 /// \file kernels_tile_avx2.cpp
 /// AVX2 instantiation of the tile kernels (4 doubles per register; a
-/// kTileWidth tile is two vector iterations). Compiled with
+/// full kTileWidth row is two vector iterations). Compiled with
 /// `-mavx2 -ffp-contract=off` and only ever entered after the CPUID
 /// dispatch in simd.cpp confirmed AVX2 — this TU includes nothing but
 /// the tile ABI header so no shared inline function can be emitted here
@@ -46,18 +46,20 @@ struct VAvx2 {
   }
   static VAvx2 sqrt(VAvx2 a) { return {_mm256_sqrt_pd(a.v)}; }
 
-  // Masked tail ops: lanes < n load/store, the rest read as +0.0 and are
-  // never written. maskload/maskstore never fault on the dead lanes, so
-  // short tails at the very end of an array stay in bounds.
-  static __m256i mask_n(int n) {
-    return _mm256_cmpgt_epi64(_mm256_set1_epi64x(n),
-                              _mm256_setr_epi64x(0, 1, 2, 3));
+  // Masked ops: lane i loads/stores iff bit i of m is set; dead lanes
+  // read +0.0 and are never written. maskload/maskstore never fault on
+  // dead lanes, so a lane whose address lies outside the field is safe.
+  static __m256i lane_mask(unsigned m) {
+    const __m256i bits = _mm256_setr_epi64x(1, 2, 4, 8);
+    return _mm256_cmpeq_epi64(
+        _mm256_and_si256(_mm256_set1_epi64x(static_cast<long long>(m)), bits),
+        bits);
   }
-  static VAvx2 loadu_n(const double* p, int n) {
-    return {_mm256_maskload_pd(p, mask_n(n))};
+  static VAvx2 loadu_m(const double* p, unsigned m) {
+    return {_mm256_maskload_pd(p, lane_mask(m))};
   }
-  static void storeu_n(double* p, VAvx2 a, int n) {
-    _mm256_maskstore_pd(p, mask_n(n), a.v);
+  static void storeu_m(double* p, VAvx2 a, unsigned m) {
+    _mm256_maskstore_pd(p, lane_mask(m), a.v);
   }
 };
 
@@ -66,8 +68,8 @@ struct VAvx2 {
 }  // namespace
 
 const Backend* tile_backend_avx2() {
-  static constexpr Backend b{&stream_tiles_impl<VAvx2>,
-                             &forces_tiles_impl<VAvx2>, &density_impl<VAvx2>};
+  static constexpr Backend b{&stream_rows_impl<VAvx2>, &collide_impl<VAvx2>,
+                             &forces_rows_impl<VAvx2>, &density_impl<VAvx2>};
   return &b;
 }
 

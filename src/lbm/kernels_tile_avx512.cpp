@@ -1,6 +1,6 @@
 /// \file kernels_tile_avx512.cpp
 /// AVX-512F instantiation of the tile kernels (8 doubles per register —
-/// exactly one kTileWidth tile per vector iteration). Compiled with
+/// exactly one full kTileWidth row per vector iteration). Compiled with
 /// `-mavx512f -ffp-contract=off`; see kernels_tile_avx2.cpp for the
 /// isolation and no-FMA rationale.
 
@@ -51,17 +51,14 @@ struct VAvx512 {
   }
   static VAvx512 sqrt(VAvx512 a) { return {_mm512_sqrt_pd(a.v)}; }
 
-  // Masked tail ops: lanes < n load/store, the rest read as +0.0 and are
-  // never written (masked lanes cannot fault, so tails at the end of an
-  // array stay in bounds).
-  static __mmask8 mask_n(int n) {
-    return static_cast<__mmask8>((1u << n) - 1u);
+  // Masked ops: lane i loads/stores iff bit i of m is set; dead lanes
+  // read +0.0 and are never written (masked lanes cannot fault, so a
+  // lane whose address lies outside the field is safe).
+  static VAvx512 loadu_m(const double* p, unsigned m) {
+    return {_mm512_maskz_loadu_pd(static_cast<__mmask8>(m), p)};
   }
-  static VAvx512 loadu_n(const double* p, int n) {
-    return {_mm512_maskz_loadu_pd(mask_n(n), p)};
-  }
-  static void storeu_n(double* p, VAvx512 a, int n) {
-    _mm512_mask_storeu_pd(p, mask_n(n), a.v);
+  static void storeu_m(double* p, VAvx512 a, unsigned m) {
+    _mm512_mask_storeu_pd(p, static_cast<__mmask8>(m), a.v);
   }
 };
 
@@ -70,8 +67,9 @@ struct VAvx512 {
 }  // namespace
 
 const Backend* tile_backend_avx512() {
-  static constexpr Backend b{&stream_tiles_impl<VAvx512>,
-                             &forces_tiles_impl<VAvx512>,
+  static constexpr Backend b{&stream_rows_impl<VAvx512>,
+                             &collide_impl<VAvx512>,
+                             &forces_rows_impl<VAvx512>,
                              &density_impl<VAvx512>};
   return &b;
 }

@@ -1,5 +1,7 @@
 #include "lbm/plan.hpp"
 
+#include <algorithm>
+
 namespace slipflow::lbm {
 
 StreamingPlan::StreamingPlan(const ChannelGeometry& geom, index_t x_begin,
@@ -90,6 +92,27 @@ void StreamingPlan::classify() {
     return true;
   };
 
+  // Size the lists for an obstacle-free slab up front — growing them cell
+  // by cell (the link tables above all) used to dominate the build. Not
+  // plain interior: both edge planes for streaming, the y/z rim of every
+  // plane for both kernels; obstacles only add to that.
+  {
+    const index_t rim = ny * nz - std::max<index_t>(ny - 2, 0) *
+                                      std::max<index_t>(nz - 2, 0);
+    const index_t edge = std::min<index_t>(nx_local_, 2);
+    const auto sb =
+        static_cast<std::size_t>(edge * ny * nz + (nx_local_ - edge) * rim);
+    const auto fb = static_cast<std::size_t>(nx_local_ * rim);
+    const auto rows = static_cast<std::size_t>(nx_local_ * ny);
+    stream_interior_.reserve(rows);
+    stream_boundary_.reserve(sb);
+    links_.reserve(sb * (kQ - 1));
+    halo_pulls_.reserve(static_cast<std::size_t>(edge * ny * nz * kXDirCount));
+    force_interior_.reserve(rows);
+    force_boundary_.reserve(fb);
+    force_nbrs_.reserve(fb * (kQ - 1));
+  }
+
   for (index_t lx = 1; lx <= nx_local_; ++lx) {
     // Inner-slice markers for the overlap runner: planes [2, nx_local-1]
     // only. Both conditions fire at lx==2 when nx_local==2 (empty inner);
@@ -159,8 +182,9 @@ void StreamingPlan::classify() {
         }
 
         // --- force classification (all owned cells, matching the legacy
-        // kernel which sweeps solids too) --------------------------------
-        if (plain) {
+        // kernel which sweeps solids too; solids always take the table so
+        // the interior runs hold fluid cells only) -----------------------
+        if (plain && !solid) {
           if (frun.count == 0) frun = InteriorRun{cell, 0, yz, gx};
           ++frun.count;
         } else {

@@ -28,6 +28,13 @@
 ///    neighbor table (storage index, or -1 where psi is zero because the
 ///    neighbor is a wall or obstacle).
 ///
+/// The runs and tables play two roles. On the `scalar` kernel backend
+/// they drive every sweep: that is the reference path every SIMD backend
+/// is pinned against. On a SIMD backend the TileLayout (tile.hpp)
+/// re-expresses them as lane masks of row tiles, and the per-cell tables
+/// serve only the irregular cells the masks cannot express (periodic
+/// wraps, moving-wall links, solids) plus the halo pulls.
+///
 /// A plan depends only on (geometry, x_begin, nx_local), so a slab can
 /// build it lazily at construction and rebuild it after a plane
 /// migration; the rebuild is a single O(owned cells) pass, comparable to
@@ -117,8 +124,9 @@ class StreamingPlan {
   const std::vector<index_t>& solids() const { return solids_; }
 
   // --- force plan -----------------------------------------------------
-  /// Interior cells of the force kernel: all 18 psi gathers are plain
-  /// fluid reads at the fixed dir_offset (any owned plane).
+  /// Interior cells of the force kernel: fluid cells whose 18 psi
+  /// gathers are plain fluid reads at the fixed dir_offset (any owned
+  /// plane). Solid cells always take the neighbor table.
   const std::vector<InteriorRun>& force_interior() const {
     return force_interior_;
   }

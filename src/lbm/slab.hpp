@@ -107,9 +107,9 @@ class Slab {
   /// rebuild span is worth recording).
   bool has_plan() const { return plan_ != nullptr; }
 
-  /// The plan's interior runs chopped into vector-width tiles for the
-  /// SIMD kernel path; cached like the plan and likewise dropped by the
-  /// move-assign of plane migration. Not thread-safe to build — runners
+  /// The owned fluid cells as masked row tiles for the SIMD kernel path
+  /// (built from plan()); cached like the plan and likewise dropped by
+  /// the move-assign of plane migration. Not thread-safe to build — runners
   /// touch tiles() on the coordinating thread before slicing it across a
   /// pool (plan() has the same contract).
   const TileLayout& tiles() const {

@@ -338,13 +338,14 @@ void ParallelLbm::step_overlap() {
   lbm::Slab& slab = *slab_;
   const lbm::StreamingPlan& plan = slab.plan();
   // Which kernel backend this step runs, read once so every slice of the
-  // phase agrees. On a tile backend the pool slices *tile* indices, never
-  // raw runs: a slice boundary can then never split a tile, so each cell
-  // takes the same vector-lane-vs-tail code path for any rank x thread
-  // count — the partition-invariance the run slicing had.
+  // phase agrees. On a tile backend the pool slices *row* indices, never
+  // cells: a slice boundary can then never split a row, so each cell
+  // takes the same vector-lane code path for any rank x thread count —
+  // the partition-invariance the run slicing has on the scalar path.
   const lbm::KernelBackend backend = lbm::active_kernel_backend();
   const bool tile_path = backend != lbm::KernelBackend::scalar;
-  if (tile_path) slab.tiles();  // build on this thread, not under the pool
+  // build on this thread, not under the pool
+  const lbm::TileLayout* tiles = tile_path ? &slab.tiles() : nullptr;
   const lbm::index_t nxl = slab.nx_local();
   const lbm::index_t pc = slab.storage().plane_cells();
   const double phase_begin = prof_->now();
@@ -370,33 +371,32 @@ void ParallelLbm::step_overlap() {
   // a disjoint set of f_post slots; the exchanged planes enter the phase
   // through the finish pulls below, never here.
   t0 = t;
-  const auto& sruns = plan.stream_interior();
-  const std::size_t nruns = sruns.size();
-  const std::size_t nbound = plan.stream_boundary().size();
-  if (tile_path) {
-    const auto& stiles = slab.tiles().stream_tiles();
-    const std::size_t ntiles = stiles.size();
-    pool_->run([&](int lane, int lanes) {
-      const auto [tb, te] = util::ThreadPool::slice(ntiles, lane, lanes);
-      const auto [cb, ce] = util::ThreadPool::slice(nbound, lane, lanes);
-      lbm::fused_collide_stream_tiles(slab, backend, tb, te);
-      lbm::fused_collide_stream_range(slab, 0, 0, cb, ce);
-      double cells = static_cast<double>(ce - cb);
-      for (std::size_t ti = tb; ti < te; ++ti)
-        cells += static_cast<double>(stiles[ti].count);
-      thread_cells_[static_cast<std::size_t>(lane)] += cells;
-    });
-  } else {
-    pool_->run([&](int lane, int lanes) {
-      const auto [rb, re] = util::ThreadPool::slice(nruns, lane, lanes);
-      const auto [cb, ce] = util::ThreadPool::slice(nbound, lane, lanes);
-      lbm::fused_collide_stream_range(slab, rb, re, cb, ce);
-      double cells = static_cast<double>(ce - cb);
+  // The per-cell list: everything on the scalar path, the cells no row
+  // covers on the tile path.
+  const std::span<const lbm::StreamBoundaryCell> scells =
+      tile_path ? std::span(tiles->stream_cells())
+                : std::span(plan.stream_boundary());
+  pool_->run([&](int lane, int lanes) {
+    const auto [cb, ce] = util::ThreadPool::slice(scells.size(), lane, lanes);
+    const auto cells_of = scells.subspan(cb, ce - cb);
+    double cells = static_cast<double>(cells_of.size());
+    if (tile_path) {
+      const auto& rows = tiles->rows();
+      const auto [rb, re] = util::ThreadPool::slice(rows.size(), lane, lanes);
+      lbm::fused_collide_stream_tiles(slab, backend, rb, re);
+      lbm::fused_collide_stream_range(slab, {}, cells_of);
       for (std::size_t ri = rb; ri < re; ++ri)
-        cells += static_cast<double>(sruns[ri].count);
-      thread_cells_[static_cast<std::size_t>(lane)] += cells;
-    });
-  }
+        cells += static_cast<double>(rows[ri].count);
+    } else {
+      const std::span<const lbm::InteriorRun> runs = plan.stream_interior();
+      const auto [rb, re] = util::ThreadPool::slice(runs.size(), lane, lanes);
+      lbm::fused_collide_stream_range(slab, runs.subspan(rb, re - rb),
+                                      cells_of);
+      for (std::size_t ri = rb; ri < re; ++ri)
+        cells += static_cast<double>(runs[ri].count);
+    }
+    thread_cells_[static_cast<std::size_t>(lane)] += cells;
+  });
   t = prof_->now();
   prof_->record_span("interior_stream", t0, t);
   compute += t - t0;
@@ -444,26 +444,38 @@ void ParallelLbm::step_overlap() {
   }
   lbm::force_psi_prepare(slab, psi_cache_, pc, (nxl + 1) * pc,
                          /*reset=*/true);
-  const std::size_t fi_b = plan.force_interior_inner_begin();
-  const std::size_t fi_n = plan.force_interior_inner_end() - fi_b;
-  const std::size_t fb_b = plan.force_boundary_inner_begin();
-  const std::size_t fb_n = plan.force_boundary_inner_end() - fb_b;
-  const std::size_t ft_b = tile_path ? slab.tiles().force_inner_begin() : 0;
-  const std::size_t ft_n =
-      tile_path ? slab.tiles().force_inner_end() - ft_b : 0;
-  pool_->run([&](int lane, int lanes) {
-    const auto [cb, ce] = util::ThreadPool::slice(fb_n, lane, lanes);
+  // Bulk units (rows or runs) and per-cell lists, each split into the
+  // inner slice swept now and the edge remainder swept after the wait.
+  const std::span<const lbm::ForceBoundaryCell> fcells =
+      tile_path ? std::span(tiles->force_cells())
+                : std::span(plan.force_boundary());
+  const std::size_t fc_b = tile_path ? tiles->force_cells_inner_begin()
+                                     : plan.force_boundary_inner_begin();
+  const std::size_t fc_e = tile_path ? tiles->force_cells_inner_end()
+                                     : plan.force_boundary_inner_end();
+  const std::span<const lbm::InteriorRun> fruns = plan.force_interior();
+  const std::size_t fu_n = tile_path ? tiles->rows().size() : fruns.size();
+  const std::size_t fu_b =
+      tile_path ? tiles->inner_begin() : plan.force_interior_inner_begin();
+  const std::size_t fu_e =
+      tile_path ? tiles->inner_end() : plan.force_interior_inner_end();
+  // Force units [ub, ue) plus per-cell entries [cb, ce).
+  const auto forces = [&](std::size_t ub, std::size_t ue, std::size_t cb,
+                          std::size_t ce) {
     if (tile_path) {
-      const auto [tb, te] = util::ThreadPool::slice(ft_n, lane, lanes);
-      lbm::compute_forces_tiles(slab, psi_cache_, backend, ft_b + tb,
-                                ft_b + te);
-      lbm::compute_forces_plan_range(slab, psi_cache_, 0, 0, fb_b + cb,
-                                     fb_b + ce);
+      lbm::compute_forces_tiles(slab, psi_cache_, backend, ub, ue);
+      lbm::compute_forces_plan_range(slab, psi_cache_, {},
+                                     fcells.subspan(cb, ce - cb));
     } else {
-      const auto [rb, re] = util::ThreadPool::slice(fi_n, lane, lanes);
-      lbm::compute_forces_plan_range(slab, psi_cache_, fi_b + rb, fi_b + re,
-                                     fb_b + cb, fb_b + ce);
+      lbm::compute_forces_plan_range(slab, psi_cache_,
+                                     fruns.subspan(ub, ue - ub),
+                                     fcells.subspan(cb, ce - cb));
     }
+  };
+  pool_->run([&](int lane, int lanes) {
+    const auto [ub, ue] = util::ThreadPool::slice(fu_e - fu_b, lane, lanes);
+    const auto [cb, ce] = util::ThreadPool::slice(fc_e - fc_b, lane, lanes);
+    forces(fu_b + ub, fu_b + ue, fc_b + cb, fc_b + ce);
   });
   t = prof_->now();
   prof_->record_span("interior_force", t0, t);
@@ -483,19 +495,8 @@ void ParallelLbm::step_overlap() {
   lbm::force_psi_prepare(slab, psi_cache_, 0, pc, /*reset=*/false);
   lbm::force_psi_prepare(slab, psi_cache_, (nxl + 1) * pc, (nxl + 2) * pc,
                          /*reset=*/false);
-  if (tile_path) {
-    lbm::compute_forces_tiles(slab, psi_cache_, backend, 0, ft_b);
-    lbm::compute_forces_tiles(slab, psi_cache_, backend, ft_b + ft_n,
-                              slab.tiles().force_tiles().size());
-    lbm::compute_forces_plan_range(slab, psi_cache_, 0, 0, 0, fb_b);
-    lbm::compute_forces_plan_range(slab, psi_cache_, 0, 0, fb_b + fb_n,
-                                   plan.force_boundary().size());
-  } else {
-    lbm::compute_forces_plan_range(slab, psi_cache_, 0, fi_b, 0, fb_b);
-    lbm::compute_forces_plan_range(slab, psi_cache_, fi_b + fi_n,
-                                   plan.force_interior().size(), fb_b + fb_n,
-                                   plan.force_boundary().size());
-  }
+  forces(0, fu_b, 0, fc_b);
+  forces(fu_e, fu_n, fc_e, fcells.size());
   t = prof_->now();
   prof_->record_span("boundary_force", t0, t);
   compute += t - t0;

@@ -1,28 +1,32 @@
 // Equivalence and structural tests for the SIMD tile kernel path.
 //
 // Every KernelBackend this build/CPU supports must reproduce the scalar
-// plan path to within 1e-13 per population across a sweep of odd/prime
-// grid extents (chosen so runs leave every possible tile-tail length),
-// geometries, component counts and collision operators — and the
-// density pass must be bit-identical (pure additions in a fixed order).
-// Structurally, the TileLayout must chop the plan's interior runs into
-// tiles that cover every run cell exactly once, never span a run, and
-// place the inner-force markers on the same cells as the plan's; the
-// fused kernel's write pattern replayed over tiles (plus the plan's
-// boundary links and halo pulls) must hit every fluid slot exactly
-// once. Finally a migrating multi-rank run on a SIMD backend must match
+// plan path across a sweep of odd/prime grid extents (chosen so rows
+// leave every possible short-row length), geometries, component counts
+// and collision operators: bit for bit on one pass of each kernel, and
+// to within 1e-13 per population over runs — and the density pass must
+// be bit-identical (pure additions in a fixed order). Structurally, the
+// TileLayout's row tiles plus its per-cell lists must cover every owned
+// cell exactly once, in plane order with the inner-plane markers on the
+// plane boundaries, and the row masks replayed as writes and gathers
+// must reproduce the plan's link and neighbour tables slot for slot.
+// Finally a migrating multi-rank run on every SIMD backend must match
 // the sequential scalar reference, pinning partition invariance.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <functional>
 #include <mutex>
 #include <string>
 #include <vector>
 
+#include "lbm/kernels.hpp"
 #include "lbm/observables.hpp"
 #include "lbm/plan.hpp"
 #include "lbm/simulation.hpp"
+#include "lbm/stepper.hpp"
 #include "lbm/tile.hpp"
 #include "obs/metrics.hpp"
 #include "sim/parallel_lbm.hpp"
@@ -49,11 +53,12 @@ std::vector<KernelBackend> simd_backends() {
   return out;
 }
 
-// Odd/prime extents: nz in {3, 5, 7, 11} leaves interior runs of every
-// short length, so every backend exercises every masked-tail width; the
-// {6,5,16} case gives runs longer than one tile plus a tail.
+// Odd/prime extents: nz in {3, 5, 7, 11} leaves rows of every short
+// length, so every backend exercises every masked-lane width; {6,5,16}
+// gives two full rows per (x, y); {4,6,8} is the README shape — one
+// full-width row per (x, y) whose first and last lanes touch a wall.
 const Extents kGrids[] = {
-    {7, 5, 3}, {5, 3, 7}, {3, 4, 5}, {6, 5, 16}, {4, 7, 11},
+    {7, 5, 3}, {5, 3, 7}, {3, 4, 5}, {6, 5, 16}, {4, 7, 11}, {4, 6, 8},
 };
 
 struct GeoCase {
@@ -219,108 +224,270 @@ TEST(TileKernels, DensityBitIdenticalAcrossBackends) {
   }
 }
 
+// -- one pass, bit for bit ---------------------------------------------
+
+namespace {
+
+template <class Field>
+bool same_bytes(const Field& a, const Field& b) {
+  const auto da = a.data(), db = b.data();
+  return da.size() == db.size() &&
+         std::memcmp(da.data(), db.data(), da.size() * sizeof(double)) == 0;
+}
+
+bool same_dist(const DistField& a, const DistField& b) {
+  for (int d = 0; d < kQ; ++d) {
+    const auto da = a.dir(d), db = b.dir(d);
+    if (std::memcmp(da.data(), db.data(), da.size() * sizeof(double)) != 0)
+      return false;
+  }
+  return true;
+}
+
+bool same_vec(const VectorField& a, const VectorField& b) {
+  return same_bytes(a.x(), b.x()) && same_bytes(a.y(), b.y()) &&
+         same_bytes(a.z(), b.z());
+}
+
+}  // namespace
+
+TEST(TileKernels, OnePassBitIdenticalToScalar) {
+  // From one evolved state, each kernel of a phase on a SIMD backend
+  // must write exactly the scalar path's bytes: the pre-collided edge
+  // planes, the streamed populations, and the force pass's ueq,
+  // total density and velocity.
+  const auto backends = simd_backends();
+  ASSERT_FALSE(backends.empty()) << "no SIMD backend compiled in";
+  for (const Extents& e : kGrids)
+    for (const GeoCase& gc : {kGeoCases[1], kGeoCases[2]})
+      for (int ncomp : {1, 2})
+        for (CollisionModel cm : {CollisionModel::bgk, CollisionModel::mrt}) {
+          const auto geom = make_geom(gc, e);
+          const FluidParams params = make_params(ncomp, cm, gc);
+          // One pass of every kernel on `b`, from 6 scalar phases.
+          const auto one_pass = [&](KernelBackend b) {
+            auto sim = std::make_unique<Simulation>(geom, params);
+            sim->set_kernel_path(KernelPath::plan);
+            {
+              BackendGuard g(KernelBackend::scalar);
+              run_sim(*sim, params, 6);
+            }
+            Slab& s = sim->slab();
+            PeriodicSelfExchanger halo;
+            BackendGuard g(b);
+            s.tiles();
+            collide_boundary_planes(s);
+            std::vector<DistField> precollide;
+            for (std::size_t c = 0; c < s.num_components(); ++c)
+              precollide.push_back(s.f_post(c));
+            halo.exchange_f(s);
+            fused_collide_stream(s);
+            compute_density(s);
+            halo.exchange_density(s);
+            compute_forces_and_velocity_plan(s);
+            return std::make_pair(std::move(sim), std::move(precollide));
+          };
+          const auto ref = one_pass(KernelBackend::scalar);
+          const Slab& rs = ref.first->slab();
+          for (KernelBackend b : backends) {
+            SCOPED_TRACE(std::string(gc.name) + " " + std::to_string(e.nx) +
+                         "x" + std::to_string(e.ny) + "x" +
+                         std::to_string(e.nz) + " ncomp=" +
+                         std::to_string(ncomp) + " " +
+                         (cm == CollisionModel::bgk ? "bgk" : "mrt") + " " +
+                         to_string(b));
+            const auto got = one_pass(b);
+            const Slab& ts = got.first->slab();
+            for (std::size_t c = 0; c < ts.num_components(); ++c) {
+              EXPECT_TRUE(same_dist(got.second[c], ref.second[c]))
+                  << "pre-collided f_post, c=" << c;
+              EXPECT_TRUE(same_dist(ts.f(c), rs.f(c)))
+                  << "streamed f_post, c=" << c;
+              EXPECT_TRUE(same_bytes(ts.density(c), rs.density(c)))
+                  << "n, c=" << c;
+              EXPECT_TRUE(same_vec(ts.ueq(c), rs.ueq(c))) << "ueq, c=" << c;
+            }
+            EXPECT_TRUE(same_bytes(ts.total_density(), rs.total_density()))
+                << "rho_tot";
+            EXPECT_TRUE(same_vec(ts.velocity(), rs.velocity())) << "u";
+          }
+        }
+}
+
 // -- structural invariants of the TileLayout ---------------------------
 
 namespace {
 
-void expect_tiles_partition_runs(const StreamingPlan& plan,
-                                 const TileLayout& layout) {
-  // stream tiles: walking the tiles in order must walk the runs in
-  // order, cell for cell, with every tile inside exactly one run
-  std::size_t ri = 0;
-  index_t consumed = 0;
-  for (const Tile& t : layout.stream_tiles()) {
-    ASSERT_GE(t.count, 1);
-    ASSERT_LE(t.count, kTileWidth);
-    ASSERT_LT(ri, plan.stream_interior().size());
-    const auto& run = plan.stream_interior()[ri];
-    ASSERT_EQ(t.cell, run.cell + consumed) << "tile not contiguous in run";
-    ASSERT_EQ(t.yz, run.yz + consumed);
-    ASSERT_EQ(t.gx, run.gx);
-    ASSERT_LE(consumed + t.count, run.count) << "tile spans two runs";
-    consumed += t.count;
-    if (consumed == run.count) {
-      ++ri;
-      consumed = 0;
-    }
-  }
-  ASSERT_EQ(ri, plan.stream_interior().size());
-  ASSERT_EQ(consumed, 0);
-
-  // force tiles: same partition property, plus the inner markers must
-  // cover exactly the cells of the plan's inner-run slice
-  ri = 0;
-  consumed = 0;
-  index_t cells_before_inner = 0, inner_cells = 0, total = 0;
-  std::size_t ti = 0;
-  for (const Tile& t : layout.force_tiles()) {
-    ASSERT_GE(t.count, 1);
-    ASSERT_LE(t.count, kTileWidth);
-    ASSERT_LT(ri, plan.force_interior().size());
-    const auto& run = plan.force_interior()[ri];
-    ASSERT_EQ(t.cell, run.cell + consumed);
-    ASSERT_LE(consumed + t.count, run.count);
-    consumed += t.count;
-    if (ti < layout.force_inner_begin()) cells_before_inner += t.count;
-    if (ti >= layout.force_inner_begin() && ti < layout.force_inner_end())
-      inner_cells += t.count;
-    total += t.count;
-    if (consumed == run.count) {
-      ++ri;
-      consumed = 0;
-    }
-    ++ti;
-  }
-  ASSERT_EQ(ri, plan.force_interior().size());
-
-  index_t run_cells_before = 0, run_inner = 0;
-  for (std::size_t i = 0; i < plan.force_interior().size(); ++i) {
-    if (i < plan.force_interior_inner_begin())
-      run_cells_before += plan.force_interior()[i].count;
-    if (i >= plan.force_interior_inner_begin() &&
-        i < plan.force_interior_inner_end())
-      run_inner += plan.force_interior()[i].count;
-  }
-  EXPECT_EQ(cells_before_inner, run_cells_before);
-  EXPECT_EQ(inner_cells, run_inner);
-  EXPECT_EQ(layout.stream_cells(), [&] {
-    index_t n = 0;
-    for (const auto& r : plan.stream_interior()) n += r.count;
-    return n;
-  }());
-  EXPECT_EQ(layout.force_cells(), total);
+/// Slab widths every structural test sweeps: 1- and 2-plane slabs (no
+/// inner planes), 3 (one inner plane) and the full domain.
+std::vector<index_t> slab_widths(const Extents& e) {
+  std::vector<index_t> out{1, 2, 3, e.nx};
+  out.erase(std::remove_if(out.begin(), out.end(),
+                           [&](index_t n) { return n > e.nx; }),
+            out.end());
+  return out;
 }
 
-// Replay the fused kernel's write pattern with tiles in place of runs
-// and count how many times each (direction, cell) slot of f would be
-// written — every fluid slot must come out exactly 1.
+void expect_rows_partition_cells(const StreamingPlan& plan,
+                                 const TileLayout& layout) {
+  const Extents& e = plan.storage();
+  const index_t nxl = plan.nx_local();
+  std::vector<int> row_hits(static_cast<std::size_t>(e.cells()), 0);
+  std::vector<int> stream_hits(row_hits.size(), 0);
+  std::vector<int> force_hits(row_hits.size(), 0);
+  std::vector<char> solid(row_hits.size(), 0);
+  for (index_t s : plan.solids()) solid[static_cast<std::size_t>(s)] = 1;
+
+  index_t last_lx = 1;
+  for (std::size_t ri = 0; ri < layout.rows().size(); ++ri) {
+    const RowTile& row = layout.rows()[ri];
+    ASSERT_GE(row.count, 1);
+    ASSERT_LE(row.count, kTileWidth);
+    const index_t lx = row.cell / e.plane_cells();
+    const index_t yz = row.cell % e.plane_cells();
+    ASSERT_EQ(row.yz, yz);
+    ASSERT_EQ(row.gx, plan.x_begin() + lx - 1);
+    ASSERT_LE(yz % e.nz + row.count, e.nz) << "row spans two (x, y) rows";
+    ASSERT_GE(lx, last_lx) << "rows out of plane order";
+    last_lx = lx;
+    const bool inner = ri >= layout.inner_begin() && ri < layout.inner_end();
+    EXPECT_EQ(inner, lx >= 2 && lx <= nxl - 1) << "row " << ri;
+
+    const auto live = static_cast<LaneMask>((1u << row.count) - 1u);
+    EXPECT_EQ(row.push[0], live);
+    EXPECT_EQ(row.bounce[0] | row.drop[0] | row.psi[0], 0);
+    for (int d = 1; d < kQ; ++d) {
+      EXPECT_EQ(row.push[d] | row.bounce[d] | row.drop[d], live) << d;
+      EXPECT_EQ(row.push[d] & row.bounce[d], 0) << d;
+      EXPECT_EQ(row.push[d] & row.drop[d], 0) << d;
+      EXPECT_EQ(row.bounce[d] & row.drop[d], 0) << d;
+      EXPECT_EQ(row.psi[d] & ~live, 0) << d;
+      // only populations bound for a halo plane are dropped
+      const bool leaves = lx + kCx[d] < 1 || lx + kCx[d] > nxl;
+      if (!leaves) {
+        EXPECT_EQ(row.drop[d], 0) << d;
+      }
+    }
+    for (index_t i = 0; i < row.count; ++i) {
+      ASSERT_FALSE(solid[static_cast<std::size_t>(row.cell + i)]);
+      row_hits[static_cast<std::size_t>(row.cell + i)] += 1;
+      // every address a live mask bit lets a kernel touch is in storage
+      for (int d = 0; d < kQ; ++d) {
+        const index_t nb = row.cell + i + plan.dir_offset(d);
+        if (((row.push[d] | row.psi[d]) >> i) & 1u) {
+          EXPECT_GE(nb, 0) << "d=" << d << " lane " << i;
+          EXPECT_LT(nb, e.cells()) << "d=" << d << " lane " << i;
+        }
+      }
+    }
+  }
+
+  // per-cell lists: subsets of the plan's boundary lists, plane ordered,
+  // inner markers on the plane boundaries
+  std::size_t pi = 0;
+  for (const StreamBoundaryCell& b : layout.stream_cells()) {
+    while (pi < plan.stream_boundary().size() &&
+           plan.stream_boundary()[pi].cell != b.cell)
+      ++pi;
+    ASSERT_LT(pi, plan.stream_boundary().size()) << "not a plan entry";
+    EXPECT_EQ(plan.stream_boundary()[pi].link_begin, b.link_begin);
+    EXPECT_EQ(plan.stream_boundary()[pi].link_end, b.link_end);
+    stream_hits[static_cast<std::size_t>(b.cell)] += 1;
+  }
+  pi = 0;
+  for (std::size_t i = 0; i < layout.force_cells().size(); ++i) {
+    const ForceBoundaryCell& b = layout.force_cells()[i];
+    while (pi < plan.force_boundary().size() &&
+           plan.force_boundary()[pi].cell != b.cell)
+      ++pi;
+    ASSERT_LT(pi, plan.force_boundary().size()) << "not a plan entry";
+    EXPECT_EQ(plan.force_boundary()[pi].nbr_begin, b.nbr_begin);
+    const index_t lx = b.cell / e.plane_cells();
+    const bool inner = i >= layout.force_cells_inner_begin() &&
+                       i < layout.force_cells_inner_end();
+    EXPECT_EQ(inner, lx >= 2 && lx <= nxl - 1) << "force cell " << i;
+    force_hits[static_cast<std::size_t>(b.cell)] += 1;
+  }
+
+  // every owned fluid cell in exactly one row lane or the stream list;
+  // every owned cell (solids too) in one row lane or the force list
+  for (index_t lx = 0; lx < e.nx; ++lx)
+    for (index_t y = 0; y < e.ny; ++y)
+      for (index_t z = 0; z < e.nz; ++z) {
+        const auto cell = static_cast<std::size_t>(e.idx(lx, y, z));
+        const bool owned = lx >= 1 && lx <= nxl;
+        ASSERT_EQ(row_hits[cell] + stream_hits[cell],
+                  owned && !solid[cell] ? 1 : 0)
+            << "stream @(" << lx << "," << y << "," << z << ")";
+        ASSERT_EQ(row_hits[cell] + force_hits[cell], owned ? 1 : 0)
+            << "force @(" << lx << "," << y << "," << z << ")";
+      }
+}
+
+// Replay the fused kernel's writes twice — once from the plan (runs +
+// link tables), once from the layout (row masks + per-cell lists) — and
+// record which (cell, out_dir) wrote each (direction, cell) slot: the
+// two must agree slot for slot, and every owned fluid slot must be
+// written exactly once. The force gathers are replayed the same way.
 void expect_full_coverage_tiles(const ChannelGeometry& geom, index_t x_begin,
                                 index_t nx_local) {
   const StreamingPlan plan(geom, x_begin, nx_local);
   const TileLayout layout(plan);
   const Extents& e = plan.storage();
-  std::vector<int> writes(static_cast<std::size_t>(kQ) *
-                              static_cast<std::size_t>(e.cells()),
-                          0);
-  const auto slot = [&](int d, index_t cell) -> int& {
-    return writes[static_cast<std::size_t>(d) *
-                      static_cast<std::size_t>(e.cells()) +
-                  static_cast<std::size_t>(cell)];
+  const auto cells = static_cast<std::size_t>(e.cells());
+  constexpr long long kNone = -1;
+  std::vector<long long> by_plan(static_cast<std::size_t>(kQ) * cells, kNone);
+  std::vector<long long> by_rows(by_plan.size(), kNone);
+  std::vector<int> writes(by_plan.size(), 0);
+  const auto slot = [&](int d, index_t cell) {
+    return static_cast<std::size_t>(d) * cells + static_cast<std::size_t>(cell);
   };
-  for (const Tile& t : layout.stream_tiles())
-    for (index_t i = 0; i < t.count; ++i)
+  const auto source = [](index_t cell, int d) {
+    return static_cast<long long>(cell) * kQ + d;
+  };
+  const auto replay_links = [&](const StreamBoundaryCell& b,
+                                std::vector<long long>& by) {
+    by[slot(0, b.cell)] = source(b.cell, 0);
+    for (std::uint32_t l = b.link_begin; l < b.link_end; ++l) {
+      const StreamLink& lk = plan.links()[l];
+      by[slot(lk.dest_dir, lk.dest)] = source(b.cell, lk.out_dir);
+    }
+  };
+
+  for (const auto& run : plan.stream_interior())
+    for (index_t i = 0; i < run.count; ++i)
       for (int d = 0; d < kQ; ++d)
-        slot(d, t.cell + i + plan.dir_offset(d)) += 1;
-  for (const auto& b : plan.stream_boundary()) {
-    slot(0, b.cell) += 1;
+        by_plan[slot(d, run.cell + i + plan.dir_offset(d))] =
+            source(run.cell + i, d);
+  for (const auto& b : plan.stream_boundary()) replay_links(b, by_plan);
+
+  for (const RowTile& row : layout.rows())
+    for (index_t i = 0; i < row.count; ++i) {
+      const index_t cell = row.cell + i;
+      const unsigned bit = 1u << i;
+      for (int d = 0; d < kQ; ++d) {
+        if (row.push[d] & bit) {
+          by_rows[slot(d, cell + plan.dir_offset(d))] = source(cell, d);
+          writes[slot(d, cell + plan.dir_offset(d))] += 1;
+        }
+        if (row.bounce[d] & bit) {
+          by_rows[slot(kOpposite[d], cell)] = source(cell, d);
+          writes[slot(kOpposite[d], cell)] += 1;
+        }
+      }
+    }
+  for (const auto& b : layout.stream_cells()) {
+    replay_links(b, by_rows);
+    writes[slot(0, b.cell)] += 1;
     for (std::uint32_t l = b.link_begin; l < b.link_end; ++l)
-      slot(plan.links()[l].dest_dir, plan.links()[l].dest) += 1;
+      writes[slot(plan.links()[l].dest_dir, plan.links()[l].dest)] += 1;
   }
-  for (const auto& h : plan.halo_pulls()) slot(h.dir, h.dest) += 1;
+  for (const auto& h : plan.halo_pulls()) writes[slot(h.dir, h.dest)] += 1;
+  ASSERT_TRUE(by_rows == by_plan) << "row masks write other slots than "
+                                     "the plan's link tables";
 
-  std::vector<char> solid(static_cast<std::size_t>(e.cells()), 0);
+  std::vector<char> solid(cells, 0);
   for (index_t s : plan.solids()) solid[static_cast<std::size_t>(s)] = 1;
-
   for (index_t lx = 0; lx < e.nx; ++lx)
     for (index_t y = 0; y < e.ny; ++y)
       for (index_t z = 0; z < e.nz; ++z) {
@@ -329,10 +496,33 @@ void expect_full_coverage_tiles(const ChannelGeometry& geom, index_t x_begin,
         for (int d = 0; d < kQ; ++d) {
           const int expected =
               owned && !solid[static_cast<std::size_t>(cell)] ? 1 : 0;
-          ASSERT_EQ(slot(d, cell), expected)
+          ASSERT_EQ(writes[slot(d, cell)], expected)
               << "d=" << d << " @(" << lx << "," << y << "," << z << ")";
         }
       }
+
+  // force gathers: neighbour read per (cell, direction), -1 = psi zero
+  std::vector<index_t> g_plan(by_plan.size(), -2), g_rows(by_plan.size(), -2);
+  for (const auto& run : plan.force_interior())
+    for (index_t i = 0; i < run.count; ++i)
+      for (int d = 1; d < kQ; ++d)
+        g_plan[slot(d, run.cell + i)] = run.cell + i + plan.dir_offset(d);
+  const auto table = [&](const ForceBoundaryCell& b,
+                         std::vector<index_t>& g) {
+    for (int d = 1; d < kQ; ++d)
+      g[slot(d, b.cell)] =
+          plan.force_neighbors()[b.nbr_begin + static_cast<std::uint32_t>(d) -
+                                 1];
+  };
+  for (const auto& b : plan.force_boundary()) table(b, g_plan);
+  for (const RowTile& row : layout.rows())
+    for (index_t i = 0; i < row.count; ++i)
+      for (int d = 1; d < kQ; ++d)
+        g_rows[slot(d, row.cell + i)] =
+            (row.psi[d] >> i) & 1u ? row.cell + i + plan.dir_offset(d) : -1;
+  for (const auto& b : layout.force_cells()) table(b, g_rows);
+  ASSERT_TRUE(g_rows == g_plan) << "psi masks gather other neighbours than "
+                                   "the plan's tables";
 }
 
 }  // namespace
@@ -343,10 +533,13 @@ TEST(TileStructure, TilesPartitionRunsExactly) {
       SCOPED_TRACE(std::string(gc.name) + " " + std::to_string(e.nx) + "x" +
                    std::to_string(e.ny) + "x" + std::to_string(e.nz));
       const auto geom = make_geom(gc, e);
-      for (index_t nx_local : {e.nx, index_t{2}, index_t{1}}) {
-        const StreamingPlan plan(*geom, 0, nx_local);
-        expect_tiles_partition_runs(plan, TileLayout(plan));
-      }
+      for (index_t nx_local : slab_widths(e))
+        for (index_t x_begin : {index_t{0}, e.nx - nx_local}) {
+          SCOPED_TRACE("slab " + std::to_string(x_begin) + "+" +
+                       std::to_string(nx_local));
+          const StreamingPlan plan(*geom, x_begin, nx_local);
+          expect_rows_partition_cells(plan, TileLayout(plan));
+        }
     }
 }
 
@@ -356,10 +549,29 @@ TEST(TileStructure, EveryFluidSlotWrittenExactlyOnceViaTiles) {
       SCOPED_TRACE(std::string(gc.name) + " " + std::to_string(e.nx) + "x" +
                    std::to_string(e.ny) + "x" + std::to_string(e.nz));
       const auto geom = make_geom(gc, e);
-      expect_full_coverage_tiles(*geom, 0, e.nx);         // full domain
-      expect_full_coverage_tiles(*geom, 1, e.nx - 2);     // mid slab
-      expect_full_coverage_tiles(*geom, e.nx - 1, 1);     // 1-plane slab
+      for (index_t nx_local : slab_widths(e))
+        for (index_t x_begin : {index_t{0}, e.nx - nx_local}) {
+          SCOPED_TRACE("slab " + std::to_string(x_begin) + "+" +
+                       std::to_string(nx_local));
+          expect_full_coverage_tiles(*geom, x_begin, nx_local);
+        }
     }
+}
+
+TEST(TileStructure, ChannelRowsCoverEveryCell) {
+  // Walled y/z without obstacles or moving walls — the README channel:
+  // the masks express every cell, so nothing is left to the per-cell
+  // path, and full rows on a kTileWidth-wide channel carry no tail.
+  const Extents e{4, 6, 8};
+  const auto geom = make_geom(kGeoCases[1], e);
+  for (index_t nx_local : slab_widths(e)) {
+    const StreamingPlan plan(*geom, 0, nx_local);
+    const TileLayout layout(plan);
+    EXPECT_TRUE(layout.stream_cells().empty());
+    EXPECT_TRUE(layout.force_cells().empty());
+    ASSERT_EQ(layout.rows().size(), static_cast<std::size_t>(nx_local * e.ny));
+    for (const RowTile& row : layout.rows()) EXPECT_EQ(row.count, e.nz);
+  }
 }
 
 // -- partition invariance: migrating multi-rank run on a SIMD backend --
@@ -367,7 +579,6 @@ TEST(TileStructure, EveryFluidSlotWrittenExactlyOnceViaTiles) {
 TEST(TileKernels, ParallelSimdRunMatchesSequentialScalar) {
   const auto backends = simd_backends();
   ASSERT_FALSE(backends.empty());
-  const KernelBackend backend = backends.back();  // widest supported
   const Extents grid{18, 6, 4};
 
   sim::RunnerConfig cfg;
@@ -379,16 +590,14 @@ TEST(TileKernels, ParallelSimdRunMatchesSequentialScalar) {
   cfg.balance.window = 3;
   cfg.balance.min_transfer_points = 24;  // one yz-plane of this grid
   cfg.slowdown = {0.0, 3.0, 0.0};
-  obs::MetricsRegistry reg(3);
-  cfg.metrics = &reg;
-  const int phases = 40;
+  const int chunks = 10;  // of remap_interval phases each
 
   Simulation seq(grid, cfg.fluid);
   seq.set_kernel_path(KernelPath::plan);
   {
     BackendGuard g(KernelBackend::scalar);
     seq.initialize_uniform();
-    seq.run(phases);
+    seq.run(chunks * cfg.remap_interval);
   }
   std::vector<std::vector<double>> ref_w, ref_a, ref_u;
   for (index_t gx = 0; gx < grid.nx; ++gx) {
@@ -397,41 +606,58 @@ TEST(TileKernels, ParallelSimdRunMatchesSequentialScalar) {
     ref_u.push_back(velocity_profile_y(seq.slab(), gx, 2));
   }
 
-  std::vector<std::vector<double>> par_w(grid.nx), par_a(grid.nx),
-      par_u(grid.nx);
-  long long migrated = 0;
-  std::mutex mu;
-  BackendGuard g(backend);  // all rank-threads share the process global
-  transport::run_ranks(3, [&](transport::Communicator& comm) {
-    sim::ParallelLbm run(cfg, comm);
-    run.initialize_uniform();
-    run.run(phases);
-    auto stats = run.gather_stats();
-    for (index_t gx = 0; gx < grid.nx; ++gx) {
-      auto w = run.gather_density_profile_y(0, gx, 2);
-      auto a = run.gather_density_profile_y(1, gx, 2);
-      auto u = run.gather_velocity_profile_y(gx, 2);
-      if (comm.rank() == 0) {
+  for (KernelBackend backend : backends)
+    for (int threads : {1, 2}) {
+      SCOPED_TRACE(std::string(to_string(backend)) + " threads=" +
+                   std::to_string(threads));
+      cfg.threads = threads;
+      obs::MetricsRegistry reg(3);
+      cfg.metrics = &reg;
+      std::vector<std::vector<double>> par_w(grid.nx), par_a(grid.nx),
+          par_u(grid.nx);
+      long long migrated = 0;
+      index_t slowed_min_planes = grid.nx;
+      std::mutex mu;
+      BackendGuard g(backend);  // all rank-threads share the process global
+      transport::run_ranks(3, [&](transport::Communicator& comm) {
+        sim::ParallelLbm run(cfg, comm);
+        run.initialize_uniform();
+        // Chunks of remap_interval phases keep run(N)'s remap schedule
+        // while the slowed rank's slab width is sampled after each remap.
+        index_t min_planes = run.slab().nx_local();
+        for (int k = 0; k < chunks; ++k) {
+          run.run(cfg.remap_interval);
+          min_planes = std::min(min_planes, run.slab().nx_local());
+        }
+        auto stats = run.gather_stats();
+        for (index_t gx = 0; gx < grid.nx; ++gx) {
+          auto w = run.gather_density_profile_y(0, gx, 2);
+          auto a = run.gather_density_profile_y(1, gx, 2);
+          auto u = run.gather_velocity_profile_y(gx, 2);
+          if (comm.rank() == 0) {
+            std::lock_guard<std::mutex> lk(mu);
+            const auto i = static_cast<std::size_t>(gx);
+            par_w[i] = std::move(w);
+            par_a[i] = std::move(a);
+            par_u[i] = std::move(u);
+          }
+        }
         std::lock_guard<std::mutex> lk(mu);
-        const auto i = static_cast<std::size_t>(gx);
-        par_w[i] = std::move(w);
-        par_a[i] = std::move(a);
-        par_u[i] = std::move(u);
+        if (comm.rank() == 1) slowed_min_planes = min_planes;
+        if (comm.rank() == 0)
+          for (const auto& s : stats) migrated += s.planes_sent;
+      });
+
+      EXPECT_GT(migrated, 0);  // the run really crossed plan+tile rebuilds
+      // ... down to a 1-plane slab: edge rows only, no inner rows
+      EXPECT_EQ(slowed_min_planes, 1);
+      for (std::size_t gx = 0; gx < par_w.size(); ++gx) {
+        ASSERT_EQ(par_w[gx].size(), ref_w[gx].size());
+        for (std::size_t j = 0; j < par_w[gx].size(); ++j) {
+          EXPECT_NEAR(par_w[gx][j], ref_w[gx][j], kTol) << gx << "," << j;
+          EXPECT_NEAR(par_a[gx][j], ref_a[gx][j], kTol) << gx << "," << j;
+          EXPECT_NEAR(par_u[gx][j], ref_u[gx][j], kTol) << gx << "," << j;
+        }
       }
     }
-    if (comm.rank() == 0) {
-      std::lock_guard<std::mutex> lk(mu);
-      for (const auto& s : stats) migrated += s.planes_sent;
-    }
-  });
-
-  EXPECT_GT(migrated, 0);  // the run really crossed plan+tile rebuilds
-  for (std::size_t gx = 0; gx < par_w.size(); ++gx) {
-    ASSERT_EQ(par_w[gx].size(), ref_w[gx].size());
-    for (std::size_t j = 0; j < par_w[gx].size(); ++j) {
-      EXPECT_NEAR(par_w[gx][j], ref_w[gx][j], kTol) << gx << "," << j;
-      EXPECT_NEAR(par_a[gx][j], ref_a[gx][j], kTol) << gx << "," << j;
-      EXPECT_NEAR(par_u[gx][j], ref_u[gx][j], kTol) << gx << "," << j;
-    }
-  }
 }
