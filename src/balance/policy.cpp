@@ -70,15 +70,21 @@ Proposal local_balance(const std::optional<NodeLoad>& left,
   const double per_speed = total_n / total_s;
 
   Proposal p;
-  auto side_amount = [&](const NodeLoad& nb) -> long long {
+  auto side_amount = [&](const NodeLoad& nb, Suppressed& why) -> long long {
     // Intended receiver gain: n'_nb - n_nb, positive when the neighbor
     // should end up with more points than it has.
     const double delta = nb.speed() * per_speed - nb.points;
-    if (delta < static_cast<double>(cfg.min_transfer_points)) return 0;
+    if (delta < static_cast<double>(cfg.min_transfer_points)) {
+      if (delta > 0.0) why = Suppressed::threshold;
+      return 0;
+    }
     // The lazy filter: never move points from a fast node to a slow one —
     // a slow receiver also communicates sluggishly, so feeding it work
     // costs more than the cycles it contributes (Section 3.3).
-    if (!cfg.allow_fast_to_slow && nb.speed() <= me.speed()) return 0;
+    if (!cfg.allow_fast_to_slow && nb.speed() <= me.speed()) {
+      why = Suppressed::fast_to_slow;
+      return 0;
+    }
     double amount = delta;
     if (over_redistribute) {
       // Over-redistribution: a confirmed slow node drains aggressively,
@@ -92,13 +98,20 @@ Proposal local_balance(const std::optional<NodeLoad>& left,
     return static_cast<long long>(std::llround(amount));
   };
 
-  if (right) p.to_right = side_amount(*right);
-  if (left) p.to_left = side_amount(*left);
+  if (right) p.to_right = side_amount(*right, p.right_why);
+  if (left) p.to_left = side_amount(*left, p.left_why);
+  // Zero a side that fell below the threshold, recording why if it was
+  // still live.
+  const auto rethreshold = [&](long long& amount, Suppressed& why) {
+    if (amount >= cfg.min_transfer_points) return;
+    if (amount > 0) why = Suppressed::threshold;
+    amount = 0;
+  };
 
   // Re-apply the threshold after scaling (the conservative factor can
   // push a marginal transfer below it).
-  if (p.to_right < cfg.min_transfer_points) p.to_right = 0;
-  if (p.to_left < cfg.min_transfer_points) p.to_left = 0;
+  rethreshold(p.to_right, p.right_why);
+  rethreshold(p.to_left, p.left_why);
 
   // Never propose shipping more points than we own; scale both sides
   // down proportionally if the aggressive amounts overshoot, and
@@ -111,8 +124,8 @@ Proposal local_balance(const std::optional<NodeLoad>& left,
         std::floor(static_cast<double>(p.to_left) * scale));
     p.to_right = static_cast<long long>(
         std::floor(static_cast<double>(p.to_right) * scale));
-    if (p.to_right < cfg.min_transfer_points) p.to_right = 0;
-    if (p.to_left < cfg.min_transfer_points) p.to_left = 0;
+    rethreshold(p.to_right, p.right_why);
+    rethreshold(p.to_left, p.left_why);
   }
   return p;
 }

@@ -21,10 +21,12 @@ namespace slipflow::balance {
 
 /// What one node knows about a node when deciding: its current number of
 /// lattice points and its predicted next-phase time (the load index of
-/// Section 3.4).
+/// Section 3.4), plus what a migration costs it (0 = not measured; see
+/// MigrationCost in remapper.hpp).
 struct NodeLoad {
   double points = 0.0;
   double predicted_time = 0.0;
+  double migration_seconds = 0.0;
 
   /// Processing speed S = n / t (points per second).
   double speed() const {
@@ -55,12 +57,31 @@ struct BalanceConfig {
   bool allow_fast_to_slow = false;
 };
 
+/// Which filter zeroed a side of a proposal although the triplet balance
+/// pointed a positive imbalance at that neighbor.
+enum class Suppressed : unsigned char {
+  none,
+  threshold,     ///< the amount fell below min_transfer_points
+  fast_to_slow,  ///< the neighbor is not faster (Section 3.3 filter)
+  cost,          ///< the predicted saving does not pay for the migration
+};
+
 /// Points a node proposes to ship to each neighbor (never negative; a
 /// node only proposes *sending*, receiving follows from the neighbor's
 /// proposal plus conflict resolution).
 struct Proposal {
   long long to_left = 0;
   long long to_right = 0;
+  /// Diagnostics only; never exchanged or used in agreement.
+  Suppressed left_why = Suppressed::none;
+  Suppressed right_why = Suppressed::none;
+
+  /// Zero every live side, recording `why`.
+  void drop(Suppressed why) {
+    if (to_left != 0) left_why = why;
+    if (to_right != 0) right_why = why;
+    to_left = to_right = 0;
+  }
 };
 
 /// Ideal post-remap point counts for a (left, me, right) triplet: every

@@ -1,5 +1,6 @@
 #include "balance/remapper.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 namespace slipflow::balance {
@@ -28,11 +29,55 @@ double NodeBalancer::predicted_time(long long points) const {
   return predictor_->predict() * static_cast<double>(points);
 }
 
+double predicted_saving(std::span<const NodeLoad> loads,
+                        std::span<const double> after) {
+  SLIPFLOW_REQUIRE(loads.size() == after.size());
+  double before_max = 0.0, after_max = 0.0;
+  for (std::size_t i = 0; i < loads.size(); ++i) {
+    SLIPFLOW_REQUIRE(loads[i].points > 0.0);
+    const double per_point = loads[i].predicted_time / loads[i].points;
+    before_max = std::max(before_max, loads[i].predicted_time);
+    after_max = std::max(after_max, per_point * after[i]);
+  }
+  return before_max - after_max;
+}
+
+bool pays_for_itself(double saving_per_phase, const MigrationCost& cost) {
+  SLIPFLOW_REQUIRE(cost.horizon_phases >= 1);
+  return cost.seconds <= 0.0 ||
+         saving_per_phase * static_cast<double>(cost.horizon_phases) >
+             cost.seconds;
+}
+
 Proposal NodeBalancer::decide(const std::optional<NodeLoad>& left,
                               long long my_points,
-                              const std::optional<NodeLoad>& right) const {
+                              const std::optional<NodeLoad>& right,
+                              const MigrationCost& cost) const {
   if (!ready()) return {};
-  return policy_->decide(left, self_load(my_points), right, cfg_);
+  const NodeLoad me = self_load(my_points);
+  Proposal p = policy_->decide(left, me, right, cfg_);
+  // Both sides ship in the same remap step, so the proposal is one
+  // reassignment of the triplet, gated as a whole: this node sheds both
+  // amounts, and the receivers rebuild in parallel after it.
+  std::vector<NodeLoad> loads{me};
+  std::vector<double> after{me.points};
+  double receiver_cost = 0.0;
+  const auto ship = [&](const std::optional<NodeLoad>& nb, long long amount) {
+    if (amount == 0) return;
+    const double k = static_cast<double>(amount);
+    loads.push_back(*nb);
+    after.push_back(nb->points + k);
+    after.front() -= k;
+    receiver_cost = std::max(receiver_cost, nb->migration_seconds);
+  };
+  ship(left, p.to_left);
+  ship(right, p.to_right);
+  if (loads.size() == 1 ||
+      pays_for_itself(predicted_saving(loads, after),
+                      {cost.seconds + receiver_cost, cost.horizon_phases}))
+    return p;
+  p.drop(Suppressed::cost);
+  return p;
 }
 
 long long quantize_flow_to_planes(long long net_points, long long plane_cells,
@@ -59,6 +104,28 @@ std::vector<long long> boundary_flows(const std::vector<long long>& current,
     flows[i] = acc;
   }
   return flows;
+}
+
+std::vector<Transfer> plan_transfers(const std::vector<long long>& flows,
+                                     long long plane_cells,
+                                     long long min_transfer_points,
+                                     std::vector<long long>& planes) {
+  SLIPFLOW_REQUIRE(planes.size() == flows.size() + 1);
+  std::vector<Transfer> plan;
+  for (std::size_t b = 0; b < flows.size(); ++b) {
+    const long long f = flows[b];
+    if (std::llabs(f) < min_transfer_points) continue;
+    const std::size_t donor = f > 0 ? b : b + 1;
+    const std::size_t receiver = f > 0 ? b + 1 : b;
+    const long long k = std::llabs(
+        quantize_flow_to_planes(f, plane_cells, planes[donor]));
+    if (k == 0) continue;
+    planes[donor] -= k;
+    planes[receiver] += k;
+    plan.push_back(
+        {static_cast<int>(donor), static_cast<int>(receiver), k});
+  }
+  return plan;
 }
 
 }  // namespace slipflow::balance

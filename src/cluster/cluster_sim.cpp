@@ -256,18 +256,11 @@ void ClusterSim::remap_global(std::vector<double>& t,
     current[static_cast<std::size_t>(i)] = planes[static_cast<std::size_t>(i)] * pc;
   const std::vector<long long> target =
       policy_->decide_global(loads, cfg_.balance);
-  const std::vector<long long> flows = balance::boundary_flows(current, target);
-
-  for (int b = 0; b + 1 < n; ++b) {
-    const auto ub = static_cast<std::size_t>(b);
-    long long f = flows[ub];
-    if (std::llabs(f) < cfg_.balance.min_transfer_points) continue;
-    const int donor = f > 0 ? b : b + 1;
-    const long long k = std::llabs(balance::quantize_flow_to_planes(
-        f, pc, planes[static_cast<std::size_t>(donor)]));
-    if (k == 0) continue;
-    execute_transfer(donor, f > 0 ? b + 1 : b, k, t, planes, res);
-  }
+  std::vector<long long> after = planes;
+  for (const balance::Transfer& tr : balance::plan_transfers(
+           balance::boundary_flows(current, target), pc,
+           cfg_.balance.min_transfer_points, after))
+    execute_transfer(tr.donor, tr.receiver, tr.planes, t, planes, res);
 }
 
 SimResult ClusterSim::run(int phases) {

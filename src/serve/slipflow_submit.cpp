@@ -17,6 +17,7 @@
 /// Exit code: 0 when every job finished "done", 1 otherwise, 2 on bad
 /// flags or an unreadable/invalid spec.
 
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -164,6 +165,9 @@ int main(int argc, char** argv) {
     }
     // Validate everything before submitting anything.
     for (const JsonValue& s : specs) (void)serve::JobSpec::from_json(s);
+    // Both modes write obs_*.txt into --out-dir; create it (and parents)
+    // up front so a missing directory never fails a finished job.
+    if (!out_dir.empty()) std::filesystem::create_directories(out_dir);
 
     if (direct) return run_direct(specs, worker, out_dir);
 

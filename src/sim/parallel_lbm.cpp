@@ -33,6 +33,22 @@ double halo_exchange_bytes(lbm::index_t doubles_per_message) {
   return kHaloMessagesPerExchange * static_cast<double>(sizeof(double)) *
          static_cast<double>(doubles_per_message);
 }
+
+/// The second half of the remap cost gate. A CPU contention episode on a
+/// shared host slows one rank 2-3x for a few milliseconds — one remap
+/// check of a sub-millisecond-phase run — and looks exactly like a slow
+/// node there, but a move made on it is never paid back. So a transfer
+/// that pays for itself now (`pays`) ships only if the gate also passed
+/// at the previous check. The receiver, the faster end, failed its own
+/// gate toward the donor at the shipping check, so it cannot ship planes
+/// back at the next one: a transfer stands for at least kGateIntervals
+/// remap intervals, the horizon its saving is counted over.
+constexpr int kGateIntervals = 2;
+bool persists(bool pays, bool& paid_before) {
+  const bool ship = pays && paid_before;
+  paid_before = pays;
+  return ship;
+}
 }  // namespace
 
 std::pair<lbm::index_t, lbm::index_t> initial_extent(lbm::index_t planes_total,
@@ -172,13 +188,18 @@ void ParallelLbm::initialize_uniform() {
   initialized_ = true;
 }
 
-void ParallelLbm::ensure_plan() {
-  if (cfg_.kernels != lbm::KernelPath::plan || slab_->has_plan()) return;
+double ParallelLbm::ensure_plan() {
+  if (cfg_.kernels != lbm::KernelPath::plan || slab_->has_plan()) return 0.0;
   const double t0 = prof_->now();
   slab_->plan();
   if (lbm::active_kernel_backend() != lbm::KernelBackend::scalar)
     slab_->tiles();  // rebuilt with the plan so the rebuild span covers it
-  prof_->record_span("plan", t0, prof_->now());
+  const double t1 = prof_->now();
+  prof_->record_span("plan", t0, t1);
+  // Until this rank has paid for a migration, a plan build is the best
+  // measure of what one costs.
+  if (!migration_measured_) migration_cost_ = t1 - t0;
+  return t1 - t0;
 }
 
 void ParallelLbm::run(int phases) {
@@ -193,6 +214,7 @@ void ParallelLbm::run(int phases) {
     pool_ = std::make_unique<util::ThreadPool>(cfg_.threads);
     thread_cells_.assign(static_cast<std::size_t>(cfg_.threads), 0.0);
   }
+  bool last_phase_moved = false;
   for (int p = 1; p <= phases; ++p) {
     prof_->begin_phase(++phases_done_);
     comm_.note_progress(phases_done_);
@@ -202,9 +224,12 @@ void ParallelLbm::run(int phases) {
       step_blocking();
 
     // --- lattice point remapping --- (lines 20-32)
+    last_phase_moved = false;
     if (cfg_.policy != "none" && p % cfg_.remap_interval == 0) {
+      const long long moved_before =
+          stats_.planes_sent + stats_.planes_received;
       const double r0 = prof_->now();
-      remap_step();
+      const double transfers = remap_step();
       const double r1 = prof_->now();
       // record_span folds the duration into the "time/remap" counter
       prof_->record_span("remap", r0, r1);
@@ -213,7 +238,18 @@ void ParallelLbm::run(int phases) {
       // A migration rebuilt the slab and dropped its plan; rebuild it
       // under the "plan" span so the cost is visible but never mixed
       // into the remap numbers.
-      ensure_plan();
+      const double rebuilt = ensure_plan();
+      last_phase_moved =
+          stats_.planes_sent + stats_.planes_received != moved_before;
+      if (last_phase_moved) {
+        // What the cost gate charges the next proposal: this migration's
+        // plane transfers plus the plan/tile rebuild they forced — not
+        // the rest of the remap span, whose wait for the neighbors to
+        // reach the check is the imbalance itself, paid with or without
+        // a migration.
+        migration_cost_ = transfers + rebuilt;
+        migration_measured_ = true;
+      }
     }
 
     // --- periodic output --- packs a snapshot and (by default) hands
@@ -221,6 +257,14 @@ void ParallelLbm::run(int phases) {
     if (cfg_.output.checkpoint_every > 0 || cfg_.output.vtk_every > 0)
       write_outputs();
   }
+  // A migration in the final phase leaves the moved slabs' mixture
+  // fields zeroed; rebuild them so callers read real observables. Every
+  // rank knows whether the last phase was a remap check, so the
+  // agreement collective runs on all ranks or on none.
+  if (phases > 0 && cfg_.policy != "none" &&
+      phases % cfg_.remap_interval == 0 &&
+      comm_.allreduce_max(last_phase_moved ? 1.0 : 0.0) > 0.0)
+    refresh_observables();
   flush_output();
   if (writer_ != nullptr) {
     // Cumulative writer counters, as gauges so repeated run() calls
@@ -548,11 +592,25 @@ void ParallelLbm::write_outputs() {
   prof_->record_span("io", t0, prof_->now());
 }
 
-void ParallelLbm::remap_step() {
-  if (policy_->global())
-    remap_global();
-  else
-    remap_local();
+double ParallelLbm::remap_step() {
+  prof_->set("remap/migration_cost_seconds", migration_cost_);
+  return policy_->global() ? remap_global() : remap_local();
+}
+
+void ParallelLbm::count_suppressed(balance::Suppressed why) {
+  switch (why) {
+    case balance::Suppressed::none:
+      return;
+    case balance::Suppressed::threshold:
+      prof_->add("remap/suppressed_threshold", 1.0);
+      return;
+    case balance::Suppressed::fast_to_slow:
+      prof_->add("remap/suppressed_fast_to_slow", 1.0);
+      return;
+    case balance::Suppressed::cost:
+      prof_->add("remap/suppressed_cost", 1.0);
+      return;
+  }
 }
 
 void ParallelLbm::send_planes(int peer, lbm::Side side, long long k) {
@@ -582,33 +640,44 @@ void ParallelLbm::recv_planes(int peer, lbm::Side side) {
   }
 }
 
-void ParallelLbm::remap_local() {
+ParallelLbm::LoadInfo ParallelLbm::load_info() const {
+  const long long points = slab_->owned_cells();
+  const bool ready = balancer_->ready();
+  return {static_cast<double>(points),
+          ready ? balancer_->predicted_time(points) : 0.0, ready ? 1.0 : 0.0,
+          migration_cost_};
+}
+
+std::optional<balance::NodeLoad> ParallelLbm::load_of(
+    std::span<const double> info) {
+  SLIPFLOW_REQUIRE(info.size() == std::tuple_size_v<LoadInfo>);
+  if (info[2] == 0.0) return std::nullopt;  // window not full yet
+  return balance::NodeLoad{info[0], info[1], info[3]};
+}
+
+double ParallelLbm::remap_local() {
   const lbm::index_t pc = slab_->plane_cells();
   const long long my_points = slab_->owned_cells();
-  const bool ready = balancer_->ready();
 
-  // 1. Exchange (points, predicted time, ready) with chain neighbors.
-  const double info[3] = {
-      static_cast<double>(my_points),
-      ready ? balancer_->predicted_time(my_points) : 0.0,
-      ready ? 1.0 : 0.0};
+  // 1. Exchange load infos with chain neighbors.
+  const LoadInfo info = load_info();
   const int ln = left_neighbor();
   const int rn = right_neighbor();
-  if (ln >= 0) comm_.send(ln, kTagInfo, std::span<const double>(info, 3));
-  if (rn >= 0) comm_.send(rn, kTagInfo, std::span<const double>(info, 3));
+  if (ln >= 0) comm_.send(ln, kTagInfo, info);
+  if (rn >= 0) comm_.send(rn, kTagInfo, info);
   std::optional<balance::NodeLoad> left, right;
-  std::vector<double> linfo, rinfo;
-  if (ln >= 0) {
-    linfo = comm_.recv(ln, kTagInfo);
-    if (linfo[2] != 0.0) left = balance::NodeLoad{linfo[0], linfo[1]};
-  }
-  if (rn >= 0) {
-    rinfo = comm_.recv(rn, kTagInfo);
-    if (rinfo[2] != 0.0) right = balance::NodeLoad{rinfo[0], rinfo[1]};
-  }
+  if (ln >= 0) left = load_of(comm_.recv(ln, kTagInfo));
+  if (rn >= 0) right = load_of(comm_.recv(rn, kTagInfo));
 
-  // 2. Local decision, then exchange proposals across each boundary.
-  const balance::Proposal prop = balancer_->decide(left, my_points, right);
+  // 2. Local decision, cost-gated on this rank's side before anything is
+  //    exchanged, then proposals cross each boundary.
+  balance::Proposal prop = balancer_->decide(
+      left, my_points, right,
+      {migration_cost_, kGateIntervals * cfg_.remap_interval});
+  if (!persists(prop.to_left + prop.to_right > 0, proposal_paid_))
+    prop.drop(balance::Suppressed::cost);
+  count_suppressed(prop.left_why);
+  count_suppressed(prop.right_why);
   if (ln >= 0) {
     const double v = static_cast<double>(prop.to_left);
     comm_.send(ln, kTagProposal, std::span<const double>(&v, 1));
@@ -632,8 +701,10 @@ void ParallelLbm::remap_local() {
   const long long net_left =
       ln >= 0 ? balance::resolve_pair(left_to_me, prop.to_left, min_t) : 0;
   // net_left > 0 means the left node ships to me (its rightward flow).
+  if (net_right == 0 && net_left == 0) return 0.0;
 
   // All sends first (buffered), then receives — deadlock-free.
+  const double t0 = prof_->now();
   long long avail = slab_->nx_local();
   if (net_right > 0) {
     const long long k = balance::quantize_flow_to_planes(net_right, pc, avail);
@@ -647,28 +718,24 @@ void ParallelLbm::remap_local() {
   }
   if (net_right < 0) recv_planes(rn, lbm::Side::right);
   if (net_left > 0) recv_planes(ln, lbm::Side::left);
+  return prof_->now() - t0;
 }
 
-void ParallelLbm::remap_global() {
+double ParallelLbm::remap_global() {
   const lbm::index_t pc = slab_->plane_cells();
-  const long long my_points = slab_->owned_cells();
-  const bool ready = balancer_->ready();
-  const double info[3] = {
-      static_cast<double>(my_points),
-      ready ? balancer_->predicted_time(my_points) : 0.0,
-      ready ? 1.0 : 0.0};
-  const std::vector<double> all =
-      comm_.allgather(std::span<const double>(info, 3));
+  const std::vector<double> all = comm_.allgather(load_info());
 
   const int n = comm_.size();
+  constexpr std::size_t kInfo = std::tuple_size_v<LoadInfo>;
   std::vector<balance::NodeLoad> loads;
   std::vector<long long> current;
   loads.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
-    const std::size_t o = 3 * static_cast<std::size_t>(i);
-    if (all[o + 2] == 0.0) return;  // someone's window not full yet
-    loads.push_back(balance::NodeLoad{all[o], all[o + 1]});
-    current.push_back(static_cast<long long>(all[o]));
+    const auto load = load_of(std::span(all).subspan(
+        kInfo * static_cast<std::size_t>(i), kInfo));
+    if (!load) return 0.0;  // someone's window not full yet
+    loads.push_back(*load);
+    current.push_back(static_cast<long long>(load->points));
   }
   const std::vector<long long> target =
       policy_->decide_global(loads, cfg_.balance);
@@ -676,38 +743,61 @@ void ParallelLbm::remap_global() {
       balance::boundary_flows(current, target);
 
   // Every rank deterministically simulates the clamped execution plan.
+  const int me = comm_.rank();
+  for (int b = 0; b + 1 < n; ++b) {
+    const long long f = flows[static_cast<std::size_t>(b)];
+    if (f != 0 && std::llabs(f) < cfg_.balance.min_transfer_points &&
+        (f > 0 ? b : b + 1) == me)
+      count_suppressed(balance::Suppressed::threshold);
+  }
   std::vector<long long> planes(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i)
     planes[static_cast<std::size_t>(i)] =
         current[static_cast<std::size_t>(i)] / pc;
-  struct Transfer {
-    int donor, recv;
-    long long k;
-  };
-  std::vector<Transfer> plan;
-  for (int b = 0; b + 1 < n; ++b) {
-    const long long f = flows[static_cast<std::size_t>(b)];
-    if (std::llabs(f) < cfg_.balance.min_transfer_points) continue;
-    const int donor = f > 0 ? b : b + 1;
-    const int recv = f > 0 ? b + 1 : b;
-    const long long k = std::llabs(balance::quantize_flow_to_planes(
-        f, pc, planes[static_cast<std::size_t>(donor)]));
-    if (k == 0) continue;
-    planes[static_cast<std::size_t>(donor)] -= k;
-    planes[static_cast<std::size_t>(recv)] += k;
-    plan.push_back({donor, recv, k});
+  const std::vector<balance::Transfer> plan = balance::plan_transfers(
+      flows, pc, cfg_.balance.min_transfer_points, planes);
+  if (plan.empty()) {
+    plan_paid_ = false;
+    return 0.0;
   }
 
-  const int me = comm_.rank();
-  for (const Transfer& tr : plan) {
-    if (tr.donor != me) continue;
-    send_planes(tr.recv, tr.recv > me ? lbm::Side::right : lbm::Side::left,
-                tr.k);
+  // The cost gate on the whole plan, from allgathered inputs only, so
+  // every rank reaches the same verdict. Each transfer costs its donor's
+  // plus its receiver's migration (see balance::MigrationCost); the next
+  // phase waits for the dearest.
+  const auto cost_of = [&](int r) {
+    return loads[static_cast<std::size_t>(r)].migration_seconds;
+  };
+  double cost = 0.0;
+  for (const balance::Transfer& tr : plan)
+    cost = std::max(cost, cost_of(tr.donor) + cost_of(tr.receiver));
+  std::vector<double> after(static_cast<std::size_t>(n));
+  for (std::size_t i = 0; i < after.size(); ++i)
+    after[i] = static_cast<double>(planes[i] * pc);
+  const bool pays = balance::pays_for_itself(
+      balance::predicted_saving(loads, after),
+      {cost, kGateIntervals * cfg_.remap_interval});
+  if (!persists(pays, plan_paid_)) {
+    for (const balance::Transfer& tr : plan)
+      if (tr.donor == me) count_suppressed(balance::Suppressed::cost);
+    return 0.0;
   }
-  for (const Transfer& tr : plan) {
-    if (tr.recv != me) continue;
+  // Any plan may reverse this one, so the next must pass twice afresh:
+  // this plan, too, stands for kGateIntervals intervals.
+  plan_paid_ = false;
+
+  const double t0 = prof_->now();
+  for (const balance::Transfer& tr : plan) {
+    if (tr.donor != me) continue;
+    send_planes(tr.receiver,
+                tr.receiver > me ? lbm::Side::right : lbm::Side::left,
+                tr.planes);
+  }
+  for (const balance::Transfer& tr : plan) {
+    if (tr.receiver != me) continue;
     recv_planes(tr.donor, tr.donor > me ? lbm::Side::right : lbm::Side::left);
   }
+  return prof_->now() - t0;
 }
 
 std::vector<RankStats> ParallelLbm::gather_stats() {
@@ -855,6 +945,9 @@ long long ParallelLbm::load_checkpoint(const std::string& path) {
   const long long phase = lbm::load_checkpoint_planes(*slab_, path);
   comm_.barrier();
   initialized_ = true;
+  // The restored slab's mixture fields start zeroed; rebuild them so a
+  // resume that steps no phases still reports real observables.
+  refresh_observables();
   // Adopt the stored phase (matching sequential Simulation): subsequent
   // run() calls continue the absolute numbering, so heartbeat phases and
   // periodic-output file names stay consistent across a resume — which

@@ -11,6 +11,7 @@
 /// across the wrap), while the remapping topology is the paper's *linear
 /// array* — planes never migrate across the periodic seam.
 
+#include <array>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -152,18 +153,6 @@ class ParallelLbm {
   /// Gather the per-rank stats on every rank (allgather).
   std::vector<RankStats> gather_stats();
 
-  /// Recompute the mixture observables (total density + macroscopic
-  /// velocity) from the migrated state: density-halo exchange + the
-  /// force/velocity kernel. Collective. Plane migration moves f, n and
-  /// ueq but reallocates the slab, so the u_macro field a migration
-  /// leaves behind is zeroed; a run whose final act was a remap (or a
-  /// restore that stepped zero phases) would otherwise report zero
-  /// velocity profiles. The recompute is a per-cell function of state
-  /// that IS migration-invariant, and on an unmigrated slab it is
-  /// byte-idempotent (same inputs, same kernel, same order) — call it
-  /// before collecting profile observables.
-  void refresh_observables();
-
   /// Owner rank of every global plane, identical on every rank.
   /// Collective: one allgather of the slab extents.
   std::vector<int> gather_plane_owners();
@@ -221,8 +210,8 @@ class ParallelLbm {
   /// Build the slab's streaming plan if the plan path needs one and it is
   /// missing (first run, or dropped by a migration rebuild); the build is
   /// recorded under the "plan" span — outside "remap", so fig09's
-  /// remap-cost story stays honest.
-  void ensure_plan();
+  /// remap-cost story stays honest. Returns the build time (0 if none).
+  double ensure_plan();
 
   /// Overlap applies only to the plan kernel path (legacy kernels have
   /// no interior/boundary split to hide communication behind).
@@ -248,9 +237,34 @@ class ParallelLbm {
   /// injected-clock sequence the load balancer sees.
   void write_outputs();
 
-  void remap_step();
-  void remap_local();
-  void remap_global();
+  /// Recompute the mixture observables (total density + macroscopic
+  /// velocity) from the migrated state: density-halo exchange + the
+  /// force/velocity kernel. Collective. Plane migration moves f, n and
+  /// ueq but reallocates the slab, so the u_macro field a migration (or
+  /// a restore) leaves behind is zeroed; run() calls this when its final
+  /// phase moved planes and load_checkpoint() after every restore. The
+  /// recompute is a per-cell function of state that IS migration-
+  /// invariant, and on an unmigrated slab it is byte-idempotent (same
+  /// inputs, same kernel, same order).
+  void refresh_observables();
+
+  /// One remapping check. Both protocols ship a transfer only when its
+  /// predicted saving over the phases it is guaranteed to stand (two
+  /// remap intervals) exceeds the migration cost of both ends, at this
+  /// check and the previous one (DESIGN.md
+  /// "Key algorithms").
+  /// Returns the time this rank spent transferring planes (0 if none).
+  double remap_step();
+  double remap_local();
+  double remap_global();
+  /// What a rank tells the others at a remap check: (points, predicted
+  /// phase time, window full ? 1 : 0, migration cost).
+  using LoadInfo = std::array<double, 4>;
+  LoadInfo load_info() const;
+  /// A peer's LoadInfo as a policy input; nullopt until its window fills.
+  static std::optional<balance::NodeLoad> load_of(std::span<const double> info);
+  /// Bump the remap/suppressed_<filter> counter for `why` (none: no-op).
+  void count_suppressed(balance::Suppressed why);
   /// The profile getters' gather: the owner of plane gx (per `owners`,
   /// gathered here when empty) ships local_profile() to rank 0.
   std::vector<double> gather_profile(
@@ -281,6 +295,15 @@ class ParallelLbm {
   double cells_updated_ = 0.0;  ///< fluid-cell updates, for the MLUPS gauge
   long long phases_done_ = 0;
   bool initialized_ = false;
+  /// This rank's migration cost estimate for the remap gate (injected
+  /// clock): the initial plan build until the rank first moves planes,
+  /// then the transfer + rebuild time of its latest migration.
+  double migration_cost_ = 0.0;
+  bool migration_measured_ = false;
+  /// Whether the cost gate passed at the previous remap check, for this
+  /// rank's proposal (local policies) or the whole plan (global); see
+  /// persists() in the source.
+  bool proposal_paid_ = false, plan_paid_ = false;
 
   // Overlap-mode state: the pool is created on the first overlapped
   // run(); per-lane cell counts and the interior/halo-wait split feed

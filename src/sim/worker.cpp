@@ -80,11 +80,6 @@ std::string collect_observables(ParallelLbm& run,
   // across decompositions and migration histories, which is what lets a
   // recovered or warm-started job reproduce a straight-through run
   // exactly. The full set keeps the historical rank-ordered fold.
-  // Mixture velocity is rebuilt first: a migration reallocates the slab
-  // and zeroes it, so a run whose final phase triggered a remap would
-  // otherwise report zero profiles (refresh is byte-idempotent when no
-  // migration happened).
-  run.refresh_observables();
   const std::vector<double> masses = set == ObservableSet::physics
                                          ? run.global_masses_ordered()
                                          : run.global_masses();

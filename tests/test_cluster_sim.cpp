@@ -7,6 +7,7 @@
 #include <numeric>
 
 #include "cluster/cluster_sim.hpp"
+#include "cluster/scenario.hpp"
 
 using namespace slipflow::cluster;
 using slipflow::balance::RemapPolicy;
@@ -216,4 +217,31 @@ TEST(ClusterSim, ValidatesConfig) {
   bad2.stage_fraction = {0.5, 0.5, 0.5};
   EXPECT_THROW(ClusterSim(bad2, RemapPolicy::create("none")),
                slipflow::contract_error);
+}
+
+// Canary for shared balance code: the paper's 20-node Figure 9 scenario
+// (node 9 under the 70%-CPU job, 600 phases) must keep its exact virtual
+// makespan and plane traffic per scheme. Changes to the policies, the
+// predictors or the NodeBalancer that shift the paper reproduction by
+// even one ulp fail here.
+TEST(ClusterSim, Fig09VirtualResultsArePinned) {
+  struct Golden {
+    const char* policy;
+    bool slow_node;
+    double makespan;
+    long long planes_moved;
+  };
+  const Golden golden[] = {
+      {"none", false, 0x1.ebdb22d0e56bdp+7, 0},        // 245.928 s
+      {"none", true, 0x1.69ccccccccbe6p+9, 0},         // 723.600 s
+      {"conservative", true, 0x1.7bd927913e6dbp+8, 16},  // 379.848 s
+      {"filtered", true, 0x1.32223f67f4ce7p+8, 49},      // 306.134 s
+  };
+  for (const Golden& g : golden) {
+    ClusterSim sim(paper::base_config(), RemapPolicy::create(g.policy));
+    if (g.slow_node) add_fixed_slow_nodes(sim, {paper::kProfiledSlowNode});
+    const auto r = sim.run(paper::kShortPhases);
+    EXPECT_EQ(r.makespan, g.makespan) << g.policy;
+    EXPECT_EQ(r.planes_moved, g.planes_moved) << g.policy;
+  }
 }

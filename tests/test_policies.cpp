@@ -251,3 +251,28 @@ TEST_P(LocalPolicyParam, NoProposalWhenPerfectlyBalanced) {
 INSTANTIATE_TEST_SUITE_P(Kinds, LocalPolicyParam,
                          ::testing::Values("none", "conservative",
                                            "filtered"));
+
+TEST(SuppressionReasons, ThresholdAndFastToSlowAreNamed) {
+  FilteredPolicy p;
+  // a slightly faster neighbor whose share gain (~26 points) is under
+  // the threshold
+  const auto small = p.decide(load(1000, 0.95), load(1000, 1.0),
+                              std::nullopt, cfg(300));
+  EXPECT_EQ(small.to_left, 0);
+  EXPECT_EQ(small.left_why, Suppressed::threshold);
+  // a neighbor owed ~400 points by the triplet balance but slower than
+  // this node (833 vs 1000 points/s)
+  const auto slow = p.decide(std::nullopt, load(1000, 1.0),
+                             load(100, 0.12), cfg(300));
+  EXPECT_EQ(slow.to_right, 0);
+  EXPECT_EQ(slow.right_why, Suppressed::fast_to_slow);
+}
+
+TEST(SuppressionReasons, NoneWhenBalanced) {
+  FilteredPolicy p;
+  // balanced triplet: nobody wants anything, nothing was suppressed
+  const auto prop =
+      p.decide(load(1000, 1.0), load(1000, 1.0), load(1000, 1.0), cfg(10));
+  EXPECT_EQ(prop.left_why, Suppressed::none);
+  EXPECT_EQ(prop.right_why, Suppressed::none);
+}

@@ -141,3 +141,129 @@ TEST(BoundaryFlows, ConservesAcrossExecution) {
   }
   EXPECT_EQ(state, tgt);
 }
+
+// --- the migration cost gate ---
+
+namespace {
+
+/// A balancer whose full window measured `seconds` per phase at `points`.
+NodeBalancer primed(const char* policy, double seconds, long long points) {
+  auto b = make_balancer(policy);
+  for (int i = 0; i < 5; ++i) b.record_phase(seconds, points);
+  return b;
+}
+
+}  // namespace
+
+TEST(CostGate, PredictedSavingOfOneTransfer) {
+  const NodeLoad loads[2] = {{2000, 4.0}, {2000, 1.0}};
+  // donor sheds 1000 points: t_d 4 -> 2, receiver 1 -> 1.5
+  const double after[2] = {1000, 3000};
+  EXPECT_DOUBLE_EQ(predicted_saving(loads, after), 4.0 - 2.0);
+  // shipping from the faster node only makes the phase longer
+  const double backwards[2] = {3000, 1000};
+  EXPECT_LT(predicted_saving(loads, backwards), 0.0);
+}
+
+TEST(CostGate, PredictedSavingIsSetByTheSlowestNode) {
+  const NodeLoad loads[3] = {{100, 1.0}, {100, 3.0}, {100, 2.0}};
+  const double after[3] = {150, 50, 100};  // slowest is now node 2 at 2.0
+  EXPECT_DOUBLE_EQ(predicted_saving(loads, after), 3.0 - 2.0);
+}
+
+TEST(CostGate, ZeroCostAlwaysPays) {
+  for (const double saving : {-1.0, 0.0, 1e-12, 5.0})
+    EXPECT_TRUE(pays_for_itself(saving, MigrationCost{0.0, 5}));
+  EXPECT_FALSE(pays_for_itself(0.1, MigrationCost{0.5, 5}));  // 0.5 !> 0.5
+  EXPECT_TRUE(pays_for_itself(0.11, MigrationCost{0.5, 5}));
+}
+
+TEST(CostGate, NoiseLevelGapThatCostsMoreThanItSavesIsDropped) {
+  // 20% slower than both neighbors on 0.3 ms phases: the filtered policy
+  // alone ships ~1 plane each way, saving ~25 us per phase — 0.13 ms
+  // over a 5-phase interval, well under a 0.8 ms plan rebuild.
+  const auto b = primed("filtered", 0.36e-3, 2048);
+  const NodeLoad nb{2048, 0.30e-3};
+  const Proposal free = b.decide(nb, 2048, nb);
+  ASSERT_GT(free.to_left, 0);
+  ASSERT_GT(free.to_right, 0);
+  const Proposal gated = b.decide(nb, 2048, nb, MigrationCost{0.8e-3, 5});
+  EXPECT_EQ(gated.to_left, 0);
+  EXPECT_EQ(gated.to_right, 0);
+  EXPECT_EQ(gated.left_why, Suppressed::cost);
+  EXPECT_EQ(gated.right_why, Suppressed::cost);
+}
+
+TEST(CostGate, FourTimesSlowNodeStillSheds) {
+  const auto b = primed("filtered", 1.2e-3, 2048);
+  const NodeLoad nb{2048, 0.30e-3};
+  const Proposal free = b.decide(nb, 2048, nb);
+  const Proposal gated = b.decide(nb, 2048, nb, MigrationCost{0.8e-3, 5});
+  EXPECT_GT(gated.to_left + gated.to_right, 0);
+  EXPECT_EQ(gated.to_left, free.to_left);
+  EXPECT_EQ(gated.to_right, free.to_right);
+  EXPECT_EQ(gated.left_why, Suppressed::none);
+  EXPECT_EQ(gated.right_why, Suppressed::none);
+}
+
+TEST(CostGate, TheReceiversCostIsChargedToo) {
+  // the 4x slow node pays for its own 0.8 ms, but not for a neighbor
+  // whose last migration took 20 ms
+  const auto b = primed("filtered", 1.2e-3, 2048);
+  const NodeLoad cheap{2048, 0.30e-3, 0.8e-3};
+  const NodeLoad dear{2048, 0.30e-3, 20e-3};
+  const MigrationCost mine{0.8e-3, 5};
+  EXPECT_GT(b.decide(cheap, 2048, std::nullopt, mine).to_left, 0);
+  const Proposal p = b.decide(dear, 2048, std::nullopt, mine);
+  EXPECT_EQ(p.to_left, 0);
+  EXPECT_EQ(p.left_why, Suppressed::cost);
+  // a proposal to both sides is one migration, charged the dearer end
+  const Proposal both = b.decide(dear, 2048, cheap, mine);
+  EXPECT_EQ(both.to_left + both.to_right, 0);
+}
+
+TEST(CostGate, ZeroCostProposalsMatchThePolicyForEveryLocalScheme) {
+  for (const char* name : {"conservative", "filtered"}) {
+    for (int rep = 0; rep < 200; ++rep) {
+      // deterministic spread of speeds and sizes around the balance point
+      const double t_me = 0.2e-3 + 1e-5 * rep;
+      const long long n_me = 1000 + 37 * rep;
+      const auto b = primed(name, t_me, n_me);
+      const NodeLoad l{1500.0 + 11 * rep, 0.3e-3};
+      const NodeLoad r{800.0 + 23 * (rep % 17), 0.25e-3 + 2e-6 * rep};
+      const Proposal want =
+          b.policy().decide(l, b.self_load(n_me), r, b.config());
+      const Proposal got = b.decide(l, n_me, r, MigrationCost{0.0, 5});
+      EXPECT_EQ(got.to_left, want.to_left) << name << " rep " << rep;
+      EXPECT_EQ(got.to_right, want.to_right) << name << " rep " << rep;
+    }
+  }
+}
+
+TEST(PlanTransfers, MatchesBoundaryOrderClampedExecution) {
+  // 4 nodes, 10-point planes: node 0 is over target, node 3 under.
+  const std::vector<long long> cur{400, 100, 100, 100};
+  const std::vector<long long> tgt{100, 200, 200, 200};
+  std::vector<long long> planes{40, 10, 10, 10};
+  const auto plan =
+      plan_transfers(boundary_flows(cur, tgt), 10, 15, planes);
+  ASSERT_EQ(plan.size(), 3u);
+  EXPECT_EQ(plan[0].donor, 0);
+  EXPECT_EQ(plan[0].receiver, 1);
+  EXPECT_EQ(plan[0].planes, 30);
+  EXPECT_EQ(plan[2].receiver, 3);
+  EXPECT_EQ(plan[2].planes, 10);
+  EXPECT_EQ(planes, (std::vector<long long>{10, 20, 20, 20}));
+}
+
+TEST(PlanTransfers, SkipsSubThresholdFlowsAndClampsDonors) {
+  std::vector<long long> planes{2, 5, 5};
+  // boundary 0: 5 points, below the 10-point threshold; boundary 1:
+  // node 2 would give 9 planes but must keep one
+  const auto plan = plan_transfers({5, -90}, 10, 10, planes);
+  ASSERT_EQ(plan.size(), 1u);
+  EXPECT_EQ(plan[0].donor, 2);
+  EXPECT_EQ(plan[0].receiver, 1);
+  EXPECT_EQ(plan[0].planes, 4);
+  EXPECT_EQ(planes, (std::vector<long long>{2, 9, 1}));
+}

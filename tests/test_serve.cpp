@@ -14,8 +14,10 @@
 //     (phases_executed == phases - warm_phases) across rank counts.
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -32,6 +34,9 @@
 
 #ifndef SLIPFLOW_WORKER_EXE
 #error "SLIPFLOW_WORKER_EXE must point at the slipflow_worker binary"
+#endif
+#ifndef SLIPFLOW_SUBMIT_EXE
+#error "SLIPFLOW_SUBMIT_EXE must point at the slipflow_submit binary"
 #endif
 
 using namespace slipflow;
@@ -305,6 +310,32 @@ TEST(ServeE2E, ConcurrentJobsMatchDirectRuns) {
   EXPECT_EQ(st.int_or("done", -1), 3);
   EXPECT_EQ(st.int_or("failed", -1), 0);
   server.stop();
+}
+
+// The README's byte-identity reference (`slipflow_submit --direct
+// --out-dir=ref`) must work as written, with no mkdir first.
+TEST(ServeE2E, SubmitDirectCreatesMissingOutDir) {
+  const std::string dir = temp_dir("e2e_outdir");
+  const std::string spec_path = dir + "/job.json";
+  std::ofstream(spec_path) << small_spec().to_json().dump();
+  const std::string out = dir + "/not/yet/there";
+  ASSERT_FALSE(std::filesystem::exists(out));
+  const std::string cmd = std::string(SLIPFLOW_SUBMIT_EXE) +
+                          " --direct --spec=" + spec_path +
+                          " --out-dir=" + out + " 2>&1";
+  FILE* pipe = popen(cmd.c_str(), "r");
+  ASSERT_NE(pipe, nullptr);
+  std::string output;
+  char buf[256];
+  while (fgets(buf, sizeof buf, pipe) != nullptr) output += buf;
+  const int status = pclose(pipe);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0) << output;
+  std::ifstream f(out + "/obs_direct1.txt", std::ios::binary);
+  ASSERT_TRUE(f.good()) << output;
+  std::ostringstream got;
+  got << f.rdbuf();
+  EXPECT_EQ(got.str(), run_direct(small_spec(), dir));
 }
 
 // A rank killed mid-run is named in the preserved diagnostic; the job

@@ -91,7 +91,9 @@ grep -q '"event":"recovery"' "$WORK/fault.log" || fail "no recovery event stream
 grep -q 'attempts 2' "$WORK/fault.log" || fail "recovered job should report attempts 2"
 
 # --- 4. byte-identity against direct standalone runs -------------------
-mkdir -p "$WORK/direct" "$WORK/direct_fault"
+# direct/ is not created first: --out-dir must make it, as the README's
+# `--out-dir=ref` relies on.
+mkdir -p "$WORK/direct_fault"
 "$SUBMIT" --direct --spec="$WORK/spec_clean.json" \
   --sweep=params.gravity=2e-05,3e-05 --out-dir="$WORK/direct" \
   > "$WORK/direct.log" 2>&1 || { cat "$WORK/direct.log" >&2; fail "direct sweep failed"; }
