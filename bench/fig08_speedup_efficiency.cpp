@@ -18,11 +18,11 @@
 ///            [--max-ranks=4] [--nx=48] [--ny=16] [--nz=8]
 ///
 /// --transport=overlap measures the hybrid runner on this machine: the
-/// blocking vs overlapped step schedule over ThreadComm at 1/2/4 ranks,
-/// the overlapped one additionally at 1/2/4 interior-sweep threads per
-/// rank, with each configuration's overlap_efficiency gauge (fraction of
-/// the halo window covered by compute) alongside the wall time (written
-/// to BENCH_fig08_overlap.json).
+/// overlapped step schedule over ThreadComm at 1/2/4 ranks and 1/2/4
+/// interior-sweep threads per rank, with the single-thread run's
+/// overlap_efficiency gauge (fraction of the halo window covered by
+/// compute) alongside the wall times (written to
+/// BENCH_fig08_overlap.json).
 ///
 ///   usage: fig08_speedup_efficiency --transport=overlap [--phases=150]
 ///            [--max-ranks=4] [--nx=48] [--ny=16] [--nz=8]
@@ -65,7 +65,6 @@ double wall_seconds() {
 /// comparison against fork+exec+rendezvous is symmetric. `efficiency_out`
 /// (optional) receives rank 0's overlap_efficiency gauge.
 double time_over_threads(const lbm::Extents& global, int ranks, int phases,
-                         sim::StepMode step = sim::StepMode::overlap,
                          int threads = 1, double* efficiency_out = nullptr) {
   sim::RunnerConfig cfg;
   cfg.global = global;
@@ -74,7 +73,6 @@ double time_over_threads(const lbm::Extents& global, int ranks, int phases,
   cfg.remap_interval = 5;
   cfg.balance.window = 3;
   cfg.balance.min_transfer_points = 24;
-  cfg.step = step;
   cfg.threads = threads;
   obs::MetricsRegistry reg(ranks);
   if (efficiency_out != nullptr) cfg.metrics = &reg;
@@ -93,45 +91,37 @@ double time_over_threads(const lbm::Extents& global, int ranks, int phases,
   return elapsed;
 }
 
-/// The hybrid-runner companion: blocking vs overlap wall time over
-/// ThreadComm, the overlapped schedule also with a threaded interior
-/// sweep. On a single hardware core the thread variants measure
-/// scheduling overhead, not parallel speedup — the table says what it
-/// measured either way.
-int run_overlap_mode(const util::Options& opts) {
+/// The hybrid-runner companion: overlapped-schedule wall time over
+/// ThreadComm with a 1-, 2- and 4-lane interior sweep. On a single
+/// hardware core the thread variants measure scheduling overhead, not
+/// parallel speedup — the table says what it measured either way.
+int run_overlap_sweep(const util::Options& opts) {
   const int phases = static_cast<int>(opts.get("phases", 150LL));
   const int max_ranks = static_cast<int>(opts.get("max-ranks", 4LL));
   const lbm::Extents global{opts.get("nx", 48LL), opts.get("ny", 16LL),
                             opts.get("nz", 8LL)};
   bench::check_options(opts);
 
-  util::Table table("Figure 8 companion — blocking vs overlapped halo "
-                    "exchange (" + std::to_string(phases) + " phases, " +
+  util::Table table("Figure 8 companion — overlapped halo exchange by "
+                    "interior-sweep threads (" + std::to_string(phases) +
+                    " phases, " +
                     std::to_string(global.nx) + "x" +
                     std::to_string(global.ny) + "x" +
                     std::to_string(global.nz) + ")");
-  table.header({"ranks", "blocking_s", "overlap_t1_s", "overlap_t2_s",
-                "overlap_t4_s", "overlap_speedup", "overlap_efficiency"});
+  table.header({"ranks", "overlap_t1_s", "overlap_t2_s", "overlap_t4_s",
+                "overlap_efficiency"});
 
   bench::Summary summary("fig08_overlap");
   summary.add("phases", static_cast<long long>(phases));
   summary.add("nx", static_cast<long long>(global.nx));
   for (int p = 1; p <= max_ranks; p *= 2) {
-    const double blocking =
-        time_over_threads(global, p, phases, sim::StepMode::blocking, 1);
     double eff = 0.0;
-    const double t1 = time_over_threads(global, p, phases,
-                                        sim::StepMode::overlap, 1, &eff);
-    const double t2 =
-        time_over_threads(global, p, phases, sim::StepMode::overlap, 2);
-    const double t4 =
-        time_over_threads(global, p, phases, sim::StepMode::overlap, 4);
-    table.row({static_cast<long long>(p), blocking, t1, t2, t4,
-               t1 > 0.0 ? blocking / t1 : 0.0, eff});
+    const double t1 = time_over_threads(global, p, phases, 1, &eff);
+    const double t2 = time_over_threads(global, p, phases, 2);
+    const double t4 = time_over_threads(global, p, phases, 4);
+    table.row({static_cast<long long>(p), t1, t2, t4, eff});
     if (p == max_ranks) {
-      summary.add("blocking_seconds", blocking);
       summary.add("overlap_seconds", t1);
-      summary.add("overlap_speedup", t1 > 0.0 ? blocking / t1 : 0.0);
       summary.add("overlap_efficiency", eff);
     }
   }
@@ -139,10 +129,9 @@ int run_overlap_mode(const util::Options& opts) {
   summary.add_table("overlap", table);
   summary.write(opts);
 
-  std::cout << "overlap_speedup = blocking / overlap_t1 wall time at each "
-               "rank count; overlap_efficiency = interior compute / (interior "
-               "+ halo wait) on rank 0. Physics is byte-identical across all "
-               "columns (see test_overlap).\n";
+  std::cout << "overlap_efficiency = interior compute / (interior + halo "
+               "wait) on rank 0 at one thread. Physics is byte-identical "
+               "across all columns (see test_overlap).\n";
   return 0;
 }
 
@@ -287,7 +276,7 @@ int main(int argc, char** argv) {
   const auto opts = util::Options::parse(argc, argv);
   const std::string transport = opts.get("transport", std::string("virtual"));
   if (transport == "socket") return run_socket_mode(opts);
-  if (transport == "overlap") return run_overlap_mode(opts);
+  if (transport == "overlap") return run_overlap_sweep(opts);
   if (transport == "shm") return run_shm_mode(opts);
   if (transport != "virtual") {
     std::cerr << "unknown --transport=" << transport

@@ -13,12 +13,6 @@
 ///   --require-speedup=<x>    exit nonzero unless plan MLUPS >= x times
 ///                            legacy MLUPS on the full-phase pair (the CI
 ///                            perf guard; 0 = report only)
-///   --require-overlap-speedup=<x>
-///                            exit nonzero unless the 4-rank overlapped
-///                            runner reaches x times the blocking
-///                            runner's MLUPS (0 = report only). Needs
-///                            real cores to mean anything; on a
-///                            single-core box the ratio hovers near 1.
 ///   --require-tile-speedup=<x>
 ///                            exit nonzero unless the best SIMD tile
 ///                            backend reaches x times the scalar plan
@@ -29,13 +23,15 @@
 /// The whole run pins the scalar backend; the per-backend full-phase
 /// benches (BM_FullPhase_TwoComponent_Backend_* on the perf box and
 /// BM_RankSlabPhase_* on one rank's slab of the README job, registered
-/// for every backend this build/CPU supports) switch it for their own
-/// loop only.
+/// for every backend this build/CPU supports) and the 4-rank runner
+/// benches (BM_ParallelPhase_*, on the default backend) switch it for
+/// their own loop only.
 
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstdio>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -138,7 +134,7 @@ BENCHMARK(BM_ForcesVelocityPlan_TwoComponent);
 void BM_FullPhase_TwoComponent_Legacy(benchmark::State& state) {
   Box b(FluidParams::microchannel_defaults(), kPerfBox);
   for (auto _ : state)
-    step_phase(*b.slab, b.halo, KernelPath::legacy);
+    reference_phase(*b.slab, b.halo);
   set_cells_rate(state, *b.slab);
 }
 BENCHMARK(BM_FullPhase_TwoComponent_Legacy);
@@ -147,7 +143,7 @@ void BM_FullPhase_TwoComponent_Plan(benchmark::State& state) {
   Box b(FluidParams::microchannel_defaults(), kPerfBox);
   b.slab->plan();  // build outside the timed region, as the runners do
   for (auto _ : state)
-    step_phase(*b.slab, b.halo, KernelPath::plan);
+    step_phase(*b.slab, b.halo);
   set_cells_rate(state, *b.slab);
 }
 BENCHMARK(BM_FullPhase_TwoComponent_Plan);
@@ -164,7 +160,7 @@ void BM_FullPhase_TwoComponent_Backend(benchmark::State& state,
   b.slab->plan();
   if (backend != KernelBackend::scalar) b.slab->tiles();
   for (auto _ : state)
-    step_phase(*b.slab, b.halo, KernelPath::plan);
+    step_phase(*b.slab, b.halo);
   set_cells_rate(state, *b.slab);
   set_kernel_backend(KernelBackend::scalar);
 }
@@ -183,7 +179,7 @@ void BM_RankSlabPhase(benchmark::State& state, KernelBackend backend) {
   b.slab->plan();
   if (backend != KernelBackend::scalar) b.slab->tiles();
   for (auto _ : state)
-    step_phase(*b.slab, b.halo, KernelPath::plan);
+    step_phase(*b.slab, b.halo);
   set_cells_rate(state, *b.slab);
   set_kernel_backend(KernelBackend::scalar);
 }
@@ -225,14 +221,28 @@ void BM_PlaneMigration(benchmark::State& state) {
 }
 BENCHMARK(BM_PlaneMigration);
 
-// --- hybrid runner: blocking vs overlapped halo exchange --------------
-// The perf box split across 4 ThreadComm rank-threads, stepping the real
-// ParallelLbm. Only run() is timed (manual time, max over ranks via the
-// closing barrier); setup and teardown stay outside. The blocking /
-// overlap pair at T=1 is the repo's communication-overlap claim; the
-// T=2 / T=4 variants add the intra-rank interior sweep threads.
+// --- hybrid runner: the overlapped phase over two transports ---------
+// The perf box split across 4 rank-threads, stepping the real
+// ParallelLbm on the default kernel backend — the one workers run — for
+// the bench's own loop. Only run() is timed (manual time, max over ranks
+// via the closing barrier); setup and teardown stay outside. The
+// Overlap_T* variants ride ThreadComm's in-process mailboxes with 1, 2
+// and 4 interior-sweep threads per rank; Shm rides ShmComm's
+// shared-memory rings at one thread — the cost of the real wire format
+// (frames, rings, spin-then-yield waits) with zero process-launch
+// overhead in the timed region.
 
-void BM_ParallelPhase(benchmark::State& state, sim::StepMode step,
+using RankBody = std::function<void(transport::Communicator&)>;
+using RankHarness = void (*)(int, const RankBody&);
+
+void thread_ranks(int n, const RankBody& body) {
+  transport::run_ranks(n, body);
+}
+void shm_ranks(int n, const RankBody& body) {
+  transport::run_ranks_shm(n, body);
+}
+
+void BM_ParallelPhase(benchmark::State& state, RankHarness harness,
                       int threads) {
   constexpr int kRanks = 4;
   constexpr int kPhasesPerIter = 10;
@@ -240,11 +250,11 @@ void BM_ParallelPhase(benchmark::State& state, sim::StepMode step,
   cfg.global = kPerfBox;
   cfg.fluid = FluidParams::microchannel_defaults();
   cfg.policy = "none";
-  cfg.step = step;
   cfg.threads = threads;
+  set_kernel_backend(default_kernel_backend());
   for (auto _ : state) {
     double seconds = 0.0;
-    transport::run_ranks(kRanks, [&](transport::Communicator& c) {
+    harness(kRanks, [&](transport::Communicator& c) {
       sim::ParallelLbm run(cfg, c);
       run.initialize_uniform();
       c.barrier();
@@ -258,6 +268,7 @@ void BM_ParallelPhase(benchmark::State& state, sim::StepMode step,
     });
     state.SetIterationTime(seconds);
   }
+  set_kernel_backend(KernelBackend::scalar);
   const auto cells = static_cast<long long>(kPerfBox.cells()) *
                      kPhasesPerIter * state.iterations();
   state.SetItemsProcessed(cells);
@@ -265,58 +276,23 @@ void BM_ParallelPhase(benchmark::State& state, sim::StepMode step,
       static_cast<double>(cells) / 1e6, benchmark::Counter::kIsRate);
 }
 
-void BM_ParallelPhase_Blocking(benchmark::State& state) {
-  BM_ParallelPhase(state, sim::StepMode::blocking, 1);
-}
-BENCHMARK(BM_ParallelPhase_Blocking)->UseManualTime();
-
 void BM_ParallelPhase_Overlap_T1(benchmark::State& state) {
-  BM_ParallelPhase(state, sim::StepMode::overlap, 1);
+  BM_ParallelPhase(state, thread_ranks, 1);
 }
 BENCHMARK(BM_ParallelPhase_Overlap_T1)->UseManualTime();
 
 void BM_ParallelPhase_Overlap_T2(benchmark::State& state) {
-  BM_ParallelPhase(state, sim::StepMode::overlap, 2);
+  BM_ParallelPhase(state, thread_ranks, 2);
 }
 BENCHMARK(BM_ParallelPhase_Overlap_T2)->UseManualTime();
 
 void BM_ParallelPhase_Overlap_T4(benchmark::State& state) {
-  BM_ParallelPhase(state, sim::StepMode::overlap, 4);
+  BM_ParallelPhase(state, thread_ranks, 4);
 }
 BENCHMARK(BM_ParallelPhase_Overlap_T4)->UseManualTime();
 
-// Same overlapped phase loop, but halos ride ShmComm's shared-memory
-// rings instead of ThreadComm's in-process mailboxes — the cost of the
-// real wire format (frames, rings, spin-then-yield waits) with zero
-// process-launch overhead in the timed region.
 void BM_ParallelPhase_Shm(benchmark::State& state) {
-  constexpr int kRanks = 4;
-  constexpr int kPhasesPerIter = 10;
-  sim::RunnerConfig cfg;
-  cfg.global = kPerfBox;
-  cfg.fluid = FluidParams::microchannel_defaults();
-  cfg.policy = "none";
-  for (auto _ : state) {
-    double seconds = 0.0;
-    transport::run_ranks_shm(kRanks, [&](transport::Communicator& c) {
-      sim::ParallelLbm run(cfg, c);
-      run.initialize_uniform();
-      c.barrier();
-      const auto t0 = std::chrono::steady_clock::now();
-      run.run(kPhasesPerIter);
-      c.barrier();  // closes when the slowest rank finished
-      if (c.rank() == 0)
-        seconds = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count();
-    });
-    state.SetIterationTime(seconds);
-  }
-  const auto cells = static_cast<long long>(kPerfBox.cells()) *
-                     kPhasesPerIter * state.iterations();
-  state.SetItemsProcessed(cells);
-  state.counters["MLUPS"] = benchmark::Counter(
-      static_cast<double>(cells) / 1e6, benchmark::Counter::kIsRate);
+  BM_ParallelPhase(state, shm_ranks, 1);
 }
 BENCHMARK(BM_ParallelPhase_Shm)->UseManualTime();
 
@@ -369,7 +345,6 @@ int main(int argc, char** argv) {
   // split our flags from google-benchmark's
   std::string json_flag;
   double require_speedup = 0.0;
-  double require_overlap_speedup = 0.0;
   double require_tile_speedup = 0.0;
   std::vector<char*> bargs{argv[0]};
   for (int i = 1; i < argc; ++i) {
@@ -378,17 +353,15 @@ int main(int argc, char** argv) {
       json_flag = a;
     else if (a.rfind("--require-speedup=", 0) == 0)
       require_speedup = std::stod(a.substr(18));
-    else if (a.rfind("--require-overlap-speedup=", 0) == 0)
-      require_overlap_speedup = std::stod(a.substr(26));
     else if (a.rfind("--require-tile-speedup=", 0) == 0)
       require_tile_speedup = std::stod(a.substr(23));
     else
       bargs.push_back(argv[i]);
   }
 
-  // Pin scalar for every statically registered bench so the plan/legacy
-  // comparison keeps measuring the untiled reference path; only the
-  // per-backend benches below switch backends, inside their own bodies.
+  // Pin scalar so the plan/legacy comparison keeps measuring the untiled
+  // reference path; only the per-backend benches below and the 4-rank
+  // runner benches switch backends, inside their own bodies.
   const KernelBackend default_backend = default_kernel_backend();
   set_kernel_backend(KernelBackend::scalar);
   const std::vector<KernelBackend> backends = supported_kernel_backends();
@@ -417,9 +390,6 @@ int main(int argc, char** argv) {
   const double legacy = reporter.get("BM_FullPhase_TwoComponent_Legacy");
   const double plan = reporter.get("BM_FullPhase_TwoComponent_Plan");
   const double speedup = legacy > 0.0 ? plan / legacy : 0.0;
-  const double blocking = reporter.get("BM_ParallelPhase_Blocking");
-  const double overlap = reporter.get("BM_ParallelPhase_Overlap_T1");
-  const double overlap_speedup = blocking > 0.0 ? overlap / blocking : 0.0;
 
   // best SIMD tile backend vs the scalar plan path (the tile-kernel claim)
   double best_tile = 0.0;
@@ -444,11 +414,9 @@ int main(int argc, char** argv) {
   summary.add("mlups_plan", plan);
   summary.add("plan_speedup", speedup);
   summary.add("require_speedup", require_speedup);
-  summary.add("mlups_blocking_4ranks", blocking);
-  summary.add("mlups_overlap_4ranks", overlap);
+  summary.add("mlups_overlap_4ranks",
+              reporter.get("BM_ParallelPhase_Overlap_T1"));
   summary.add("mlups_shm_4ranks", reporter.get("BM_ParallelPhase_Shm"));
-  summary.add("overlap_speedup", overlap_speedup);
-  summary.add("require_overlap_speedup", require_overlap_speedup);
   for (KernelBackend b : backends)
     summary.add(std::string("mlups_backend_") + to_string(b),
                 reporter.get(std::string("BM_FullPhase_TwoComponent_Backend_") +
@@ -476,22 +444,6 @@ int main(int argc, char** argv) {
     if (speedup < require_speedup) {
       std::fprintf(stderr, "perf guard FAILED: %.2fx < %.2fx\n", speedup,
                    require_speedup);
-      return 1;
-    }
-  }
-  if (require_overlap_speedup > 0.0) {
-    if (blocking <= 0.0 || overlap <= 0.0) {
-      std::fprintf(stderr,
-                   "overlap guard: 4-rank pair missing from the run "
-                   "(check --benchmark_filter)\n");
-      return 1;
-    }
-    std::printf("overlap guard: overlap %.1f MLUPS vs blocking %.1f MLUPS "
-                "(%.2fx, required %.2fx)\n",
-                overlap, blocking, overlap_speedup, require_overlap_speedup);
-    if (overlap_speedup < require_overlap_speedup) {
-      std::fprintf(stderr, "overlap guard FAILED: %.2fx < %.2fx\n",
-                   overlap_speedup, require_overlap_speedup);
       return 1;
     }
   }

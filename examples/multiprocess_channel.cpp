@@ -5,7 +5,7 @@
 ///
 ///   build/examples/multiprocess_channel [--ranks=4] [--phases=200]
 ///       [--policy=filtered] [--nx=32] [--slow-rank=1] [--slow-factor=3]
-///       [--threads=2] [--step=overlap|blocking]
+///       [--threads=2]
 ///       [--transport=socket|shm|auto] [--shm-ring-bytes=1048576]
 ///       [--fault-kill-rank=2 --fault-kill-phase=20 --expect-failure]
 ///
@@ -43,7 +43,6 @@ int main(int argc, char** argv) {
   const double heartbeat_interval = opts.get("heartbeat-interval", 0.2);
   const double heartbeat_grace = opts.get("heartbeat-grace", 10.0);
   const long long threads = opts.get("threads", 1LL);
-  const std::string step = opts.get("step", std::string("overlap"));
   // socket | shm | auto — forwarded to every worker (see sim/worker.cpp)
   const std::string transport =
       opts.get("transport", std::string("socket"));
@@ -67,8 +66,7 @@ int main(int argc, char** argv) {
                        "--window=4",
                        "--min-transfer=96",
                        "--recv-timeout=20",
-                       "--threads=" + std::to_string(threads),
-                       "--step=" + step};
+                       "--threads=" + std::to_string(threads)};
   if (slow_rank >= 0 && slow_rank < ranks) {
     lc.worker_command.push_back("--slow-rank=" + std::to_string(slow_rank));
     lc.worker_command.push_back("--slow-factor=" +

@@ -6,7 +6,7 @@
 ///
 ///   build/examples/parallel_channel [--ranks=4] [--phases=200]
 ///       [--slow-rank=1] [--slow-factor=3] [--policy=filtered] [--nx=32]
-///       [--threads=2] [--step=overlap|blocking]
+///       [--threads=2]
 
 #include <iostream>
 #include <mutex>
@@ -29,7 +29,6 @@ int main(int argc, char** argv) {
   const std::string policy = opts.get("policy", std::string("filtered"));
   const index_t nx = opts.get("nx", 32LL);
   const int threads = static_cast<int>(opts.get("threads", 1LL));
-  const std::string step = opts.get("step", std::string("overlap"));
   if (const std::string diag = opts.unknown_diagnostic(); !diag.empty()) {
     std::cerr << diag;
     return 2;
@@ -37,8 +36,6 @@ int main(int argc, char** argv) {
 
   sim::RunnerConfig cfg;
   cfg.threads = threads;
-  cfg.step = step == "blocking" ? sim::StepMode::blocking
-                                : sim::StepMode::overlap;
   cfg.global = Extents{nx, 16, 6};
   cfg.fluid = FluidParams::microchannel_defaults();
   cfg.policy = policy;

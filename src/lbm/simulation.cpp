@@ -49,14 +49,14 @@ void Simulation::run(int phases) {
   SLIPFLOW_REQUIRE_MSG(initialized_, "call initialize() before run()");
   SLIPFLOW_REQUIRE(phases >= 0);
   if (prof_ == nullptr) {
-    for (int i = 0; i < phases; ++i) step_phase(slab_, halo_, path_);
+    for (int i = 0; i < phases; ++i) step_phase(slab_, halo_);
     phases_done_ += phases;
     return;
   }
   for (int i = 0; i < phases; ++i) {
     prof_->begin_phase(phases_done_ + 1);
     const double begin = prof_->now();
-    step_phase(slab_, halo_, path_);
+    step_phase(slab_, halo_);
     const double end = prof_->now();
     prof_->record_span("phase", begin, end);
     prof_->observe("phase_seconds", end - begin);

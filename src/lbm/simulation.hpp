@@ -61,11 +61,6 @@ class Simulation {
   /// phase_seconds histogram through the profiler's injected clock.
   void attach_profiler(obs::PhaseProfiler* prof) { prof_ = prof; }
 
-  /// Select the kernel implementation run() steps with (default: the
-  /// fused plan-based path; `legacy` keeps the reference kernels).
-  void set_kernel_path(KernelPath path) { path_ = path; }
-  KernelPath kernel_path() const { return path_; }
-
   Slab& slab() { return slab_; }
   const Slab& slab() const { return slab_; }
   const ChannelGeometry& geometry() const { return *geom_; }
@@ -75,7 +70,6 @@ class Simulation {
   Slab slab_;
   PeriodicSelfExchanger halo_;
   obs::PhaseProfiler* prof_ = nullptr;
-  KernelPath path_ = KernelPath::plan;
   long long phases_done_ = 0;
   bool initialized_ = false;
 };

@@ -1,56 +1,45 @@
 #pragma once
 /// \file stepper.hpp
-/// Phase orchestration: runs the kernel sequence of Figure 2 on a Slab,
-/// with the two communication points abstracted behind HaloExchanger so
-/// the same stepping code serves the sequential simulation (periodic
-/// self-exchange), the thread-parallel runner (real message passing) and
-/// the tests.
+/// Phase orchestration for a slab that covers the whole x-periodic
+/// domain: runs the kernel sequence of Figure 2, with the two
+/// communication points served by a periodic self-exchange. The
+/// sequential Simulation steps with it; the parallel runner has its own
+/// overlapped schedule over the same kernels (sim/parallel_lbm.cpp).
 
 #include "lbm/kernels.hpp"
 #include "lbm/slab.hpp"
 
 namespace slipflow::lbm {
 
-/// Fills a slab's halo planes. Implementations: PeriodicSelfExchanger
-/// (sequential, x-periodic wrap onto itself) and the transport-backed
-/// exchanger inside sim::ParallelLbm.
-class HaloExchanger {
- public:
-  virtual ~HaloExchanger() = default;
-
-  /// Fill both f_post halo planes (the five x-crossing directions each
-  /// way, all components) from the x-neighbors (Figure 2, line 8).
-  virtual void exchange_f(Slab& slab) = 0;
-
-  /// Fill both number-density halo planes (Figure 2, line 14).
-  virtual void exchange_density(Slab& slab) = 0;
-};
-
 /// Periodic wrap of a slab that covers the whole domain onto itself:
 /// the left halo is the rightmost owned plane and vice versa.
-class PeriodicSelfExchanger final : public HaloExchanger {
+class PeriodicSelfExchanger {
  public:
-  void exchange_f(Slab& slab) override;
-  void exchange_density(Slab& slab) override;
+  /// Fill both f_post halo planes (the five x-crossing directions each
+  /// way, all components) from the wrapped edge planes (Figure 2, line 8).
+  void exchange_f(Slab& slab);
+
+  /// Fill both number-density halo planes (Figure 2, line 14).
+  void exchange_density(Slab& slab);
 
  private:
   std::vector<double> buf_;
 };
 
-/// Which kernel implementations step_phase drives. Both produce
-/// bit-identical states; `plan` is the branch-free fused path over the
-/// slab's StreamingPlan and is the default everywhere, `legacy` keeps the
-/// original per-cell-branching kernels as reference and fallback.
-enum class KernelPath { legacy, plan };
-
 /// Run the post-initialization priming pass: densities are already set by
 /// Slab::initialize, so exchange them and compute forces/velocities so the
 /// first collide() has valid inputs.
-void prime(Slab& slab, HaloExchanger& halo);
+void prime(Slab& slab, PeriodicSelfExchanger& halo);
 
 /// Execute one full LBM phase (collide, f-exchange, stream + bounce-back,
-/// density, density-exchange, forces/velocity).
-void step_phase(Slab& slab, HaloExchanger& halo,
-                KernelPath path = KernelPath::plan);
+/// density, density-exchange, forces/velocity) on the fused plan/tile
+/// kernels.
+void step_phase(Slab& slab, PeriodicSelfExchanger& halo);
+
+/// The same phase on the original per-cell-branching kernels: the oracle
+/// the plan and tile paths are pinned to (tests/test_plan_kernels.cpp)
+/// and the baseline of the plan-speedup bench. Bit-identical to
+/// step_phase; nothing outside the tests and benches steps with it.
+void reference_phase(Slab& slab, PeriodicSelfExchanger& halo);
 
 }  // namespace slipflow::lbm

@@ -33,7 +33,7 @@ JobSpec JobSpec::from_json(const JsonValue& v) {
   if (!v.is_object()) throw serve_error("job spec must be a JSON object");
   check_keys(v, "job spec",
              {"geometry", "components", "phases", "params", "ranks", "policy",
-              "remap_interval", "window", "min_transfer", "threads", "step",
+              "remap_interval", "window", "min_transfer", "threads",
               "transport", "shm_ring_bytes", "warm_phases", "stream_every",
               "checkpoint_every", "heartbeat_interval", "heartbeat_grace",
               "wall_clock_budget", "observables", "fault"});
@@ -62,7 +62,6 @@ JobSpec JobSpec::from_json(const JsonValue& v) {
   s.window = static_cast<int>(v.int_or("window", s.window));
   s.min_transfer = v.int_or("min_transfer", s.min_transfer);
   s.threads = static_cast<int>(v.int_or("threads", s.threads));
-  s.step = v.string_or("step", s.step);
   s.transport = v.string_or("transport", s.transport);
   s.shm_ring_bytes = v.int_or("shm_ring_bytes", s.shm_ring_bytes);
   s.warm_phases = v.int_or("warm_phases", s.warm_phases);
@@ -84,8 +83,6 @@ JobSpec JobSpec::from_json(const JsonValue& v) {
   require(s.phases >= 1, "phases must be >= 1");
   require(s.ranks >= 1, "ranks must be >= 1");
   require(s.nx >= s.ranks, "nx must be >= ranks (one plane per rank)");
-  require(s.step == "overlap" || s.step == "blocking",
-          "step must be \"overlap\" or \"blocking\"");
   require(s.transport == "socket" || s.transport == "shm" ||
               s.transport == "auto",
           "transport must be \"socket\", \"shm\" or \"auto\"");
@@ -124,7 +121,6 @@ util::JsonValue JobSpec::to_json() const {
   o["window"] = JsonValue(static_cast<long long>(window));
   o["min_transfer"] = JsonValue(min_transfer);
   o["threads"] = JsonValue(static_cast<long long>(threads));
-  o["step"] = JsonValue(step);
   o["transport"] = JsonValue(transport);
   o["shm_ring_bytes"] = JsonValue(shm_ring_bytes);
   o["warm_phases"] = JsonValue(warm_phases);
@@ -190,7 +186,6 @@ transport::LaunchConfig make_launch_config(const JobSpec& spec,
                        "--window=" + std::to_string(spec.window),
                        "--min-transfer=" + std::to_string(spec.min_transfer),
                        "--threads=" + std::to_string(spec.threads),
-                       "--step=" + spec.step,
                        "--observables=" + spec.observables};
   if (!paths.observables_out.empty())
     lc.worker_command.push_back("--observables-out=" + paths.observables_out);

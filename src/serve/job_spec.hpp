@@ -46,7 +46,6 @@ struct JobSpec {
   int window = 3;
   long long min_transfer = 24;
   int threads = 1;
-  std::string step = "overlap";  ///< "overlap" | "blocking"
   std::string transport = "socket";  ///< "socket" | "shm" | "auto"
   long long shm_ring_bytes = 0;
 
@@ -80,7 +79,7 @@ struct JobSpec {
 
   /// Canonical warm-cache key material: geometry, component count,
   /// physical parameters and the warm phase count — and nothing else.
-  /// Ranks, transport, policy, threads and step mode are deliberately
+  /// Ranks, transport, policy and threads are deliberately
   /// absent: the equilibrated state is invariant to all of them, so a
   /// warm checkpoint produced by a 2-rank socket job seeds a 4-rank shm
   /// job of the same physics.

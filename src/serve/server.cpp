@@ -8,6 +8,7 @@
 #include <fstream>
 #include <sstream>
 #include <system_error>
+#include <thread>
 #include <utility>
 
 #include "lbm/checkpoint.hpp"
@@ -187,6 +188,15 @@ long long CampaignServer::submit(const std::string& tenant,
                       std::to_string(spec.ranks) +
                       " ranks, policy allows at most " +
                       std::to_string(pol.max_ranks_per_job) + " per job");
+  // Each rank's thread pool spawns threads-1 workers outside the slot
+  // accounting, so a rank may not ask for more lanes than the host has.
+  const int max_threads =
+      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  if (spec.threads > max_threads)
+    throw serve_error("admission reject: job wants threads=" +
+                      std::to_string(spec.threads) +
+                      " per rank, this host allows at most " +
+                      std::to_string(max_threads));
   if (spec.ranks > pol.total_slots)
     throw serve_error("admission reject: job wants " +
                       std::to_string(spec.ranks) +

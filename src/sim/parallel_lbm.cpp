@@ -9,7 +9,6 @@
 
 #include "lbm/checkpoint.hpp"
 #include "lbm/observables.hpp"
-#include "lbm/stepper.hpp"
 #include "lbm/vtk.hpp"
 #include "obs/async_writer.hpp"
 
@@ -67,10 +66,9 @@ std::pair<lbm::index_t, lbm::index_t> initial_extent(lbm::index_t planes_total,
 /// nonblocking post half (irecv + extract + isend, staged through two
 /// persistent per-direction buffers — no per-step allocation and no
 /// serialization of the two extractions through one scratch) and a
-/// finish half (wait + insert). The blocking exchange_* overrides are
-/// the composition, so message contents and the per-(src, tag) arrival
-/// order are identical in both step modes and across all backends.
-class ParallelLbm::RingExchanger final : public lbm::HaloExchanger {
+/// finish half (wait + insert), so message contents and the per-(src,
+/// tag) arrival order are identical across all backends.
+class ParallelLbm::RingExchanger {
  public:
   explicit RingExchanger(transport::Communicator& comm) : comm_(comm) {}
 
@@ -113,16 +111,6 @@ class ParallelLbm::RingExchanger final : public lbm::HaloExchanger {
     from_right_.reset();
   }
 
-  void exchange_f(lbm::Slab& slab) override {
-    post_f(slab);
-    finish_f(slab);
-  }
-
-  void exchange_density(lbm::Slab& slab) override {
-    post_density(slab);
-    finish_density(slab);
-  }
-
  private:
   int left_peer() const {
     return (comm_.rank() + comm_.size() - 1) % comm_.size();
@@ -155,6 +143,8 @@ ParallelLbm::ParallelLbm(RunnerConfig cfg, transport::Communicator& comm)
       initial_extent(cfg_.global.nx, comm_.size(), comm_.rank());
   slab_ = std::make_unique<lbm::Slab>(geom_, cfg_.fluid, begin, mine);
   halo_ = std::make_unique<RingExchanger>(comm_);
+  pool_ = std::make_unique<util::ThreadPool>(cfg_.threads);
+  thread_cells_.assign(static_cast<std::size_t>(cfg_.threads), 0.0);
   policy_ = balance::RemapPolicy::create(cfg_.policy);
   balancer_ = std::make_unique<balance::NodeBalancer>(cfg_.balance, policy_);
   stats_.rank = comm_.rank();
@@ -178,18 +168,23 @@ void ParallelLbm::initialize(
     const std::function<double(std::size_t, lbm::index_t, lbm::index_t,
                                lbm::index_t)>& init_density) {
   slab_->initialize(init_density);
-  lbm::prime(*slab_, *halo_);
-  initialized_ = true;
+  prime();
 }
 
 void ParallelLbm::initialize_uniform() {
   slab_->initialize_uniform();
-  lbm::prime(*slab_, *halo_);
+  prime();
+}
+
+void ParallelLbm::prime() {
+  halo_->post_density(*slab_);
+  halo_->finish_density(*slab_);
+  lbm::compute_forces_and_velocity(*slab_);
   initialized_ = true;
 }
 
 double ParallelLbm::ensure_plan() {
-  if (cfg_.kernels != lbm::KernelPath::plan || slab_->has_plan()) return 0.0;
+  if (slab_->has_plan()) return 0.0;
   const double t0 = prof_->now();
   slab_->plan();
   if (lbm::active_kernel_backend() != lbm::KernelBackend::scalar)
@@ -209,19 +204,11 @@ void ParallelLbm::run(int phases) {
   // predictor come from the same (possibly deterministic) source the
   // trace records.
   ensure_plan();
-  const bool overlap = overlap_mode();
-  if (overlap && pool_ == nullptr) {
-    pool_ = std::make_unique<util::ThreadPool>(cfg_.threads);
-    thread_cells_.assign(static_cast<std::size_t>(cfg_.threads), 0.0);
-  }
   bool last_phase_moved = false;
   for (int p = 1; p <= phases; ++p) {
     prof_->begin_phase(++phases_done_);
     comm_.note_progress(phases_done_);
-    if (overlap)
-      step_overlap();
-    else
-      step_blocking();
+    step_phase();
 
     // --- lattice point remapping --- (lines 20-32)
     last_phase_moved = false;
@@ -281,104 +268,23 @@ void ParallelLbm::run(int phases) {
   prof_->set("phases_done", static_cast<double>(phases_done_));
   if (stats_.compute_seconds > 0.0)
     prof_->set("mlups", cells_updated_ / stats_.compute_seconds / 1e6);
-  if (overlap) {
-    // The efficiency of the overlap: of the time the phase had to cover
-    // communication, the fraction spent computing (halo waits are the
-    // comm that compute could not hide).
-    const double window = interior_seconds_ + halo_wait_seconds_;
-    if (window > 0.0)
-      prof_->set("overlap_efficiency", interior_seconds_ / window);
-    // Per-lane fold of the threaded sweeps, published from the owning
-    // thread (lanes never touch the registry themselves).
-    for (std::size_t lane = 0; lane < thread_cells_.size(); ++lane) {
-      if (thread_cells_[lane] == 0.0) continue;
-      prof_->add("thread/" + std::to_string(lane) + "/cells_updated",
-                 thread_cells_[lane]);
-      thread_cells_[lane] = 0.0;
-    }
+  // The efficiency of the overlap: of the time the phase had to cover
+  // communication, the fraction spent computing (halo waits are the comm
+  // that compute could not hide).
+  const double window = interior_seconds_ + halo_wait_seconds_;
+  if (window > 0.0)
+    prof_->set("overlap_efficiency", interior_seconds_ / window);
+  // Per-lane fold of the threaded sweeps, published from the owning
+  // thread (lanes never touch the registry themselves).
+  for (std::size_t lane = 0; lane < thread_cells_.size(); ++lane) {
+    if (thread_cells_[lane] == 0.0) continue;
+    prof_->add("thread/" + std::to_string(lane) + "/cells_updated",
+               thread_cells_[lane]);
+    thread_cells_[lane] = 0.0;
   }
 }
 
-void ParallelLbm::finish_phase(double phase_begin, double t, double compute) {
-  if (slowdown_factor_ > 0.0) {
-    // emulate a node that keeps only 1/(1+s) of its CPU
-    const double extra = slowdown_factor_ * compute;
-    std::this_thread::sleep_for(std::chrono::duration<double>(extra));
-    prof_->record_span("slowdown", t, prof_->now());
-    compute += extra;
-  }
-  stats_.compute_seconds += compute;
-  prof_->add("time/compute", compute);
-  prof_->observe("phase_seconds", prof_->now() - phase_begin);
-  balancer_->record_phase(std::max(compute, 1e-9), slab_->owned_cells());
-
-  const double phase_cells =
-      static_cast<double>(cfg_.kernels == lbm::KernelPath::plan
-                              ? slab_->plan().fluid_cells()
-                              : slab_->owned_cells());
-  cells_updated_ += phase_cells;
-  prof_->add("cells_updated", phase_cells);
-}
-
-void ParallelLbm::step_blocking() {
-  const bool plan_path = cfg_.kernels == lbm::KernelPath::plan;
-  const double phase_begin = prof_->now();
-
-  // --- compute: collide --- (Figure 2 line 4; the plan path only
-  // pre-collides the two exchange-facing planes here and folds the rest
-  // of the collision into the fused stream below)
-  if (plan_path)
-    lbm::collide_boundary_planes(*slab_);
-  else
-    lbm::collide(*slab_);
-  double t = prof_->now();
-  prof_->record_span("collide", phase_begin, t);
-  double compute = t - phase_begin;
-
-  // --- communication: f halos --- (line 8)
-  double t0 = t;
-  halo_->exchange_f(*slab_);
-  t = prof_->now();
-  prof_->record_span("halo_f", t0, t);
-  prof_->add("halo_bytes", halo_exchange_bytes(slab_->f_halo_doubles()));
-  stats_.comm_seconds += t - t0;
-  prof_->add("time/comm", t - t0);
-
-  // --- compute: stream + bounce-back + densities --- (lines 5,10,11)
-  t0 = t;
-  if (plan_path)
-    lbm::fused_collide_stream(*slab_);
-  else
-    lbm::stream(*slab_);
-  lbm::compute_density(*slab_);
-  t = prof_->now();
-  prof_->record_span("stream_density", t0, t);
-  compute += t - t0;
-
-  // --- communication: density halos --- (line 14)
-  t0 = t;
-  halo_->exchange_density(*slab_);
-  t = prof_->now();
-  prof_->record_span("halo_density", t0, t);
-  prof_->add("halo_bytes",
-             halo_exchange_bytes(slab_->density_halo_doubles()));
-  stats_.comm_seconds += t - t0;
-  prof_->add("time/comm", t - t0);
-
-  // --- compute: forces + velocity --- (lines 16,17)
-  t0 = t;
-  if (plan_path)
-    lbm::compute_forces_and_velocity_plan(*slab_);
-  else
-    lbm::compute_forces_and_velocity(*slab_);
-  t = prof_->now();
-  prof_->record_span("force_velocity", t0, t);
-  compute += t - t0;
-
-  finish_phase(phase_begin, t, compute);
-}
-
-void ParallelLbm::step_overlap() {
+void ParallelLbm::step_phase() {
   lbm::Slab& slab = *slab_;
   const lbm::StreamingPlan& plan = slab.plan();
   // Which kernel backend this step runs, read once so every slice of the
@@ -551,7 +457,21 @@ void ParallelLbm::step_overlap() {
   halo_wait_seconds_ += halo_wait;
   prof_->add("time/interior", interior);
   prof_->add("time/halo_wait", halo_wait);
-  finish_phase(phase_begin, t, compute);
+
+  if (slowdown_factor_ > 0.0) {
+    // emulate a node that keeps only 1/(1+s) of its CPU
+    const double extra = slowdown_factor_ * compute;
+    std::this_thread::sleep_for(std::chrono::duration<double>(extra));
+    prof_->record_span("slowdown", t, prof_->now());
+    compute += extra;
+  }
+  stats_.compute_seconds += compute;
+  prof_->add("time/compute", compute);
+  prof_->observe("phase_seconds", prof_->now() - phase_begin);
+  balancer_->record_phase(std::max(compute, 1e-9), slab_->owned_cells());
+  const auto phase_cells = static_cast<double>(plan.fluid_cells());
+  cells_updated_ += phase_cells;
+  prof_->add("cells_updated", phase_cells);
 }
 
 void ParallelLbm::write_outputs() {
@@ -874,11 +794,9 @@ void ParallelLbm::refresh_observables() {
   // exact bytes it already holds; on a freshly migrated (or restored)
   // slab the zeroed mixture fields are rebuilt from the migrated state.
   ensure_plan();
-  halo_->exchange_density(*slab_);
-  if (cfg_.kernels == lbm::KernelPath::plan)
-    lbm::compute_forces_and_velocity_plan(*slab_);
-  else
-    lbm::compute_forces_and_velocity(*slab_);
+  halo_->post_density(*slab_);
+  halo_->finish_density(*slab_);
+  lbm::compute_forces_and_velocity_plan(*slab_);
 }
 
 std::vector<double> ParallelLbm::gather_velocity_profile_y(

@@ -33,22 +33,6 @@ class AsyncWriter;
 
 namespace slipflow::sim {
 
-/// Per-phase schedule of ParallelLbm.
-enum class StepMode {
-  /// The legacy sequence: each exchange blocks between compute stages
-  /// (compute -> exchange_f -> compute -> exchange_density -> compute).
-  blocking,
-  /// Communication/computation overlap: post each halo exchange
-  /// (irecv + extract + isend), run the halo-independent bulk of the
-  /// phase — across the rank's thread pool — while frames are in
-  /// flight, then wait() and finish the halo-dependent remainder.
-  /// Physics is bit-identical to blocking for any thread count (every
-  /// lattice slot is written exactly once per phase either way).
-  /// Requires the plan kernel path; with legacy kernels the runner
-  /// silently steps blocking.
-  overlap,
-};
-
 /// Periodic on-disk output of a running simulation. Disabled by default.
 /// With `async` set (the default), snapshots are packed on the phase
 /// thread and handed to a background obs::AsyncWriter, so no phase ever
@@ -82,14 +66,7 @@ struct RunnerConfig {
   /// (y_low, y_high, z_low, z_high); all zero = resting walls.
   std::array<lbm::Vec3, 4> wall_velocity{};
   balance::BalanceConfig balance;
-  /// Kernel implementation the runner steps with. The plan path (default)
-  /// is bit-identical to legacy; rebuilds of the streaming plan after a
-  /// migration are timed under the "plan" span, outside "remap".
-  lbm::KernelPath kernels = lbm::KernelPath::plan;
-  /// Step schedule; see StepMode. Overlap is the default for the same
-  /// reason the plan path is: bit-identical results, faster wall clock.
-  StepMode step = StepMode::overlap;
-  /// Lanes of the per-rank thread pool that sweeps the overlap phases'
+  /// Lanes of the per-rank thread pool that sweeps each phase's
   /// halo-independent bulk. 1 = no extra threads. Results are
   /// bit-identical for any value (static write-disjoint partition).
   int threads = 1;
@@ -207,29 +184,27 @@ class ParallelLbm {
  private:
   class RingExchanger;
 
-  /// Build the slab's streaming plan if the plan path needs one and it is
-  /// missing (first run, or dropped by a migration rebuild); the build is
-  /// recorded under the "plan" span — outside "remap", so fig09's
-  /// remap-cost story stays honest. Returns the build time (0 if none).
+  /// Build the slab's streaming plan (and, on a SIMD backend, its row
+  /// tiles) if it is missing (first run, or dropped by a migration
+  /// rebuild); the build is recorded under the "plan" span — outside
+  /// "remap", so fig09's remap-cost story stays honest. Returns the build
+  /// time (0 if none).
   double ensure_plan();
 
-  /// Overlap applies only to the plan kernel path (legacy kernels have
-  /// no interior/boundary split to hide communication behind).
-  bool overlap_mode() const {
-    return cfg_.step == StepMode::overlap &&
-           cfg_.kernels == lbm::KernelPath::plan;
-  }
+  /// One phase of Figure 2 with communication/computation overlap: post
+  /// each halo exchange (irecv + extract + isend), sweep the
+  /// halo-independent bulk of the phase across the rank's thread pool
+  /// while the frames are in flight, then wait and finish the
+  /// halo-dependent remainder. Every lattice slot is written exactly once
+  /// per phase, so the physics equals the sequential Simulation for any
+  /// rank and thread count. Spans: collide, halo_post_f, interior_stream,
+  /// halo_wait_f, boundary_stream, halo_post_density, interior_force,
+  /// halo_wait_density, boundary_force (plus "slowdown" when injected).
+  void step_phase();
 
-  /// One phase of the legacy blocking schedule (spans: collide, halo_f,
-  /// stream_density, halo_density, force_velocity).
-  void step_blocking();
-  /// One phase of the overlap schedule (spans: collide, halo_post_f,
-  /// interior_stream, halo_wait_f, boundary_stream, halo_post_density,
-  /// interior_force, halo_wait_density, boundary_force).
-  void step_overlap();
-  /// Injected slowdown + the per-phase stats/metrics epilogue shared by
-  /// both schedules. `t` = the clock reading that closed the last span.
-  void finish_phase(double phase_begin, double t, double compute);
+  /// Density-halo exchange + the reference force/velocity kernel: the
+  /// priming pass after initialize() (no streaming plan needed yet).
+  void prime();
 
   /// Periodic checkpoint/VTK hook, run after the remap block of an
   /// output phase under the "io" span. Reads the clock exactly twice in
@@ -305,10 +280,9 @@ class ParallelLbm {
   /// persists() in the source.
   bool proposal_paid_ = false, plan_paid_ = false;
 
-  // Overlap-mode state: the pool is created on the first overlapped
-  // run(); per-lane cell counts and the interior/halo-wait split feed
-  // the thread/<t>/cells_updated counters and the overlap_efficiency
-  // gauge published at the end of each run().
+  // Per-lane cell counts and the interior/halo-wait split feed the
+  // thread/<t>/cells_updated counters and the overlap_efficiency gauge
+  // published at the end of each run().
   std::unique_ptr<util::ThreadPool> pool_;
   lbm::ForcePsiCache psi_cache_;
   std::vector<double> thread_cells_;

@@ -161,15 +161,6 @@ int worker_main(int argc, const char* const* argv) {
   cfg.balance.window = static_cast<int>(opts.get("window", 3LL));
   cfg.balance.min_transfer_points = opts.get("min-transfer", 24LL);
   cfg.threads = static_cast<int>(opts.get("threads", 1LL));
-  const std::string step = opts.get("step", std::string("overlap"));
-  if (step == "blocking") {
-    cfg.step = StepMode::blocking;
-  } else if (step == "overlap") {
-    cfg.step = StepMode::overlap;
-  } else {
-    std::fprintf(stderr, "rank %d: unknown --step=%s\n", rank, step.c_str());
-    return 2;
-  }
   // Which tile-kernel backend the hot kernels dispatch to. "auto" keeps
   // the CPUID default (widest supported SIMD); naming a backend that this
   // build/CPU cannot run is a configuration error, not a fallback.

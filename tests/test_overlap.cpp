@@ -1,10 +1,11 @@
-// Communication/computation overlap: the overlapped, multithreaded step
-// schedule must be BYTE-identical to the legacy blocking one — same
-// masses, same migration history, same velocity/density profiles — for
-// every backend, rank count and thread count. Determinism rests on the
-// same injected CountingClocks as the cross-backend suite; the filtered
-// remapping policy is left ON so the comparison covers plane migrations
-// and the plan rebuilds they force mid-run.
+// Communication/computation overlap: the runner's overlapped,
+// multithreaded step schedule must reproduce the sequential Simulation —
+// same masses, same velocity/density profiles of every plane — and be
+// BYTE-identical across thread counts, rank counts and transports, down
+// to the migration history. Determinism rests on the same injected
+// CountingClocks as the cross-backend suite; the filtered remapping
+// policy is left ON so the comparison covers plane migrations and the
+// plan rebuilds they force mid-run.
 //
 // Naming note: tests that fork socket children carry "Socket" in their
 // name so the TSan CI job can exclude them (fork + TSan is unsupported).
@@ -13,11 +14,15 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "lbm/observables.hpp"
+#include "lbm/simulation.hpp"
 #include "obs/clock.hpp"
 #include "obs/metrics.hpp"
 #include "sim/worker.hpp"
@@ -34,7 +39,7 @@ constexpr int kPhases = 40;
 /// Same lattice/remap/clock setup as the cross-backend determinism test:
 /// rank 1's clock runs 4x slower, so the filtered policy migrates planes
 /// (and rebuilds streaming plans) mid-run on multi-rank configurations.
-sim::RunnerConfig base_config(sim::StepMode step, int threads) {
+sim::RunnerConfig base_config(int threads) {
   sim::RunnerConfig cfg;
   cfg.global = lbm::Extents{16, 6, 4};
   cfg.fluid = lbm::FluidParams::microchannel_defaults();
@@ -42,7 +47,6 @@ sim::RunnerConfig base_config(sim::StepMode step, int threads) {
   cfg.remap_interval = 5;
   cfg.balance.window = 3;
   cfg.balance.min_transfer_points = 24;
-  cfg.step = step;
   cfg.threads = threads;
   cfg.clock_factory = [](int rank) -> std::shared_ptr<obs::Clock> {
     return std::make_shared<obs::CountingClock>(rank == 1 ? 4e-3 : 1e-3);
@@ -50,9 +54,9 @@ sim::RunnerConfig base_config(sim::StepMode step, int threads) {
   return cfg;
 }
 
-std::string run_threads(int ranks, sim::StepMode step, int threads,
+std::string run_threads(int ranks, int threads,
                         obs::MetricsRegistry* metrics = nullptr) {
-  sim::RunnerConfig cfg = base_config(step, threads);
+  sim::RunnerConfig cfg = base_config(threads);
   cfg.metrics = metrics;
   std::string observables;
   transport::run_ranks(ranks, [&](transport::Communicator& comm) {
@@ -65,13 +69,69 @@ std::string run_threads(int ranks, sim::StepMode step, int threads,
   return observables;
 }
 
-std::string run_serial(sim::StepMode step, int threads) {
-  const sim::RunnerConfig cfg = base_config(step, threads);
+std::string run_serial(int threads) {
+  const sim::RunnerConfig cfg = base_config(threads);
   transport::SerialComm comm;
   sim::ParallelLbm run(cfg, comm);
   run.initialize_uniform();
   run.run(kPhases);
   return sim::collect_observables(run, comm, cfg.global);
+}
+
+/// A run's physics as numbers: the component masses and, flattened in
+/// (plane, y) order, the mid-channel velocity and water-density
+/// y-profiles of every plane.
+struct Physics {
+  std::vector<double> mass, ux, rho0;
+};
+
+/// Parse collect_observables' "mass", "ux" and "rho0" lines (hex floats;
+/// the value is each line's last field).
+Physics parse_physics(const std::string& observables) {
+  Physics p;
+  std::istringstream in(observables);
+  std::string line;
+  while (std::getline(in, line)) {
+    const std::string tag = line.substr(0, line.find(' '));
+    const double v = std::strtod(line.c_str() + line.rfind(' ') + 1, nullptr);
+    if (tag == "mass") p.mass.push_back(v);
+    if (tag == "ux") p.ux.push_back(v);
+    if (tag == "rho0") p.rho0.push_back(v);
+  }
+  return p;
+}
+
+/// The oracle: the sequential Simulation stepped over the same lattice
+/// for the same number of phases, observed the same way.
+Physics sequential_physics() {
+  const sim::RunnerConfig cfg = base_config(1);
+  lbm::Simulation seq(cfg.global, cfg.fluid);
+  seq.initialize_uniform();
+  seq.run(kPhases);
+  Physics p;
+  for (std::size_t c = 0; c < seq.slab().num_components(); ++c)
+    p.mass.push_back(lbm::owned_mass(seq.slab(), c));
+  const lbm::index_t z = cfg.global.nz / 2;
+  for (lbm::index_t gx = 0; gx < cfg.global.nx; ++gx) {
+    for (double v : lbm::velocity_profile_y(seq.slab(), gx, z))
+      p.ux.push_back(v);
+    for (double v : lbm::density_profile_y(seq.slab(), 0, gx, z))
+      p.rho0.push_back(v);
+  }
+  return p;
+}
+
+void expect_physics_equal(const Physics& got, const Physics& want) {
+  const auto expect_equal = [](const std::vector<double>& a,
+                               const std::vector<double>& b,
+                               const char* what) {
+    ASSERT_EQ(a.size(), b.size()) << what;
+    for (std::size_t i = 0; i < a.size(); ++i)
+      EXPECT_DOUBLE_EQ(a[i], b[i]) << what << " #" << i;
+  };
+  expect_equal(got.mass, want.mass, "mass");
+  expect_equal(got.ux, want.ux, "ux");
+  expect_equal(got.rho0, want.rho0, "rho0");
 }
 
 std::string temp_path(const std::string& name) {
@@ -87,11 +147,10 @@ std::string read_file(const std::string& path) {
   return os.str();
 }
 
-/// Fork real worker processes with the given step schedule and transport
-/// ("socket" or "shm") and return rank 0's observables.
-std::string run_workers(int ranks, const std::string& step, int threads,
-                        const std::string& transport) {
-  const std::string out = temp_path("obs_overlap_" + step + "_" + transport);
+/// Fork real worker processes over the given transport ("socket", "shm"
+/// or "auto") and return rank 0's observables.
+std::string run_workers(int ranks, int threads, const std::string& transport) {
+  const std::string out = temp_path("obs_overlap_" + transport);
   transport::LaunchConfig lc;
   lc.ranks = ranks;
   lc.transport = transport;
@@ -109,7 +168,6 @@ std::string run_workers(int ranks, const std::string& step, int threads,
                        "--slow-clock-rank=1",
                        "--slow-clock-factor=4",
                        "--recv-timeout=20",
-                       "--step=" + step,
                        "--threads=" + std::to_string(threads),
                        "--observables-out=" + out};
   lc.heartbeat_interval = 0.1;
@@ -122,20 +180,22 @@ std::string run_workers(int ranks, const std::string& step, int threads,
   return obs;
 }
 
-std::string run_sockets(int ranks, const std::string& step, int threads) {
-  return run_workers(ranks, step, threads, "socket");
+std::string run_sockets(int ranks, int threads) {
+  return run_workers(ranks, threads, "socket");
 }
 
 }  // namespace
 
 // --- single rank: overlap touches only the kernel split, no halos fly ---
 
-TEST(Overlap, SerialRankMatchesBlockingForEveryThreadCount) {
-  const std::string blocking = run_serial(sim::StepMode::blocking, 1);
-  ASSERT_FALSE(blocking.empty());
-  for (int threads : {1, 2, 4})
-    EXPECT_EQ(run_serial(sim::StepMode::overlap, threads), blocking)
-        << "overlap with " << threads << " threads diverged on SerialComm";
+TEST(Overlap, SerialRankMatchesSequentialForEveryThreadCount) {
+  const Physics want = sequential_physics();
+  for (int threads : {1, 2, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const std::string got = run_serial(threads);
+    ASSERT_FALSE(got.empty());
+    expect_physics_equal(parse_physics(got), want);
+  }
 }
 
 // --- thread backend: ranks x threads sweep, migrations included ---
@@ -147,21 +207,22 @@ INSTANTIATE_TEST_SUITE_P(Ranks, OverlapThreadRanks, ::testing::Values(2, 4),
                            return "Ranks" + std::to_string(pinfo.param);
                          });
 
-TEST_P(OverlapThreadRanks, OverlapMatchesBlockingForEveryThreadCount) {
+TEST_P(OverlapThreadRanks, EveryThreadCountMatchesOneThreadByByte) {
   const int ranks = GetParam();
-  const std::string blocking =
-      run_threads(ranks, sim::StepMode::blocking, 1);
-  ASSERT_FALSE(blocking.empty());
+  const std::string one = run_threads(ranks, 1);
+  ASSERT_FALSE(one.empty());
   // the slowed rank must actually migrate planes, or this test would not
   // cover the mid-run plan rebuild path
   if (ranks == 4) {
-    EXPECT_EQ(blocking.find("rank 1 planes 4 sent 0"), std::string::npos)
+    EXPECT_EQ(one.find("rank 1 planes 4 sent 0"), std::string::npos)
         << "expected rank 1 to shed planes:\n"
-        << blocking.substr(0, 300);
+        << one.substr(0, 300);
   }
-  for (int threads : {1, 2, 4})
-    EXPECT_EQ(run_threads(ranks, sim::StepMode::overlap, threads), blocking)
-        << "overlap with " << threads << " threads diverged at " << ranks
+  // migrations move ownership, never the physics
+  expect_physics_equal(parse_physics(one), sequential_physics());
+  for (int threads : {2, 4})
+    EXPECT_EQ(run_threads(ranks, threads), one)
+        << threads << " threads diverged from 1 thread at " << ranks
         << " ranks";
 }
 
@@ -170,7 +231,7 @@ TEST_P(OverlapThreadRanks, OverlapMatchesBlockingForEveryThreadCount) {
 TEST(Overlap, PublishesInteriorHaloWaitAndPerLaneCounters) {
   constexpr int kRanks = 2, kThreads = 2;
   obs::MetricsRegistry reg(kRanks);
-  run_threads(kRanks, sim::StepMode::overlap, kThreads, &reg);
+  run_threads(kRanks, kThreads, &reg);
   for (int r = 0; r < kRanks; ++r) {
     EXPECT_GT(reg.counter(r, "time/interior"), 0.0);
     EXPECT_GT(reg.counter(r, "time/halo_wait"), 0.0);
@@ -188,27 +249,13 @@ TEST(Overlap, PublishesInteriorHaloWaitAndPerLaneCounters) {
   }
 }
 
-TEST(Overlap, BlockingModePublishesNoOverlapMetrics) {
-  obs::MetricsRegistry reg(2);
-  run_threads(2, sim::StepMode::blocking, 1, &reg);
-  EXPECT_EQ(reg.counter(0, "time/interior"), 0.0);
-  EXPECT_EQ(reg.counter(0, "time/halo_wait"), 0.0);
-  EXPECT_FALSE(reg.has_gauge(0, "overlap_efficiency"));
-}
-
 // --- real processes (named "Socket" so the TSan job can skip them) ---
 
 TEST(OverlapSocket, WorkersMatchThreadBackendByByte) {
-  const std::string socket_obs = run_sockets(4, "overlap", 2);
+  const std::string socket_obs = run_sockets(4, 2);
   ASSERT_FALSE(socket_obs.empty());
-  EXPECT_EQ(socket_obs, run_threads(4, sim::StepMode::overlap, 2))
+  EXPECT_EQ(socket_obs, run_threads(4, 2))
       << "overlapped worker processes diverged from in-process reference";
-}
-
-TEST(OverlapSocket, BlockingFlagStillSupported) {
-  const std::string socket_obs = run_sockets(2, "blocking", 1);
-  ASSERT_FALSE(socket_obs.empty());
-  EXPECT_EQ(socket_obs, run_threads(2, sim::StepMode::blocking, 1));
 }
 
 // --- differential transport matrix (forks, hence the "Socket" name) ---
@@ -218,18 +265,18 @@ TEST(OverlapSocket, ShmWorkersMatchThreadAndSocketByByte) {
   // overlapped run with live plane migrations and mid-run plan rebuilds
   // must produce byte-identical observables whether halos ride threads,
   // Unix-domain sockets, or shared-memory rings.
-  const std::string thread_obs = run_threads(4, sim::StepMode::overlap, 2);
+  const std::string thread_obs = run_threads(4, 2);
   ASSERT_FALSE(thread_obs.empty());
-  EXPECT_EQ(run_workers(4, "overlap", 2, "shm"), thread_obs)
+  EXPECT_EQ(run_workers(4, 2, "shm"), thread_obs)
       << "shm workers diverged from the thread backend";
-  EXPECT_EQ(run_workers(4, "overlap", 2, "socket"), thread_obs)
+  EXPECT_EQ(run_workers(4, 2, "socket"), thread_obs)
       << "socket workers diverged from the thread backend";
 }
 
 TEST(OverlapSocket, AutoTransportResolvesAndMatches) {
   // "auto" must pick shm here (the socket dir is mmap-able tmpfs/disk)
   // and still land on the same bytes.
-  const std::string auto_obs = run_workers(2, "overlap", 2, "auto");
+  const std::string auto_obs = run_workers(2, 2, "auto");
   ASSERT_FALSE(auto_obs.empty());
-  EXPECT_EQ(auto_obs, run_threads(2, sim::StepMode::overlap, 2));
+  EXPECT_EQ(auto_obs, run_threads(2, 2));
 }

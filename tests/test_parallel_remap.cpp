@@ -1,7 +1,9 @@
 // Dynamic remapping in the real parallel runner: plane migration must be
 // physics-invariant (fields identical to the sequential reference even
 // while planes move between ranks mid-run), and a slowed rank must
-// actually shed planes.
+// actually shed planes. Every rank times its stages on an injected
+// CountingClock, so the balancer's inputs — and hence every migration —
+// are a pure function of the call sequence, never of host load.
 
 #include <gtest/gtest.h>
 
@@ -22,8 +24,10 @@ namespace {
 
 const Extents kGrid{18, 6, 4};
 
-RunnerConfig remap_runner(const std::string& policy, int ranks,
-                          int slow_rank = -1, double slow_factor = 3.0) {
+/// `slow_rank` (if any) ticks (1 + slow_factor) times longer than the
+/// others: a node left with 1/(1 + slow_factor) of its CPU.
+RunnerConfig remap_runner(const std::string& policy, int slow_rank = -1,
+                          double slow_factor = 3.0) {
   RunnerConfig cfg;
   cfg.global = kGrid;
   cfg.fluid = FluidParams::microchannel_defaults(0.05, 1.5, 0.03, 1.0, 2e-5);
@@ -32,10 +36,10 @@ RunnerConfig remap_runner(const std::string& policy, int ranks,
   cfg.balance.window = 3;
   // one yz-plane of this grid is 24 points
   cfg.balance.min_transfer_points = 24;
-  if (slow_rank >= 0) {
-    cfg.slowdown.assign(static_cast<std::size_t>(ranks), 0.0);
-    cfg.slowdown[static_cast<std::size_t>(slow_rank)] = slow_factor;
-  }
+  cfg.clock_factory = [slow_rank, slow_factor](int rank) {
+    return std::make_shared<obs::CountingClock>(
+        rank == slow_rank ? (1.0 + slow_factor) * 1e-3 : 1e-3);
+  };
   return cfg;
 }
 
@@ -109,7 +113,7 @@ void expect_fields_identical(const Fields& a, const Fields& b) {
 }  // namespace
 
 TEST(ParallelRemap, SlowRankShedsPlanes) {
-  const auto cfg = remap_runner("filtered", 3, /*slow_rank=*/1);
+  const auto cfg = remap_runner("filtered", /*slow_rank=*/1);
   const auto out = run_parallel(3, 60, cfg);
   ASSERT_EQ(out.stats.size(), 3u);
   EXPECT_GT(out.total_migrated, 0);
@@ -123,7 +127,7 @@ TEST(ParallelRemap, SlowRankShedsPlanes) {
 TEST(ParallelRemap, MigrationIsPhysicsInvariant) {
   // THE key invariant: remapping only moves ownership, never changes the
   // simulated field — parallel-with-migration equals sequential exactly.
-  const auto cfg = remap_runner("filtered", 3, /*slow_rank=*/1);
+  const auto cfg = remap_runner("filtered", /*slow_rank=*/1);
   const auto seq = sequential_fields(60, cfg);
   const auto par = run_parallel(3, 60, cfg);
   EXPECT_GT(par.total_migrated, 0);  // remapping actually happened
@@ -131,14 +135,14 @@ TEST(ParallelRemap, MigrationIsPhysicsInvariant) {
 }
 
 TEST(ParallelRemap, ConservativePolicyAlsoInvariant) {
-  const auto cfg = remap_runner("conservative", 3, /*slow_rank=*/0);
+  const auto cfg = remap_runner("conservative", /*slow_rank=*/0);
   const auto seq = sequential_fields(50, cfg);
   const auto par = run_parallel(3, 50, cfg);
   expect_fields_identical(seq, par.fields);
 }
 
 TEST(ParallelRemap, GlobalPolicyAlsoInvariant) {
-  const auto cfg = remap_runner("global", 3, /*slow_rank=*/2);
+  const auto cfg = remap_runner("global", /*slow_rank=*/2);
   const auto seq = sequential_fields(50, cfg);
   const auto par = run_parallel(3, 50, cfg);
   EXPECT_GT(par.total_migrated, 0);
@@ -146,19 +150,16 @@ TEST(ParallelRemap, GlobalPolicyAlsoInvariant) {
 }
 
 TEST(ParallelRemap, TwoRanksEndToEnd) {
-  const auto cfg = remap_runner("filtered", 2, /*slow_rank=*/0);
+  const auto cfg = remap_runner("filtered", /*slow_rank=*/0);
   const auto seq = sequential_fields(50, cfg);
   const auto par = run_parallel(2, 50, cfg);
   expect_fields_identical(seq, par.fields);
 }
 
 TEST(ParallelRemap, BalancedRunStaysPhysicsInvariant) {
-  // with no injected slowdown, OS scheduling noise may or may not trigger
-  // migrations (rank threads share two cores here) — either way the
-  // fields must equal the sequential reference and ownership must stay
-  // complete. (Deterministic laziness under balanced load is asserted in
-  // the virtual-cluster tests, where timing is exact.)
-  const auto cfg = remap_runner("filtered", 3);
+  // equal clocks on every rank: the fields must equal the sequential
+  // reference and ownership must stay complete
+  const auto cfg = remap_runner("filtered");
   const auto seq = sequential_fields(40, cfg);
   const auto par = run_parallel(3, 40, cfg);
   expect_fields_identical(seq, par.fields);
@@ -168,7 +169,7 @@ TEST(ParallelRemap, BalancedRunStaysPhysicsInvariant) {
 }
 
 TEST(ParallelRemap, MassConservedThroughMigrations) {
-  const auto cfg = remap_runner("filtered", 3, /*slow_rank=*/1);
+  const auto cfg = remap_runner("filtered", /*slow_rank=*/1);
   transport::run_ranks(3, [&](transport::Communicator& comm) {
     ParallelLbm run(cfg, comm);
     run.initialize_uniform();
@@ -182,13 +183,13 @@ TEST(ParallelRemap, MassConservedThroughMigrations) {
 
 TEST(ParallelRemap, EveryRankKeepsAtLeastOnePlane) {
   const auto cfg =
-      remap_runner("filtered", 4, /*slow_rank=*/2, /*slow_factor=*/8.0);
+      remap_runner("filtered", /*slow_rank=*/2, /*slow_factor=*/8.0);
   const auto out = run_parallel(4, 80, cfg);
   for (const auto& s : out.stats) EXPECT_GE(s.planes, 1);
 }
 
 TEST(ParallelRemap, RemapTimeIsAccounted) {
-  const auto cfg = remap_runner("filtered", 3, /*slow_rank=*/1);
+  const auto cfg = remap_runner("filtered", /*slow_rank=*/1);
   const auto out = run_parallel(3, 60, cfg);
   double remap_total = 0.0;
   for (const auto& s : out.stats) remap_total += s.remap_seconds;
@@ -196,16 +197,12 @@ TEST(ParallelRemap, RemapTimeIsAccounted) {
 }
 
 TEST(ParallelRemap, FinalPhaseMigrationLeavesRealObservables) {
-  // Deterministic: rank 1's injected clock runs 4x slow, so it sheds
-  // planes on a fixed schedule. Take the first run length that ends on a
-  // remap check which moved planes (the run one phase shorter migrated
-  // strictly less). The migrated slabs' mixture fields must be rebuilt
-  // before run() returns: the velocity profiles equal the sequential
-  // reference.
-  auto cfg = remap_runner("filtered", 3);
-  cfg.clock_factory = [](int rank) {
-    return std::make_shared<obs::CountingClock>(rank == 1 ? 4e-3 : 1e-3);
-  };
+  // Rank 1's injected clock runs 4x slow, so it sheds planes on a fixed
+  // schedule. Take the first run length that ends on a remap check which
+  // moved planes (the run one phase shorter migrated strictly less). The
+  // migrated slabs' mixture fields must be rebuilt before run() returns:
+  // the velocity profiles equal the sequential reference.
+  const auto cfg = remap_runner("filtered", /*slow_rank=*/1);
   for (int checks = 1; checks <= 6; ++checks) {
     const int phases = checks * cfg.remap_interval;
     const auto par = run_parallel(3, phases, cfg);

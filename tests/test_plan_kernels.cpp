@@ -1,12 +1,13 @@
 // Kernel-equivalence matrix for the StreamingPlan fast path: the fused
 // collide+stream and plan-based force kernels must reproduce the legacy
-// reference kernels to within 1e-13 per population (empirically they are
-// bit-exact — shared collision expressions keep FP contraction identical)
-// across every boundary-condition class the geometry supports, for both
-// collision operators and both component counts. Plus: the plan's write
-// coverage is structurally verified (every fluid slot written exactly
-// once), and a plan rebuilt after a mid-run plane migration in the thread
-// runner still matches the sequential legacy reference.
+// reference kernels (lbm::reference_phase, the oracle) to within 1e-13
+// per population (empirically they are bit-exact — shared collision
+// expressions keep FP contraction identical) across every
+// boundary-condition class the geometry supports, for both collision
+// operators and both component counts. Plus: the plan's write coverage
+// is structurally verified (every fluid slot written exactly once), and
+// a plan rebuilt after a mid-run plane migration in the thread runner
+// still matches the sequential legacy reference.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +21,8 @@
 #include "lbm/observables.hpp"
 #include "lbm/plan.hpp"
 #include "lbm/simulation.hpp"
+#include "lbm/stepper.hpp"
+#include "obs/clock.hpp"
 #include "obs/metrics.hpp"
 #include "sim/parallel_lbm.hpp"
 #include "transport/thread_comm.hpp"
@@ -127,23 +130,34 @@ void expect_slabs_match(const Slab& plan_s, const Slab& legacy_s) {
       }
 }
 
-void run_and_compare(const GeoCase& gc, int ncomp, CollisionModel cm,
-                     int phases = 16) {
-  const auto geom = make_geom(gc);
-  const FluidParams params = make_params(ncomp, cm, gc);
-  Simulation plan_sim(geom, params);
-  Simulation legacy_sim(geom, params);
-  plan_sim.set_kernel_path(KernelPath::plan);
-  legacy_sim.set_kernel_path(KernelPath::legacy);
+/// The oracle: prime an initialized full-domain slab as Simulation does,
+/// then step `phases` reference phases on the legacy kernels.
+void run_reference(Slab& slab, int phases) {
+  PeriodicSelfExchanger halo;
+  prime(slab, halo);
+  for (int p = 0; p < phases; ++p) reference_phase(slab, halo);
+}
+
+/// `phases` phases of the plan path (a Simulation) against the oracle,
+/// both from init_density.
+void plan_vs_reference(const std::shared_ptr<const ChannelGeometry>& geom,
+                       const FluidParams& params, int phases) {
   const auto init = [&params](std::size_t c, index_t gx, index_t gy,
                               index_t gz) {
     return init_density(params, c, gx, gy, gz);
   };
+  Simulation plan_sim(geom, params);
   plan_sim.initialize(init);
-  legacy_sim.initialize(init);
   plan_sim.run(phases);
-  legacy_sim.run(phases);
-  expect_slabs_match(plan_sim.slab(), legacy_sim.slab());
+  Slab legacy(geom, params, 0, geom->global().nx);
+  legacy.initialize(init);
+  run_reference(legacy, phases);
+  expect_slabs_match(plan_sim.slab(), legacy);
+}
+
+void run_and_compare(const GeoCase& gc, int ncomp, CollisionModel cm,
+                     int phases = 16) {
+  plan_vs_reference(make_geom(gc), make_params(ncomp, cm, gc), phases);
 }
 
 }  // namespace
@@ -167,20 +181,7 @@ TEST(PlanKernels, ShanChenPsiFormMatchesLegacy) {
   // aliases n directly)
   const auto geom = std::make_shared<ChannelGeometry>(
       kGrid, std::function<bool(index_t, index_t, index_t)>{}, false, false);
-  FluidParams params = FluidParams::liquid_vapor(-5.0, 1.0);
-  Simulation plan_sim(geom, params);
-  Simulation legacy_sim(geom, params);
-  plan_sim.set_kernel_path(KernelPath::plan);
-  legacy_sim.set_kernel_path(KernelPath::legacy);
-  const auto init = [&params](std::size_t c, index_t gx, index_t gy,
-                              index_t gz) {
-    return init_density(params, c, gx, gy, gz);
-  };
-  plan_sim.initialize(init);
-  legacy_sim.initialize(init);
-  plan_sim.run(20);
-  legacy_sim.run(20);
-  expect_slabs_match(plan_sim.slab(), legacy_sim.slab());
+  plan_vs_reference(geom, FluidParams::liquid_vapor(-5.0, 1.0), 20);
 }
 
 // -- structural coverage of the streaming plan --------------------------
@@ -304,29 +305,32 @@ TEST(PlanKernels, RebuildAfterMigrationMatchesSequentialLegacy) {
   // a slowed middle rank forces plane migrations; every migration drops
   // the donor's and receiver's plans, so the run crosses several plan
   // rebuilds — and must still match the sequential *legacy* reference,
-  // tying the two kernel paths together across a remap.
+  // tying the two kernel paths together across a remap. The slowdown is
+  // an injected clock (rank 1's ticks are 4x longer), so the migration
+  // schedule never depends on host load.
   sim::RunnerConfig cfg;
   cfg.global = kRemapGrid;
   cfg.fluid = FluidParams::microchannel_defaults(0.05, 1.5, 0.03, 1.0, 2e-5);
-  cfg.kernels = KernelPath::plan;
   cfg.policy = "filtered";
   cfg.remap_interval = 4;
   cfg.balance.window = 3;
   cfg.balance.min_transfer_points = 24;  // one yz-plane of this grid
-  cfg.slowdown = {0.0, 3.0, 0.0};
+  cfg.clock_factory = [](int rank) {
+    return std::make_shared<obs::CountingClock>(rank == 1 ? 4e-3 : 1e-3);
+  };
   obs::MetricsRegistry reg(3);
   cfg.metrics = &reg;
   const int phases = 60;
 
-  Simulation seq(kRemapGrid, cfg.fluid);
-  seq.set_kernel_path(KernelPath::legacy);
+  Slab seq(std::make_shared<const ChannelGeometry>(kRemapGrid), cfg.fluid, 0,
+           kRemapGrid.nx);
   seq.initialize_uniform();
-  seq.run(phases);
+  run_reference(seq, phases);
   Profiles ref;
   for (index_t gx = 0; gx < kRemapGrid.nx; ++gx) {
-    ref.water.push_back(density_profile_y(seq.slab(), 0, gx, 2));
-    ref.air.push_back(density_profile_y(seq.slab(), 1, gx, 2));
-    ref.ux.push_back(velocity_profile_y(seq.slab(), gx, 2));
+    ref.water.push_back(density_profile_y(seq, 0, gx, 2));
+    ref.air.push_back(density_profile_y(seq, 1, gx, 2));
+    ref.ux.push_back(velocity_profile_y(seq, gx, 2));
   }
 
   Profiles par;

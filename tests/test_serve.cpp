@@ -17,11 +17,13 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "serve/client.hpp"
@@ -125,7 +127,8 @@ TEST(Serve, JobSpecValidatesValues) {
                serve::serve_error);
   EXPECT_THROW(JobSpec::from_json(util::json_parse(R"({"transport":"tcp"})")),
                serve::serve_error);
-  EXPECT_THROW(JobSpec::from_json(util::json_parse(R"({"step":"fused"})")),
+  // The step schedule is not a spec field: there is only one.
+  EXPECT_THROW(JobSpec::from_json(util::json_parse(R"({"step":"overlap"})")),
                serve::serve_error);
   // One plane per rank minimum: nx must cover the rank count.
   EXPECT_THROW(
@@ -142,12 +145,11 @@ TEST(Serve, WarmKeyIgnoresSchedulingFields) {
   a.warm_phases = 10;
   JobSpec b = a;
   // Everything the equilibrated state is invariant to: decomposition,
-  // transport, threading, policy, step mode — and the total phase count.
+  // transport, threading, policy — and the total phase count.
   b.ranks = 4;
   b.transport = "shm";
   b.threads = 2;
   b.policy = "greedy";
-  b.step = "blocking";
   b.phases = 200;
   b.stream_every = 5;
   b.checkpoint_every = 5;
@@ -268,6 +270,37 @@ TEST(Serve, AdmissionRejects) {
   pool.ranks = 4;  // wider than the whole pool
   EXPECT_THROW(server2.submit("t", pool), serve::serve_error);
   server2.stop();
+}
+
+TEST(Serve, AdmissionCapsThreadsAtHardwareConcurrency) {
+  serve::CampaignServer::Config cfg;
+  cfg.work_dir = temp_dir("admission_threads");
+  cfg.worker_exe = SLIPFLOW_WORKER_EXE;
+  serve::CampaignServer server(cfg);
+  server.start();
+  const int limit =
+      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+
+  JobSpec greedy = small_spec();
+  greedy.threads = limit + 1;
+  try {
+    server.submit("t", greedy);
+    ADD_FAILURE() << "threads=" << greedy.threads << " was admitted";
+  } catch (const serve::serve_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("threads=" + std::to_string(limit + 1)),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("at most " + std::to_string(limit)),
+              std::string::npos)
+        << what;
+  }
+
+  JobSpec fits = small_spec();
+  fits.threads = limit;
+  const long long id = server.submit("t", fits);
+  EXPECT_EQ(server.wait(id).string_or("state", ""), "done");
+  server.stop();
 }
 
 // ---------------------------------------------------------------- e2e ---

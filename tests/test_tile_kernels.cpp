@@ -28,6 +28,7 @@
 #include "lbm/simulation.hpp"
 #include "lbm/stepper.hpp"
 #include "lbm/tile.hpp"
+#include "obs/clock.hpp"
 #include "obs/metrics.hpp"
 #include "sim/parallel_lbm.hpp"
 #include "transport/thread_comm.hpp"
@@ -171,7 +172,6 @@ TEST(TileKernels, BackendsMatchScalarAcrossMatrix) {
           const auto geom = make_geom(gc, e);
           const FluidParams params = make_params(ncomp, cm, gc);
           Simulation ref(geom, params);
-          ref.set_kernel_path(KernelPath::plan);
           {
             BackendGuard g(KernelBackend::scalar);
             run_sim(ref, params, 10);
@@ -184,7 +184,6 @@ TEST(TileKernels, BackendsMatchScalarAcrossMatrix) {
                          (cm == CollisionModel::bgk ? "bgk" : "mrt") + " " +
                          to_string(b));
             Simulation tile_sim(geom, params);
-            tile_sim.set_kernel_path(KernelPath::plan);
             BackendGuard g(b);
             run_sim(tile_sim, params, 10);
             expect_slabs_match(tile_sim.slab(), ref.slab());
@@ -199,7 +198,6 @@ TEST(TileKernels, DensityBitIdenticalAcrossBackends) {
   const auto geom = make_geom(kGeoCases[1], e);
   const FluidParams params = make_params(2, CollisionModel::bgk, kGeoCases[1]);
   Simulation probe(geom, params);
-  probe.set_kernel_path(KernelPath::plan);
   {
     BackendGuard gs(KernelBackend::scalar);
     run_sim(probe, params, 6);
@@ -267,7 +265,6 @@ TEST(TileKernels, OnePassBitIdenticalToScalar) {
           // One pass of every kernel on `b`, from 6 scalar phases.
           const auto one_pass = [&](KernelBackend b) {
             auto sim = std::make_unique<Simulation>(geom, params);
-            sim->set_kernel_path(KernelPath::plan);
             {
               BackendGuard g(KernelBackend::scalar);
               run_sim(*sim, params, 6);
@@ -584,16 +581,18 @@ TEST(TileKernels, ParallelSimdRunMatchesSequentialScalar) {
   sim::RunnerConfig cfg;
   cfg.global = grid;
   cfg.fluid = FluidParams::microchannel_defaults(0.05, 1.5, 0.03, 1.0, 2e-5);
-  cfg.kernels = KernelPath::plan;
   cfg.policy = "filtered";
   cfg.remap_interval = 4;
   cfg.balance.window = 3;
   cfg.balance.min_transfer_points = 24;  // one yz-plane of this grid
-  cfg.slowdown = {0.0, 3.0, 0.0};
+  // rank 1's injected clock ticks 4x longer: it drains on a fixed
+  // schedule, whatever the host load
+  cfg.clock_factory = [](int rank) {
+    return std::make_shared<obs::CountingClock>(rank == 1 ? 4e-3 : 1e-3);
+  };
   const int chunks = 10;  // of remap_interval phases each
 
   Simulation seq(grid, cfg.fluid);
-  seq.set_kernel_path(KernelPath::plan);
   {
     BackendGuard g(KernelBackend::scalar);
     seq.initialize_uniform();
