@@ -12,11 +12,12 @@
 
 #include "bench_common.hpp"
 #include "lbm/observables.hpp"
-#include "lbm/simulation.hpp"
+#include "sim/simulation.hpp"
 #include "util/stopwatch.hpp"
 
 using namespace slipflow;
 using namespace slipflow::lbm;
+using slipflow::sim::Simulation;
 
 namespace {
 

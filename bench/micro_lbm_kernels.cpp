@@ -39,10 +39,10 @@
 
 #include "bench_common.hpp"
 #include "lbm/kernels.hpp"
-#include "lbm/simulation.hpp"
 #include "lbm/stepper.hpp"
 #include "lbm/tile.hpp"
 #include "sim/parallel_lbm.hpp"
+#include "sim/simulation.hpp"
 #include "transport/shm_comm.hpp"
 #include "transport/thread_comm.hpp"
 
@@ -67,6 +67,17 @@ struct Box {
 /// The MLUPS-claim box: wide enough in y/z that ~88% of cells are
 /// plan-interior, the regime the fused kernel is built for.
 const Extents kPerfBox{32, 48, 24};
+
+/// The two-component channel over `e` as the runner steps it, on the
+/// active kernel backend. One warm-up phase runs here, outside the timed
+/// loop, so the streaming plan (and on a SIMD backend the row tiles) is
+/// built before timing starts, as the runners do.
+sim::Simulation warm_simulation(Extents e) {
+  sim::Simulation s(e, FluidParams::microchannel_defaults());
+  s.initialize_uniform();
+  s.run(1);
+  return s;
+}
 
 void set_cells_rate(benchmark::State& state, const Slab& slab) {
   state.SetItemsProcessed(state.iterations() * slab.owned_cells());
@@ -100,7 +111,7 @@ BENCHMARK(BM_Stream_TwoComponent);
 
 void BM_FusedCollideStream_TwoComponent(benchmark::State& state) {
   // the plan path's replacement for collide + stream: boundary planes are
-  // collided and exchanged once (as the stepper does each phase), then
+  // collided and exchanged once (as the runner does each phase), then
   // the fused kernel runs collide+stream over the whole slab
   Box b(FluidParams::microchannel_defaults());
   collide_boundary_planes(*b.slab);
@@ -140,11 +151,9 @@ void BM_FullPhase_TwoComponent_Legacy(benchmark::State& state) {
 BENCHMARK(BM_FullPhase_TwoComponent_Legacy);
 
 void BM_FullPhase_TwoComponent_Plan(benchmark::State& state) {
-  Box b(FluidParams::microchannel_defaults(), kPerfBox);
-  b.slab->plan();  // build outside the timed region, as the runners do
-  for (auto _ : state)
-    step_phase(*b.slab, b.halo);
-  set_cells_rate(state, *b.slab);
+  sim::Simulation s = warm_simulation(kPerfBox);
+  for (auto _ : state) s.run(1);
+  set_cells_rate(state, s.slab());
 }
 BENCHMARK(BM_FullPhase_TwoComponent_Plan);
 
@@ -156,12 +165,9 @@ BENCHMARK(BM_FullPhase_TwoComponent_Plan);
 void BM_FullPhase_TwoComponent_Backend(benchmark::State& state,
                                        KernelBackend backend) {
   set_kernel_backend(backend);
-  Box b(FluidParams::microchannel_defaults(), kPerfBox);
-  b.slab->plan();
-  if (backend != KernelBackend::scalar) b.slab->tiles();
-  for (auto _ : state)
-    step_phase(*b.slab, b.halo);
-  set_cells_rate(state, *b.slab);
+  sim::Simulation s = warm_simulation(kPerfBox);
+  for (auto _ : state) s.run(1);
+  set_cells_rate(state, s.slab());
   set_kernel_backend(KernelBackend::scalar);
 }
 
@@ -169,18 +175,15 @@ void BM_FullPhase_TwoComponent_Backend(benchmark::State& state,
 /// planes of 16x8 with walls in y and z, so 43% of the fluid cells touch
 /// a wall and 2 of 16 planes face the exchange — the thin-channel regime
 /// the row masks exist for. A full-domain 16x16x8 box runs exactly the
-/// per-rank kernel work (the x-periodic self exchange stands in for the
-/// neighbours).
+/// per-rank kernel work (the 1-rank runner's x-periodic self exchange
+/// stands in for the neighbours).
 const Extents kRankSlab{16, 16, 8};
 
 void BM_RankSlabPhase(benchmark::State& state, KernelBackend backend) {
   set_kernel_backend(backend);
-  Box b(FluidParams::microchannel_defaults(), kRankSlab);
-  b.slab->plan();
-  if (backend != KernelBackend::scalar) b.slab->tiles();
-  for (auto _ : state)
-    step_phase(*b.slab, b.halo);
-  set_cells_rate(state, *b.slab);
+  sim::Simulation s = warm_simulation(kRankSlab);
+  for (auto _ : state) s.run(1);
+  set_cells_rate(state, s.slab());
   set_kernel_backend(KernelBackend::scalar);
 }
 

@@ -13,13 +13,14 @@
 #include "lbm/checkpoint.hpp"
 #include "lbm/convergence.hpp"
 #include "lbm/observables.hpp"
-#include "lbm/simulation.hpp"
 #include "lbm/units.hpp"
 #include "lbm/vtk.hpp"
+#include "sim/simulation.hpp"
 #include "util/options.hpp"
 
 using namespace slipflow;
 using namespace slipflow::lbm;
+using slipflow::sim::Simulation;
 
 int main(int argc, char** argv) {
   const auto opts = util::Options::parse(argc, argv);

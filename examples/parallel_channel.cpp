@@ -58,9 +58,9 @@ int main(int argc, char** argv) {
   transport::run_ranks(ranks, [&](transport::Communicator& comm) {
     sim::ParallelLbm run(cfg, comm);
     run.initialize_uniform();
-    const double m0 = run.global_mass(0);
+    const double m0 = run.global_masses()[0];
     run.run(phases);
-    const double m1 = run.global_mass(0);
+    const double m1 = run.global_masses()[0];
     auto all = run.gather_stats();
     auto ux = run.gather_velocity_profile_y(cfg.global.nx / 2,
                                             cfg.global.nz / 2);

@@ -7,9 +7,10 @@
 #include <iostream>
 
 #include "lbm/observables.hpp"
-#include "lbm/simulation.hpp"
+#include "sim/simulation.hpp"
 
 using namespace slipflow::lbm;
+using slipflow::sim::Simulation;
 
 int main() {
   // a thin microchannel: x is the (periodic) flow direction, side walls

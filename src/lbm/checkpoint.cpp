@@ -113,13 +113,6 @@ void write_checkpoint_planes(const Slab& slab, const std::string& path) {
   SLIPFLOW_REQUIRE_MSG(out.good(), "short write to checkpoint " << path);
 }
 
-void save_checkpoint(const Slab& slab, long long phase,
-                     const std::string& path) {
-  begin_checkpoint(slab.geometry().global(), slab.num_components(), phase,
-                   slab.migration_doubles(1), path);
-  write_checkpoint_planes(slab, path);
-}
-
 std::vector<std::byte> pack_checkpoint_planes(const Slab& slab) {
   std::vector<std::byte> bytes;
   pack_checkpoint_planes(slab, bytes);

@@ -64,10 +64,6 @@ CheckpointInfo read_checkpoint_info(const std::string& path);
 /// must not seed a restart.
 std::size_t expected_checkpoint_bytes(const CheckpointInfo& info);
 
-/// Write a checkpoint of a full-domain slab (sequential simulation).
-void save_checkpoint(const Slab& slab, long long phase,
-                     const std::string& path);
-
 /// Create the checkpoint file and write only the header, sized for the
 /// given domain; planes are then written by write_checkpoint_planes
 /// (possibly by several writers for disjoint ranges).

@@ -29,17 +29,6 @@ void prime(Slab& slab, PeriodicSelfExchanger& halo) {
   compute_forces_and_velocity(slab);
 }
 
-void step_phase(Slab& slab, PeriodicSelfExchanger& halo) {
-  // Only the two exchange-facing planes need pre-colliding; the fused
-  // kernel re-collides them on the fly while pushing.
-  collide_boundary_planes(slab);
-  halo.exchange_f(slab);
-  fused_collide_stream(slab);
-  compute_density(slab);
-  halo.exchange_density(slab);
-  compute_forces_and_velocity_plan(slab);
-}
-
 void reference_phase(Slab& slab, PeriodicSelfExchanger& halo) {
   collide(slab);
   halo.exchange_f(slab);

@@ -1,10 +1,11 @@
 #pragma once
 /// \file stepper.hpp
-/// Phase orchestration for a slab that covers the whole x-periodic
-/// domain: runs the kernel sequence of Figure 2, with the two
-/// communication points served by a periodic self-exchange. The
-/// sequential Simulation steps with it; the parallel runner has its own
-/// overlapped schedule over the same kernels (sim/parallel_lbm.cpp).
+/// The test and bench oracle: Figure 2's kernel sequence on the original
+/// per-cell-branching kernels, for a slab that covers the whole
+/// x-periodic domain, with the two communication points served by a
+/// periodic self-exchange. No production path steps with it: every run,
+/// sequential or parallel, steps through sim::ParallelLbm's overlapped
+/// schedule on the fused kernels, which is pinned to this oracle.
 
 #include "lbm/kernels.hpp"
 #include "lbm/slab.hpp"
@@ -32,14 +33,10 @@ class PeriodicSelfExchanger {
 void prime(Slab& slab, PeriodicSelfExchanger& halo);
 
 /// Execute one full LBM phase (collide, f-exchange, stream + bounce-back,
-/// density, density-exchange, forces/velocity) on the fused plan/tile
-/// kernels.
-void step_phase(Slab& slab, PeriodicSelfExchanger& halo);
-
-/// The same phase on the original per-cell-branching kernels: the oracle
-/// the plan and tile paths are pinned to (tests/test_plan_kernels.cpp)
-/// and the baseline of the plan-speedup bench. Bit-identical to
-/// step_phase; nothing outside the tests and benches steps with it.
+/// density, density-exchange, forces/velocity) on the reference kernels:
+/// the oracle the runner's plan and tile paths are pinned to
+/// (tests/test_plan_kernels.cpp) and the baseline of the plan-speedup
+/// bench. Nothing outside the tests and benches steps with it.
 void reference_phase(Slab& slab, PeriodicSelfExchanger& halo);
 
 }  // namespace slipflow::lbm

@@ -124,21 +124,23 @@ class ParallelLbm::RingExchanger {
   transport::RecvHandlePtr from_left_, from_right_;
 };
 
+std::shared_ptr<const lbm::ChannelGeometry> make_geometry(
+    const RunnerConfig& cfg) {
+  auto geom = std::make_shared<lbm::ChannelGeometry>(
+      cfg.global, cfg.obstacle, cfg.walls_y, cfg.walls_z);
+  for (int w = 0; w < 4; ++w) {
+    const lbm::Vec3& u = cfg.wall_velocity[static_cast<std::size_t>(w)];
+    if (u.norm2() > 0.0)
+      geom->set_wall_velocity(static_cast<lbm::ChannelGeometry::Wall>(w), u);
+  }
+  return geom;
+}
+
 ParallelLbm::ParallelLbm(RunnerConfig cfg, transport::Communicator& comm)
     : cfg_(std::move(cfg)), comm_(comm) {
   SLIPFLOW_REQUIRE(cfg_.remap_interval >= 1);
   SLIPFLOW_REQUIRE(cfg_.threads >= 1);
-  {
-    auto geom = std::make_shared<lbm::ChannelGeometry>(
-        cfg_.global, nullptr, cfg_.walls_y, cfg_.walls_z);
-    for (int w = 0; w < 4; ++w) {
-      const lbm::Vec3& u = cfg_.wall_velocity[static_cast<std::size_t>(w)];
-      if (u.norm2() > 0.0)
-        geom->set_wall_velocity(static_cast<lbm::ChannelGeometry::Wall>(w),
-                                u);
-    }
-    geom_ = std::move(geom);
-  }
+  geom_ = make_geometry(cfg_);
   const auto [begin, mine] =
       initial_extent(cfg_.global.nx, comm_.size(), comm_.rank());
   slab_ = std::make_unique<lbm::Slab>(geom_, cfg_.fluid, begin, mine);
@@ -180,6 +182,7 @@ void ParallelLbm::prime() {
   halo_->post_density(*slab_);
   halo_->finish_density(*slab_);
   lbm::compute_forces_and_velocity(*slab_);
+  phases_done_ = 0;
   initialized_ = true;
 }
 
@@ -199,6 +202,7 @@ double ParallelLbm::ensure_plan() {
 
 void ParallelLbm::run(int phases) {
   SLIPFLOW_REQUIRE_MSG(initialized_, "call initialize() before run()");
+  SLIPFLOW_REQUIRE(phases >= 0);
   // All timing below reads the injected clock through the profiler —
   // never util::Stopwatch — so the compute times that feed the load
   // predictor come from the same (possibly deterministic) source the
@@ -814,21 +818,7 @@ std::vector<double> ParallelLbm::gather_density_profile_y(
   });
 }
 
-double ParallelLbm::global_mass(std::size_t component) {
-  return comm_.allreduce_sum(lbm::owned_mass(*slab_, component));
-}
-
 std::vector<double> ParallelLbm::global_masses() {
-  // One vector collective instead of num_components() scalar reductions;
-  // the rank-ordered fold keeps each component's sum byte-identical to
-  // the scalar global_mass() result.
-  std::vector<double> mine(slab_->num_components());
-  for (std::size_t c = 0; c < mine.size(); ++c)
-    mine[c] = lbm::owned_mass(*slab_, c);
-  return comm_.allreduce_sum(std::span<const double>(mine));
-}
-
-std::vector<double> ParallelLbm::global_masses_ordered() {
   const std::size_t comps = slab_->num_components();
   const std::size_t nx = static_cast<std::size_t>(cfg_.global.nx);
   // One slot per (global plane, component); only the owner writes it, so
@@ -866,11 +856,11 @@ long long ParallelLbm::load_checkpoint(const std::string& path) {
   // The restored slab's mixture fields start zeroed; rebuild them so a
   // resume that steps no phases still reports real observables.
   refresh_observables();
-  // Adopt the stored phase (matching sequential Simulation): subsequent
-  // run() calls continue the absolute numbering, so heartbeat phases and
-  // periodic-output file names stay consistent across a resume — which
-  // is what lets the campaign server's recovery pick the newest
-  // checkpoint by file name across attempts.
+  // Adopt the stored phase: subsequent run() calls continue the absolute
+  // numbering, so heartbeat phases and periodic-output file names stay
+  // consistent across a resume — which is what lets the campaign
+  // server's recovery pick the newest checkpoint by file name across
+  // attempts.
   phases_done_ = phase;
   return phase;
 }

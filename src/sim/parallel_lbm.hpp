@@ -22,7 +22,6 @@
 #include "balance/remapper.hpp"
 #include "lbm/kernels.hpp"
 #include "lbm/observables.hpp"
-#include "lbm/simulation.hpp"
 #include "obs/profiler.hpp"
 #include "transport/communicator.hpp"
 #include "util/thread_pool.hpp"
@@ -59,6 +58,8 @@ struct OutputOptions {
 struct RunnerConfig {
   lbm::Extents global;
   lbm::FluidParams fluid;
+  /// Optional extra solid cells (global coordinates); empty = none.
+  std::function<bool(lbm::index_t, lbm::index_t, lbm::index_t)> obstacle;
   /// Solid walls at the y / z extents (else periodic).
   bool walls_y = true;
   bool walls_z = true;
@@ -122,6 +123,9 @@ class ParallelLbm {
   const lbm::Slab& slab() const { return *slab_; }
   lbm::Slab& slab() { return *slab_; }
   const RankStats& stats() const { return stats_; }
+  /// Phases executed since initialization (or the stored phase count
+  /// after load_checkpoint).
+  long long phase_count() const { return phases_done_; }
 
   /// This rank's profiler (stage spans, counters, injected clock).
   obs::PhaseProfiler& profiler() { return *prof_; }
@@ -144,22 +148,13 @@ class ParallelLbm {
       std::size_t component, lbm::index_t gx, lbm::index_t z,
       std::span<const int> owners = {});
 
-  /// Total mass of one component across all ranks (identical everywhere).
-  double global_mass(std::size_t component);
-
-  /// Total mass of every component in one vector collective; element c
-  /// is byte-identical to global_mass(c).
+  /// Total mass of every component, folded in GLOBAL PLANE ORDER: per-
+  /// plane sums (each plane has exactly one owner, so the element-wise
+  /// reduction adds exact zeros) combined x = 0..nx-1. Byte-identical
+  /// across rank counts, transports and migration histories, so a
+  /// crash-recovered or warm-started job reproduces a straight-through
+  /// run exactly even though its migration history differs. Collective.
   std::vector<double> global_masses();
-
-  /// Component masses folded in GLOBAL PLANE ORDER instead of rank
-  /// order: per-plane sums (each plane has exactly one owner, so the
-  /// element-wise reduction adds exact zeros) combined x = 0..nx-1.
-  /// Byte-identical across rank counts, transports and migration
-  /// histories — the mass observable of the served "physics" set, where
-  /// a crash-recovered or warm-started job must reproduce a
-  /// straight-through run exactly even though its migration history
-  /// differs. global_masses() keeps the historical rank-ordered fold.
-  std::vector<double> global_masses_ordered();
 
   /// Collective checkpoint: rank 0 creates the file, then every rank
   /// writes its own plane range. Because the format is per-plane, the
@@ -196,10 +191,12 @@ class ParallelLbm {
   /// halo-independent bulk of the phase across the rank's thread pool
   /// while the frames are in flight, then wait and finish the
   /// halo-dependent remainder. Every lattice slot is written exactly once
-  /// per phase, so the physics equals the sequential Simulation for any
-  /// rank and thread count. Spans: collide, halo_post_f, interior_stream,
-  /// halo_wait_f, boundary_stream, halo_post_density, interior_force,
-  /// halo_wait_density, boundary_force (plus "slowdown" when injected).
+  /// per phase, so the physics is the same for any rank and thread count
+  /// (and equals the lbm::reference_phase oracle). The one function that
+  /// steps a phase: sim::Simulation is this runner on one rank. Spans:
+  /// collide, halo_post_f, interior_stream, halo_wait_f, boundary_stream,
+  /// halo_post_density, interior_force, halo_wait_density, boundary_force
+  /// (plus "slowdown" when injected).
   void step_phase();
 
   /// Density-halo exchange + the reference force/velocity kernel: the
@@ -289,6 +286,11 @@ class ParallelLbm {
   double interior_seconds_ = 0.0;
   double halo_wait_seconds_ = 0.0;
 };
+
+/// The channel geometry a configuration describes: walls, obstacles and
+/// wall velocities.
+std::shared_ptr<const lbm::ChannelGeometry> make_geometry(
+    const RunnerConfig& cfg);
 
 /// Convenience: the initial even decomposition (same rule as the virtual
 /// cluster): returns {x_begin, nx_local} of `rank` among `size` ranks.

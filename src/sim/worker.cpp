@@ -51,7 +51,7 @@ void write_file_atomic(const std::string& path, const std::string& content) {
 void write_stream_fragment(ParallelLbm& run, transport::Communicator& comm,
                            long long phase, const std::string& dir,
                            std::size_t& trace_cursor) {
-  const std::vector<double> masses = run.global_masses_ordered();
+  const std::vector<double> masses = run.global_masses();
   if (comm.rank() != 0) return;
   std::ostringstream obs;
   obs << "{\"phase\":" << phase << ",\"masses\":[";
@@ -76,13 +76,10 @@ std::string collect_observables(ParallelLbm& run,
                                 transport::Communicator& comm,
                                 const lbm::Extents& global,
                                 ObservableSet set) {
-  // The physics set's masses use the plane-ordered fold: byte-identical
-  // across decompositions and migration histories, which is what lets a
-  // recovered or warm-started job reproduce a straight-through run
-  // exactly. The full set keeps the historical rank-ordered fold.
-  const std::vector<double> masses = set == ObservableSet::physics
-                                         ? run.global_masses_ordered()
-                                         : run.global_masses();
+  // The plane-ordered mass fold is byte-identical across decompositions
+  // and migration histories, which is what lets a recovered or
+  // warm-started job reproduce a straight-through run exactly.
+  const std::vector<double> masses = run.global_masses();
   const std::vector<RankStats> stats = run.gather_stats();
 
   std::ostringstream os;

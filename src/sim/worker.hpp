@@ -12,7 +12,6 @@
 
 #include <string>
 
-#include "lbm/simulation.hpp"
 #include "sim/parallel_lbm.hpp"
 #include "transport/communicator.hpp"
 

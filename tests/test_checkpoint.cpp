@@ -11,12 +11,13 @@
 
 #include "lbm/checkpoint.hpp"
 #include "lbm/observables.hpp"
-#include "lbm/simulation.hpp"
 #include "sim/parallel_lbm.hpp"
+#include "sim/simulation.hpp"
 #include "transport/thread_comm.hpp"
 
 using namespace slipflow;
 using namespace slipflow::lbm;
+using slipflow::sim::Simulation;
 
 namespace {
 
@@ -77,6 +78,40 @@ TEST(Checkpoint, ContinuationIsBitExact) {
   for (std::size_t c = 0; c < 2; ++c)
     EXPECT_DOUBLE_EQ(owned_mass(second.slab(), c),
                      owned_mass(ref.slab(), c));
+}
+
+TEST(Checkpoint, RestoreRebuildsObservables) {
+  // A restored run reports the saved run's mixture observables before it
+  // steps again: the restore rebuilds velocity and total density from
+  // the restored populations instead of leaving them zeroed.
+  PathGuard g(temp_path("ckpt_observables.bin"));
+  const Extents grid{8, 6, 4};
+  Simulation saved(grid, fluid());
+  saved.initialize_uniform();
+  saved.run(25);
+  saved.save_checkpoint(g.path);
+
+  Simulation restored(grid, fluid());
+  restored.restore_checkpoint(g.path);
+  for (index_t gx = 0; gx < grid.nx; ++gx) {
+    const auto u_want = velocity_profile_y(saved.slab(), gx, 2);
+    const auto u_got = velocity_profile_y(restored.slab(), gx, 2);
+    for (std::size_t c = 0; c < 2; ++c) {
+      const auto n_want = density_profile_y(saved.slab(), c, gx, 2);
+      const auto n_got = density_profile_y(restored.slab(), c, gx, 2);
+      for (std::size_t j = 0; j < n_want.size(); ++j)
+        EXPECT_DOUBLE_EQ(n_got[j], n_want[j]) << c << "," << gx << "," << j;
+    }
+    for (std::size_t j = 0; j < u_want.size(); ++j) {
+      EXPECT_NE(u_want[j], 0.0);
+      EXPECT_DOUBLE_EQ(u_got[j], u_want[j]) << gx << "," << j;
+      const index_t cell = saved.slab().storage().idx(
+          saved.slab().local_x(gx), static_cast<index_t>(j), 2);
+      EXPECT_DOUBLE_EQ(restored.slab().total_density()[cell],
+                       saved.slab().total_density()[cell])
+          << "total density " << gx << "," << j;
+    }
+  }
 }
 
 TEST(Checkpoint, MismatchedDomainRejected) {

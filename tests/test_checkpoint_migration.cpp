@@ -18,13 +18,14 @@
 #include <mutex>
 
 #include "lbm/observables.hpp"
-#include "lbm/simulation.hpp"
 #include "obs/clock.hpp"
 #include "sim/parallel_lbm.hpp"
+#include "sim/simulation.hpp"
 #include "transport/thread_comm.hpp"
 
 using namespace slipflow;
 using namespace slipflow::lbm;
+using slipflow::sim::Simulation;
 
 namespace {
 
@@ -162,8 +163,8 @@ TEST(CheckpointMigration, RestartLegsKeepMigratingAndConserveMass) {
   transport::run_ranks(4, [&](transport::Communicator& comm) {
     sim::ParallelLbm run(cfg, comm);
     run.load_checkpoint(g.path);
-    const double m0 = run.global_mass(0);
-    const double m1 = run.global_mass(1);
+    const double m0 = run.global_masses()[0];
+    const double m1 = run.global_masses()[1];
     run.run(40);
     const auto stats = run.gather_stats();
     long long migrated = 0, planes = 0;
@@ -175,8 +176,8 @@ TEST(CheckpointMigration, RestartLegsKeepMigratingAndConserveMass) {
     // complete, and migration keeps mass bit-stable
     EXPECT_GT(migrated, 0);
     EXPECT_EQ(planes, kGrid.nx);
-    EXPECT_NEAR(run.global_mass(0), m0, 1e-9 * m0);
-    EXPECT_NEAR(run.global_mass(1), m1, 1e-9 * m1);
+    EXPECT_NEAR(run.global_masses()[0], m0, 1e-9 * m0);
+    EXPECT_NEAR(run.global_masses()[1], m1, 1e-9 * m1);
   });
 }
 

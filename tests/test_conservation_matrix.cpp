@@ -9,9 +9,10 @@
 #include <tuple>
 
 #include "lbm/observables.hpp"
-#include "lbm/simulation.hpp"
+#include "sim/simulation.hpp"
 
 using namespace slipflow::lbm;
+using slipflow::sim::Simulation;
 
 namespace {
 
@@ -56,16 +57,15 @@ Simulation build(const Case& c) {
     };
   }
 
-  const Extents e{8, 10, 6};
-  const bool wy = c.walls != WallsCase::slit_y;
-  const bool wz = c.walls != WallsCase::slit_z;
-  if (c.walls == WallsCase::moving_top) {
-    auto g = std::make_shared<ChannelGeometry>(e, nullptr, wy, wz);
-    g->set_wall_velocity(ChannelGeometry::Wall::y_high, Vec3{0.02, 0, 0});
-    return Simulation(std::shared_ptr<const ChannelGeometry>(std::move(g)),
-                      std::move(p));
-  }
-  return Simulation(e, std::move(p), nullptr, wy, wz);
+  slipflow::sim::RunnerConfig cfg;
+  cfg.global = Extents{8, 10, 6};
+  cfg.fluid = std::move(p);
+  cfg.walls_y = c.walls != WallsCase::slit_y;
+  cfg.walls_z = c.walls != WallsCase::slit_z;
+  if (c.walls == WallsCase::moving_top)
+    cfg.wall_velocity[static_cast<std::size_t>(ChannelGeometry::Wall::y_high)] =
+        Vec3{0.02, 0, 0};
+  return Simulation(std::move(cfg));
 }
 
 }  // namespace

@@ -6,9 +6,10 @@
 
 #include "lbm/convergence.hpp"
 #include "lbm/observables.hpp"
-#include "lbm/simulation.hpp"
+#include "sim/simulation.hpp"
 
 using namespace slipflow::lbm;
+using slipflow::sim::Simulation;
 
 TEST(SteadyMonitor, FirstCheckNeverConverges) {
   Simulation sim(Extents{4, 8, 4}, FluidParams::single_component(1.0, 0.0));
@@ -29,7 +30,7 @@ TEST(SteadyMonitor, QuiescentFluidConvergesImmediately) {
 
 TEST(SteadyMonitor, DevelopingFlowIsNotConverged) {
   Simulation sim(Extents{4, 15, 4}, FluidParams::single_component(1.0, 1e-5),
-                 nullptr, true, false);
+                 true, false);
   sim.initialize_uniform();
   SteadyStateMonitor m(1e-10);
   m.check(sim.slab());
@@ -40,7 +41,7 @@ TEST(SteadyMonitor, DevelopingFlowIsNotConverged) {
 
 TEST(SteadyMonitor, ResidualDecreasesAsFlowDevelops) {
   Simulation sim(Extents{4, 15, 4}, FluidParams::single_component(1.0, 1e-5),
-                 nullptr, true, false);
+                 true, false);
   sim.initialize_uniform();
   SteadyStateMonitor m(1e-14);
   m.check(sim.slab());
@@ -66,7 +67,7 @@ TEST(SteadyMonitor, ResetForgetsBaseline) {
 
 TEST(RunUntilSteady, StopsEarlyOnSteadyFlow) {
   Simulation sim(Extents{4, 11, 4}, FluidParams::single_component(1.0, 1e-5),
-                 nullptr, true, false);
+                 true, false);
   sim.initialize_uniform();
   const int done = sim.run_until_steady(20000, 1e-9, 50);
   EXPECT_LT(done, 20000);          // converged before the cap
@@ -81,7 +82,7 @@ TEST(RunUntilSteady, StopsEarlyOnSteadyFlow) {
 
 TEST(RunUntilSteady, RespectsMaxPhases) {
   Simulation sim(Extents{4, 15, 4}, FluidParams::single_component(1.0, 1e-5),
-                 nullptr, true, false);
+                 true, false);
   sim.initialize_uniform();
   const int done = sim.run_until_steady(120, 1e-14, 40);
   EXPECT_EQ(done, 120);

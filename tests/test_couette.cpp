@@ -7,23 +7,27 @@
 #include <memory>
 
 #include "lbm/observables.hpp"
-#include "lbm/simulation.hpp"
+#include "sim/simulation.hpp"
 
 using namespace slipflow::lbm;
+using slipflow::sim::Simulation;
 
 namespace {
 
 using Wall = ChannelGeometry::Wall;
 
-std::shared_ptr<const ChannelGeometry> couette_geom(
-    index_t ny, const Vec3& top_u, bool also_bottom = false,
-    const Vec3& bottom_u = {}) {
-  auto g = std::make_shared<ChannelGeometry>(Extents{4, ny, 4}, nullptr,
-                                             /*walls_y=*/true,
-                                             /*walls_z=*/false);
-  g->set_wall_velocity(Wall::y_high, top_u);
-  if (also_bottom) g->set_wall_velocity(Wall::y_low, bottom_u);
-  return g;
+/// A y-walled, z-periodic 4 x ny x 4 channel whose top y-wall moves at
+/// `top_u` (and bottom wall at `bottom_u` when `also_bottom`).
+Simulation couette(index_t ny, const Vec3& top_u, FluidParams p,
+                   bool also_bottom = false, const Vec3& bottom_u = {}) {
+  slipflow::sim::RunnerConfig cfg;
+  cfg.global = Extents{4, ny, 4};
+  cfg.fluid = std::move(p);
+  cfg.walls_z = false;
+  cfg.wall_velocity[static_cast<std::size_t>(Wall::y_high)] = top_u;
+  if (also_bottom)
+    cfg.wall_velocity[static_cast<std::size_t>(Wall::y_low)] = bottom_u;
+  return Simulation(std::move(cfg));
 }
 
 }  // namespace
@@ -53,7 +57,7 @@ TEST(Couette, LinearProfile) {
   const index_t ny = 16;
   const double U = 0.04;
   FluidParams p = FluidParams::single_component(1.0, 0.0);
-  Simulation sim(couette_geom(ny, Vec3{U, 0, 0}), std::move(p));
+  Simulation sim = couette(ny, Vec3{U, 0, 0}, std::move(p));
   sim.initialize_uniform();
   sim.run(3000);
   const auto u = velocity_profile_y(sim.slab(), 1, 2);
@@ -68,9 +72,8 @@ TEST(Couette, CounterMovingWallsAntisymmetric) {
   const index_t ny = 14;
   const double U = 0.03;
   FluidParams p = FluidParams::single_component(1.0, 0.0);
-  Simulation sim(
-      couette_geom(ny, Vec3{U, 0, 0}, true, Vec3{-U, 0, 0}),
-      std::move(p));
+  Simulation sim =
+      couette(ny, Vec3{U, 0, 0}, std::move(p), true, Vec3{-U, 0, 0});
   sim.initialize_uniform();
   sim.run(3000);
   const auto u = velocity_profile_y(sim.slab(), 1, 2);
@@ -84,7 +87,7 @@ TEST(Couette, CounterMovingWallsAntisymmetric) {
 
 TEST(Couette, MassConserved) {
   FluidParams p = FluidParams::single_component(1.0, 0.0);
-  Simulation sim(couette_geom(12, Vec3{0.05, 0, 0}), std::move(p));
+  Simulation sim = couette(12, Vec3{0.05, 0, 0}, std::move(p));
   sim.initialize_uniform();
   const double m0 = owned_mass(sim.slab(), 0);
   sim.run(1000);
@@ -95,7 +98,7 @@ TEST(Couette, SpanwiseWallMotionDragsZVelocity) {
   // move the top y-wall along z instead of x: the z-velocity profile
   // must become the linear Couette profile, with no x flow
   FluidParams p = FluidParams::single_component(1.0, 0.0);
-  Simulation sim(couette_geom(12, Vec3{0, 0, 0.03}), std::move(p));
+  Simulation sim = couette(12, Vec3{0, 0, 0.03}, std::move(p));
   sim.initialize_uniform();
   sim.run(2500);
   const Extents& st = sim.slab().storage();
@@ -109,8 +112,8 @@ TEST(Couette, SpanwiseWallMotionDragsZVelocity) {
 
 TEST(Couette, ZeroWallVelocityMatchesStaticWalls) {
   FluidParams p = FluidParams::single_component(1.0, 1e-5);
-  Simulation moving(couette_geom(10, Vec3{}), p);
-  Simulation fixed(Extents{4, 10, 4}, p, nullptr, true, false);
+  Simulation moving = couette(10, Vec3{}, p);
+  Simulation fixed(Extents{4, 10, 4}, p, true, false);
   moving.initialize_uniform();
   fixed.initialize_uniform();
   moving.run(300);
@@ -123,11 +126,12 @@ TEST(Couette, ZeroWallVelocityMatchesStaticWalls) {
 
 TEST(Couette, TopBottomZWallsDriveFlow) {
   // moving z-walls in a y-periodic slit
-  auto g = std::make_shared<ChannelGeometry>(Extents{4, 4, 12}, nullptr,
-                                             /*walls_y=*/false, true);
-  g->set_wall_velocity(Wall::z_high, Vec3{0.04, 0, 0});
-  FluidParams p = FluidParams::single_component(1.0, 0.0);
-  Simulation sim(g, std::move(p));
+  slipflow::sim::RunnerConfig cfg;
+  cfg.global = Extents{4, 4, 12};
+  cfg.fluid = FluidParams::single_component(1.0, 0.0);
+  cfg.walls_y = false;
+  cfg.wall_velocity[static_cast<std::size_t>(Wall::z_high)] = Vec3{0.04, 0, 0};
+  Simulation sim(std::move(cfg));
   sim.initialize_uniform();
   sim.run(2500);
   const auto u = velocity_profile_z(sim.slab(), 1, 2);

@@ -19,9 +19,10 @@
 #include <cmath>
 
 #include "lbm/observables.hpp"
-#include "lbm/simulation.hpp"
+#include "sim/simulation.hpp"
 
 using namespace slipflow::lbm;
+using slipflow::sim::Simulation;
 
 namespace {
 

@@ -8,9 +8,10 @@
 #include <cmath>
 
 #include "lbm/observables.hpp"
-#include "lbm/simulation.hpp"
+#include "sim/simulation.hpp"
 
 using namespace slipflow::lbm;
+using slipflow::sim::Simulation;
 
 namespace {
 
@@ -24,7 +25,7 @@ double sc_pressure(double n, double g) {
 /// Periodic box with a seeded density stripe/droplet. z size kept tiny —
 /// the physics of interest is 2-D-like.
 Simulation periodic_box(Extents e, FluidParams p) {
-  return Simulation(e, std::move(p), nullptr, /*walls_y=*/false,
+  return Simulation(e, std::move(p), /*walls_y=*/false,
                     /*walls_z=*/false);
 }
 

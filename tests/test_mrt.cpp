@@ -8,10 +8,11 @@
 
 #include "lbm/mrt.hpp"
 #include "lbm/observables.hpp"
-#include "lbm/simulation.hpp"
+#include "sim/simulation.hpp"
 #include "util/rng.hpp"
 
 using namespace slipflow::lbm;
+using slipflow::sim::Simulation;
 
 namespace {
 const MrtOperator& op() { return MrtOperator::instance(); }
@@ -115,7 +116,7 @@ namespace {
 Simulation poiseuille_sim(CollisionModel model, double tau = 0.8) {
   FluidParams p = FluidParams::single_component(tau, 1e-5);
   p.components[0].collision = model;
-  Simulation sim(Extents{4, 15, 4}, std::move(p), nullptr, true, false);
+  Simulation sim(Extents{4, 15, 4}, std::move(p), true, false);
   sim.initialize_uniform();
   return sim;
 }

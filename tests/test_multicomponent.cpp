@@ -9,9 +9,10 @@
 #include <cmath>
 
 #include "lbm/observables.hpp"
-#include "lbm/simulation.hpp"
+#include "sim/simulation.hpp"
 
 using namespace slipflow::lbm;
+using slipflow::sim::Simulation;
 
 namespace {
 
@@ -23,7 +24,7 @@ Simulation make_channel(double wall_accel, index_t ny = 24,
   FluidParams p = FluidParams::microchannel_defaults(
       wall_accel, /*wall_decay=*/2.5, /*air_fraction=*/0.03,
       /*coupling_g=*/1.0, gravity);
-  Simulation sim(Extents{4, ny, 4}, std::move(p), nullptr,
+  Simulation sim(Extents{4, ny, 4}, std::move(p),
                  /*walls_y=*/true, /*walls_z=*/false);
   sim.initialize_uniform();
   return sim;

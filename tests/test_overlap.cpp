@@ -1,6 +1,6 @@
 // Communication/computation overlap: the runner's overlapped,
-// multithreaded step schedule must reproduce the sequential Simulation —
-// same masses, same velocity/density profiles of every plane — and be
+// multithreaded step schedule must reproduce the sequential oracle
+// (lbm::reference_phase on one full-domain slab) — same masses, same velocity/density profiles of every plane — and be
 // BYTE-identical across thread counts, rank counts and transports, down
 // to the migration history. Determinism rests on the same injected
 // CountingClocks as the cross-backend suite; the filtered remapping
@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "lbm/observables.hpp"
-#include "lbm/simulation.hpp"
+#include "lbm/stepper.hpp"
 #include "obs/clock.hpp"
 #include "obs/metrics.hpp"
 #include "sim/worker.hpp"
@@ -101,22 +101,29 @@ Physics parse_physics(const std::string& observables) {
   return p;
 }
 
-/// The oracle: the sequential Simulation stepped over the same lattice
-/// for the same number of phases, observed the same way.
+/// The oracle: the reference kernels stepped on one full-domain slab of
+/// the same lattice for the same number of phases, observed the same way
+/// (masses folded in global plane order, as the runner folds them). Not
+/// sim::Simulation: that is the runner itself on one rank.
 Physics sequential_physics() {
   const sim::RunnerConfig cfg = base_config(1);
-  lbm::Simulation seq(cfg.global, cfg.fluid);
+  lbm::Slab seq(sim::make_geometry(cfg), cfg.fluid, 0, cfg.global.nx);
   seq.initialize_uniform();
-  seq.run(kPhases);
+  lbm::PeriodicSelfExchanger halo;
+  lbm::prime(seq, halo);
+  for (int p = 0; p < kPhases; ++p) lbm::reference_phase(seq, halo);
   Physics p;
-  for (std::size_t c = 0; c < seq.slab().num_components(); ++c)
-    p.mass.push_back(lbm::owned_mass(seq.slab(), c));
+  for (std::size_t c = 0; c < seq.num_components(); ++c) {
+    double m = 0.0;
+    for (lbm::index_t gx = 0; gx < cfg.global.nx; ++gx)
+      m += lbm::plane_mass(seq, c, gx) *
+           cfg.fluid.components[c].molecular_mass;
+    p.mass.push_back(m);
+  }
   const lbm::index_t z = cfg.global.nz / 2;
   for (lbm::index_t gx = 0; gx < cfg.global.nx; ++gx) {
-    for (double v : lbm::velocity_profile_y(seq.slab(), gx, z))
-      p.ux.push_back(v);
-    for (double v : lbm::density_profile_y(seq.slab(), 0, gx, z))
-      p.rho0.push_back(v);
+    for (double v : lbm::velocity_profile_y(seq, gx, z)) p.ux.push_back(v);
+    for (double v : lbm::density_profile_y(seq, 0, gx, z)) p.rho0.push_back(v);
   }
   return p;
 }

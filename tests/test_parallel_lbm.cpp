@@ -1,20 +1,26 @@
 // Parallel runner vs sequential reference: with static decomposition the
 // parallel multicomponent LBM must reproduce the sequential fields
-// exactly (same per-cell arithmetic, just distributed).
+// exactly (same per-cell arithmetic, just distributed). The sequential
+// side is the oracle (lbm::reference_phase on one full-domain slab), not
+// sim::Simulation, which is this runner on one rank.
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <mutex>
 
 #include "lbm/observables.hpp"
-#include "lbm/simulation.hpp"
+#include "lbm/stepper.hpp"
+#include "obs/clock.hpp"
 #include "sim/parallel_lbm.hpp"
+#include "sim/simulation.hpp"
 #include "transport/thread_comm.hpp"
 
 using namespace slipflow;
 using namespace slipflow::lbm;
 using slipflow::sim::ParallelLbm;
 using slipflow::sim::RunnerConfig;
+using slipflow::sim::Simulation;
 
 namespace {
 
@@ -35,18 +41,36 @@ struct Reference {
   double mass0, mass1;
 };
 
-Reference sequential_reference(int phases) {
-  Simulation sim(kGrid, base_runner().fluid);
-  sim.initialize_uniform();
-  sim.run(phases);
+/// A component's mass folded plane by plane in global x order, the fold
+/// ParallelLbm::global_masses() uses.
+double plane_ordered_mass(const Slab& slab, std::size_t c) {
+  double m = 0.0;
+  for (index_t gx = slab.x_begin(); gx < slab.x_end(); ++gx)
+    m += plane_mass(slab, c, gx) * slab.params().components[c].molecular_mass;
+  return m;
+}
+
+Reference reference_of(const Slab& slab) {
   Reference ref;
   for (index_t gx = 0; gx < kGrid.nx; ++gx) {
-    ref.water.push_back(density_profile_y(sim.slab(), 0, gx, 2));
-    ref.ux.push_back(velocity_profile_y(sim.slab(), gx, 2));
+    ref.water.push_back(density_profile_y(slab, 0, gx, 2));
+    ref.ux.push_back(velocity_profile_y(slab, gx, 2));
   }
-  ref.mass0 = owned_mass(sim.slab(), 0);
-  ref.mass1 = owned_mass(sim.slab(), 1);
+  ref.mass0 = plane_ordered_mass(slab, 0);
+  ref.mass1 = plane_ordered_mass(slab, 1);
   return ref;
+}
+
+/// The oracle after `phases` phases: the reference kernels stepped on one
+/// full-domain slab of `cfg`'s lattice.
+Reference sequential_reference(int phases,
+                               const RunnerConfig& cfg = base_runner()) {
+  Slab slab(sim::make_geometry(cfg), cfg.fluid, 0, cfg.global.nx);
+  slab.initialize_uniform();
+  PeriodicSelfExchanger halo;
+  prime(slab, halo);
+  for (int p = 0; p < phases; ++p) reference_phase(slab, halo);
+  return reference_of(slab);
 }
 
 /// Run the parallel code on `ranks` ranks and collect the same profiles.
@@ -59,8 +83,7 @@ Reference parallel_reference(int ranks, int phases, RunnerConfig cfg) {
     ParallelLbm run(cfg, comm);
     run.initialize_uniform();
     run.run(phases);
-    const double m0 = run.global_mass(0);
-    const double m1 = run.global_mass(1);
+    const std::vector<double> masses = run.global_masses();
     for (index_t gx = 0; gx < kGrid.nx; ++gx) {
       auto w = run.gather_density_profile_y(0, gx, 2);
       auto u = run.gather_velocity_profile_y(gx, 2);
@@ -68,8 +91,8 @@ Reference parallel_reference(int ranks, int phases, RunnerConfig cfg) {
         std::lock_guard<std::mutex> lk(mu);
         out.water[static_cast<std::size_t>(gx)] = std::move(w);
         out.ux[static_cast<std::size_t>(gx)] = std::move(u);
-        out.mass0 = m0;
-        out.mass1 = m1;
+        out.mass0 = masses[0];
+        out.mass1 = masses[1];
       }
     }
   });
@@ -125,9 +148,9 @@ TEST(ParallelLbm, TwoRanksMatchSequentialExactly) {
   const auto seq = sequential_reference(30);
   const auto par = parallel_reference(2, 30, base_runner());
   expect_identical(seq, par);
-  // masses are reduced in rank order, so only summation order differs
-  EXPECT_NEAR(par.mass0, seq.mass0, 1e-12 * seq.mass0);
-  EXPECT_NEAR(par.mass1, seq.mass1, 1e-12 * std::max(seq.mass1, 1.0));
+  // masses are folded in global plane order whatever the decomposition
+  EXPECT_EQ(par.mass0, seq.mass0);
+  EXPECT_EQ(par.mass1, seq.mass1);
 }
 
 TEST(ParallelLbm, FourRanksMatchSequentialExactly) {
@@ -147,9 +170,9 @@ TEST(ParallelLbm, MassConservedAcrossRanks) {
   transport::run_ranks(3, [&](transport::Communicator& comm) {
     ParallelLbm run(base_runner(), comm);
     run.initialize_uniform();
-    const double m0 = run.global_mass(0);
+    const double m0 = run.global_masses()[0];
     run.run(40);
-    EXPECT_NEAR(run.global_mass(0), m0, 1e-9 * m0);
+    EXPECT_NEAR(run.global_masses()[0], m0, 1e-9 * m0);
   });
 }
 
@@ -182,21 +205,9 @@ TEST(ParallelLbm, MovingWallsMatchSequential) {
   RunnerConfig cfg = base_runner();
   cfg.wall_velocity[1] = lbm::Vec3{0.03, 0.0, 0.0};  // y_high wall
 
-  auto geom = std::make_shared<ChannelGeometry>(kGrid);
-  geom->set_wall_velocity(ChannelGeometry::Wall::y_high,
-                          Vec3{0.03, 0.0, 0.0});
-  Simulation seq(std::shared_ptr<const ChannelGeometry>(std::move(geom)),
-                 cfg.fluid);
-  seq.initialize_uniform();
-  seq.run(25);
-
+  const auto seq = sequential_reference(25, cfg);
   const auto par = parallel_reference(3, 25, cfg);
-  for (index_t gx = 0; gx < kGrid.nx; ++gx) {
-    const auto u = velocity_profile_y(seq.slab(), gx, 2);
-    const auto& up = par.ux[static_cast<std::size_t>(gx)];
-    for (std::size_t j = 0; j < u.size(); ++j)
-      EXPECT_DOUBLE_EQ(up[j], u[j]) << gx << "," << j;
-  }
+  expect_identical(seq, par);
 }
 
 TEST(ParallelLbm, WallPatternMatchesSequential) {
@@ -204,29 +215,82 @@ TEST(ParallelLbm, WallPatternMatchesSequential) {
   cfg.fluid.wall_pattern = [](index_t gx, index_t, index_t) {
     return gx % 8 < 4 ? 1.0 : 0.2;
   };
-  Simulation seq(kGrid, cfg.fluid);
-  seq.initialize_uniform();
-  seq.run(25);
+  const auto seq = sequential_reference(25, cfg);
   const auto par = parallel_reference(3, 25, cfg);
-  for (index_t gx = 0; gx < kGrid.nx; ++gx) {
-    const auto w = density_profile_y(seq.slab(), 0, gx, 2);
-    const auto& wp = par.water[static_cast<std::size_t>(gx)];
-    for (std::size_t j = 0; j < w.size(); ++j)
-      EXPECT_DOUBLE_EQ(wp[j], w[j]) << gx << "," << j;
-  }
+  expect_identical(seq, par);
 }
 
 TEST(ParallelLbm, MrtComponentsMatchSequential) {
   RunnerConfig cfg = base_runner();
   for (auto& c : cfg.fluid.components) c.collision = CollisionModel::mrt;
   const auto par = parallel_reference(3, 20, cfg);
-  Simulation seq(kGrid, cfg.fluid);
+  const auto seq = sequential_reference(20, cfg);
+  expect_identical(seq, par);
+}
+
+TEST(ParallelLbm, ObstacleMatchesSequential) {
+  // A solid block straddling the rank-0/rank-1 boundary (planes 0-5 | 6-10
+  // | 11-15 on three ranks). Rank 1's injected clock ticks 4x longer, so
+  // the filtered policy drains it and planes holding solid cells migrate
+  // mid-run; the result must still be byte-identical to Simulation.
+  RunnerConfig cfg = base_runner();
+  cfg.obstacle = [](index_t gx, index_t gy, index_t gz) {
+    return gx >= 4 && gx < 8 && gy >= 2 && gy < 4 && gz >= 1 && gz < 3;
+  };
+  cfg.policy = "filtered";
+  cfg.remap_interval = 5;
+  cfg.balance.window = 3;
+  cfg.balance.min_transfer_points = 24;  // one yz-plane of this grid
+  cfg.clock_factory = [](int rank) {
+    return std::make_shared<obs::CountingClock>(rank == 1 ? 4e-3 : 1e-3);
+  };
+  const int phases = 40;
+
+  Simulation seq(cfg);
   seq.initialize_uniform();
-  seq.run(20);
+  seq.run(phases);
+  const Reference want = reference_of(seq.slab());
+
+  Reference got;
+  got.water.resize(static_cast<std::size_t>(kGrid.nx));
+  got.ux.resize(static_cast<std::size_t>(kGrid.nx));
+  std::vector<int> owners;
+  std::mutex mu;
+  transport::run_ranks(3, [&](transport::Communicator& comm) {
+    ParallelLbm run(cfg, comm);
+    run.initialize_uniform();
+    run.run(phases);
+    const std::vector<double> masses = run.global_masses();
+    const std::vector<int> own = run.gather_plane_owners();
+    for (index_t gx = 0; gx < kGrid.nx; ++gx) {
+      auto w = run.gather_density_profile_y(0, gx, 2, own);
+      auto u = run.gather_velocity_profile_y(gx, 2, own);
+      if (comm.rank() == 0) {
+        std::lock_guard<std::mutex> lk(mu);
+        got.water[static_cast<std::size_t>(gx)] = std::move(w);
+        got.ux[static_cast<std::size_t>(gx)] = std::move(u);
+      }
+    }
+    if (comm.rank() == 0) {
+      std::lock_guard<std::mutex> lk(mu);
+      got.mass0 = masses[0];
+      got.mass1 = masses[1];
+      owners = own;
+    }
+  });
+
+  // planes 6 and 7 (solid cells inside) left the slowed rank
+  ASSERT_EQ(owners.size(), static_cast<std::size_t>(kGrid.nx));
+  EXPECT_NE(owners[6], 1);
+  EXPECT_NE(owners[7], 1);
   for (index_t gx = 0; gx < kGrid.nx; ++gx) {
-    const auto u = velocity_profile_y(seq.slab(), gx, 2);
-    const auto& up = par.ux[static_cast<std::size_t>(gx)];
-    for (std::size_t j = 0; j < u.size(); ++j)
-      EXPECT_DOUBLE_EQ(up[j], u[j]) << gx << "," << j;
+    const auto i = static_cast<std::size_t>(gx);
+    ASSERT_EQ(got.water[i].size(), want.water[i].size());
+    for (std::size_t j = 0; j < want.water[i].size(); ++j) {
+      EXPECT_EQ(got.water[i][j], want.water[i][j]) << gx << "," << j;
+      EXPECT_EQ(got.ux[i][j], want.ux[i][j]) << gx << "," << j;
+    }
   }
+  EXPECT_EQ(got.mass0, want.mass0);
+  EXPECT_EQ(got.mass1, want.mass1);
 }

@@ -10,13 +10,14 @@
 #include <mutex>
 
 #include "lbm/observables.hpp"
-#include "lbm/simulation.hpp"
 #include "obs/clock.hpp"
 #include "sim/parallel_lbm.hpp"
+#include "sim/simulation.hpp"
 #include "transport/thread_comm.hpp"
 
 using namespace slipflow;
 using namespace slipflow::lbm;
+using slipflow::sim::Simulation;
 using slipflow::sim::ParallelLbm;
 using slipflow::sim::RunnerConfig;
 
@@ -173,11 +174,11 @@ TEST(ParallelRemap, MassConservedThroughMigrations) {
   transport::run_ranks(3, [&](transport::Communicator& comm) {
     ParallelLbm run(cfg, comm);
     run.initialize_uniform();
-    const double m0 = run.global_mass(0);
-    const double m1 = run.global_mass(1);
+    const double m0 = run.global_masses()[0];
+    const double m1 = run.global_masses()[1];
     run.run(60);
-    EXPECT_NEAR(run.global_mass(0), m0, 1e-9 * m0);
-    EXPECT_NEAR(run.global_mass(1), m1, 1e-9 * m1);
+    EXPECT_NEAR(run.global_masses()[0], m0, 1e-9 * m0);
+    EXPECT_NEAR(run.global_masses()[1], m1, 1e-9 * m1);
   });
 }
 

@@ -7,9 +7,10 @@
 #include <cmath>
 
 #include "lbm/observables.hpp"
-#include "lbm/simulation.hpp"
+#include "sim/simulation.hpp"
 
 using namespace slipflow::lbm;
+using slipflow::sim::Simulation;
 
 namespace {
 
@@ -31,7 +32,7 @@ std::vector<double> poiseuille_analytic(index_t ny, double gravity,
 
 Simulation make_poiseuille(index_t ny, double tau, double gravity) {
   Simulation sim(Extents{4, ny, 4}, FluidParams::single_component(tau, gravity),
-                 nullptr, /*walls_y=*/true, /*walls_z=*/false);
+                 /*walls_y=*/true, /*walls_z=*/false);
   sim.initialize_uniform();
   return sim;
 }
@@ -134,9 +135,11 @@ TEST(Physics, DensityStaysUniformInQuiescentChannel) {
 
 TEST(Physics, ObstacleBlocksFlow) {
   // a solid wall spanning the whole cross-section: no net flow can develop
-  auto wall = [](index_t x, index_t, index_t) { return x == 2; };
-  Simulation sim(Extents{8, 6, 6}, FluidParams::single_component(1.0, 1e-5),
-                 wall);
+  slipflow::sim::RunnerConfig cfg;
+  cfg.global = Extents{8, 6, 6};
+  cfg.fluid = FluidParams::single_component(1.0, 1e-5);
+  cfg.obstacle = [](index_t x, index_t, index_t) { return x == 2; };
+  Simulation sim(std::move(cfg));
   sim.initialize([&](std::size_t, index_t gx, index_t, index_t) {
     return gx == 2 ? 0.0 : 1.0;
   });

@@ -20,15 +20,16 @@
 
 #include "lbm/observables.hpp"
 #include "lbm/plan.hpp"
-#include "lbm/simulation.hpp"
 #include "lbm/stepper.hpp"
 #include "obs/clock.hpp"
 #include "obs/metrics.hpp"
 #include "sim/parallel_lbm.hpp"
+#include "sim/simulation.hpp"
 #include "transport/thread_comm.hpp"
 
 using namespace slipflow;
 using namespace slipflow::lbm;
+using slipflow::sim::Simulation;
 
 namespace {
 
@@ -57,22 +58,32 @@ const GeoCase kGeoCases[] = {
 
 const Extents kGrid{8, 6, 5};
 
-std::shared_ptr<const ChannelGeometry> make_geom(const GeoCase& gc) {
-  std::function<bool(index_t, index_t, index_t)> obstacle;
+/// The runner configuration of a geometry case on kGrid.
+sim::RunnerConfig make_config(const GeoCase& gc, FluidParams params = {}) {
+  sim::RunnerConfig cfg;
+  cfg.global = kGrid;
+  cfg.fluid = std::move(params);
+  cfg.walls_y = gc.walls_y;
+  cfg.walls_z = gc.walls_z;
   if (gc.obstacle) {
-    obstacle = [](index_t gx, index_t gy, index_t gz) {
+    cfg.obstacle = [](index_t gx, index_t gy, index_t gz) {
       return gx >= 3 && gx < 5 && gy >= 2 && gy < 4 && gz >= 1 && gz < 3;
     };
   }
-  auto g = std::make_shared<ChannelGeometry>(kGrid, obstacle, gc.walls_y,
-                                             gc.walls_z);
   if (gc.moving) {
     // tangential components only (normal must be zero); two walls move so
     // corner cells accumulate both corrections
-    g->set_wall_velocity(ChannelGeometry::Wall::z_low, {0.02, 0.01, 0.0});
-    g->set_wall_velocity(ChannelGeometry::Wall::y_high, {-0.01, 0.0, 0.005});
+    using Wall = ChannelGeometry::Wall;
+    cfg.wall_velocity[static_cast<std::size_t>(Wall::z_low)] = {0.02, 0.01,
+                                                                 0.0};
+    cfg.wall_velocity[static_cast<std::size_t>(Wall::y_high)] = {-0.01, 0.0,
+                                                                  0.005};
   }
-  return g;
+  return cfg;
+}
+
+std::shared_ptr<const ChannelGeometry> make_geom(const GeoCase& gc) {
+  return sim::make_geometry(make_config(gc));
 }
 
 FluidParams make_params(int ncomp, CollisionModel cm, const GeoCase& gc) {
@@ -130,8 +141,8 @@ void expect_slabs_match(const Slab& plan_s, const Slab& legacy_s) {
       }
 }
 
-/// The oracle: prime an initialized full-domain slab as Simulation does,
-/// then step `phases` reference phases on the legacy kernels.
+/// The oracle: prime an initialized full-domain slab, then step `phases`
+/// reference phases on the legacy kernels.
 void run_reference(Slab& slab, int phases) {
   PeriodicSelfExchanger halo;
   prime(slab, halo);
@@ -140,16 +151,16 @@ void run_reference(Slab& slab, int phases) {
 
 /// `phases` phases of the plan path (a Simulation) against the oracle,
 /// both from init_density.
-void plan_vs_reference(const std::shared_ptr<const ChannelGeometry>& geom,
-                       const FluidParams& params, int phases) {
+void plan_vs_reference(const sim::RunnerConfig& cfg, int phases) {
+  const FluidParams& params = cfg.fluid;
   const auto init = [&params](std::size_t c, index_t gx, index_t gy,
                               index_t gz) {
     return init_density(params, c, gx, gy, gz);
   };
-  Simulation plan_sim(geom, params);
+  Simulation plan_sim(cfg);
   plan_sim.initialize(init);
   plan_sim.run(phases);
-  Slab legacy(geom, params, 0, geom->global().nx);
+  Slab legacy(sim::make_geometry(cfg), params, 0, cfg.global.nx);
   legacy.initialize(init);
   run_reference(legacy, phases);
   expect_slabs_match(plan_sim.slab(), legacy);
@@ -157,7 +168,7 @@ void plan_vs_reference(const std::shared_ptr<const ChannelGeometry>& geom,
 
 void run_and_compare(const GeoCase& gc, int ncomp, CollisionModel cm,
                      int phases = 16) {
-  plan_vs_reference(make_geom(gc), make_params(ncomp, cm, gc), phases);
+  plan_vs_reference(make_config(gc, make_params(ncomp, cm, gc)), phases);
 }
 
 }  // namespace
@@ -179,9 +190,9 @@ TEST(PlanKernels, ShanChenPsiFormMatchesLegacy) {
   // the liquid-vapor pseudopotential psi = 1 - exp(-n) exercises the
   // plan force kernel's per-step psi scratch cache (the density form
   // aliases n directly)
-  const auto geom = std::make_shared<ChannelGeometry>(
-      kGrid, std::function<bool(index_t, index_t, index_t)>{}, false, false);
-  plan_vs_reference(geom, FluidParams::liquid_vapor(-5.0, 1.0), 20);
+  const GeoCase& periodic = kGeoCases[0];
+  plan_vs_reference(
+      make_config(periodic, FluidParams::liquid_vapor(-5.0, 1.0)), 20);
 }
 
 // -- structural coverage of the streaming plan --------------------------

@@ -1,5 +1,6 @@
-// Stepper-level tests: the periodic self-exchanger's halo contents, the
-// priming pass, and the phase sequence contract.
+// Stepper-level tests: the oracle's periodic self-exchanger (halo
+// contents), and the priming pass and phase sequence contract of the one
+// stepping program, sim::Simulation (the runner on one rank).
 
 #include <gtest/gtest.h>
 
@@ -7,8 +8,10 @@
 
 #include "lbm/observables.hpp"
 #include "lbm/stepper.hpp"
+#include "sim/simulation.hpp"
 
 using namespace slipflow::lbm;
+using slipflow::sim::Simulation;
 
 namespace {
 
@@ -65,29 +68,24 @@ TEST(SelfExchanger, DensityHaloWraps) {
 }
 
 TEST(Prime, PopulatesForcesAndVelocity) {
-  Slab s(geom(), FluidParams::single_component(1.0, 1e-3), 0, 8);
-  s.initialize_uniform();
-  PeriodicSelfExchanger halo;
-  prime(s, halo);
+  Simulation sim(Extents{8, 4, 3}, FluidParams::single_component(1.0, 1e-3));
+  sim.initialize_uniform();
   // after priming, ueq carries the gravity shift everywhere owned
-  const Extents& st = s.storage();
+  const Extents& st = sim.slab().storage();
   for (index_t lx = 1; lx <= 8; ++lx)
-    EXPECT_NEAR(s.ueq(0).at(st.idx(lx, 1, 1)).x, 1e-3, 1e-12);
+    EXPECT_NEAR(sim.slab().ueq(0).at(st.idx(lx, 1, 1)).x, 1e-3, 1e-12);
 }
 
 TEST(StepPhase, VelocityFeedsNextCollision) {
   // the paper's line-17-to-line-4 data flow: after one phase with
   // gravity, the next collision's equilibrium is built from a moving
   // state, increasing momentum monotonically during spin-up
-  Slab s(geom(Extents{8, 9, 4}), FluidParams::single_component(1.0, 1e-4),
-         0, 8);
-  s.initialize_uniform();
-  PeriodicSelfExchanger halo;
-  prime(s, halo);
-  double prev = owned_momentum_x(s);
+  Simulation sim(Extents{8, 9, 4}, FluidParams::single_component(1.0, 1e-4));
+  sim.initialize_uniform();
+  double prev = owned_momentum_x(sim.slab());
   for (int i = 0; i < 5; ++i) {
-    step_phase(s, halo);
-    const double cur = owned_momentum_x(s);
+    sim.run(1);
+    const double cur = owned_momentum_x(sim.slab());
     EXPECT_GT(cur, prev);
     prev = cur;
   }
@@ -95,19 +93,17 @@ TEST(StepPhase, VelocityFeedsNextCollision) {
 
 TEST(StepPhase, IdenticalSequencesProduceIdenticalStates) {
   auto run_one = [] {
-    Slab s(geom(), FluidParams::microchannel_defaults(), 0, 8);
-    s.initialize_uniform();
-    PeriodicSelfExchanger halo;
-    prime(s, halo);
-    for (int i = 0; i < 15; ++i) step_phase(s, halo);
-    return s;
+    Simulation sim(Extents{8, 4, 3}, FluidParams::microchannel_defaults());
+    sim.initialize_uniform();
+    sim.run(15);
+    return sim;
   };
-  const Slab a = run_one();
-  const Slab b = run_one();
-  const Extents& st = a.storage();
+  const Simulation a = run_one();
+  const Simulation b = run_one();
+  const Extents& st = a.slab().storage();
   for (std::size_t c = 0; c < 2; ++c)
     for (int d = 0; d < kQ; ++d)
       for (index_t cell = st.plane_cells(); cell < 9 * st.plane_cells();
            ++cell)
-        ASSERT_EQ(a.f(c).at(d, cell), b.f(c).at(d, cell));
+        ASSERT_EQ(a.slab().f(c).at(d, cell), b.slab().f(c).at(d, cell));
 }

@@ -25,16 +25,17 @@
 #include "lbm/kernels.hpp"
 #include "lbm/observables.hpp"
 #include "lbm/plan.hpp"
-#include "lbm/simulation.hpp"
 #include "lbm/stepper.hpp"
 #include "lbm/tile.hpp"
 #include "obs/clock.hpp"
 #include "obs/metrics.hpp"
 #include "sim/parallel_lbm.hpp"
+#include "sim/simulation.hpp"
 #include "transport/thread_comm.hpp"
 
 using namespace slipflow;
 using namespace slipflow::lbm;
+using slipflow::sim::Simulation;
 
 namespace {
 
@@ -79,23 +80,34 @@ const GeoCase kGeoCases[] = {
     {"patterned", true, true, false, false, /*patterned=*/true},
 };
 
-std::shared_ptr<const ChannelGeometry> make_geom(const GeoCase& gc,
-                                                 const Extents& e) {
-  std::function<bool(index_t, index_t, index_t)> obstacle;
+/// The runner configuration of a geometry case on grid `e`.
+sim::RunnerConfig make_config(const GeoCase& gc, const Extents& e,
+                              FluidParams params = {}) {
+  sim::RunnerConfig cfg;
+  cfg.global = e;
+  cfg.fluid = std::move(params);
+  cfg.walls_y = gc.walls_y;
+  cfg.walls_z = gc.walls_z;
   if (gc.obstacle) {
     // one solid cell near the middle — enough to split runs on any grid
     const index_t ox = e.nx / 2, oy = e.ny / 2, oz = e.nz / 2;
-    obstacle = [ox, oy, oz](index_t gx, index_t gy, index_t gz) {
+    cfg.obstacle = [ox, oy, oz](index_t gx, index_t gy, index_t gz) {
       return gx == ox && gy == oy && gz == oz;
     };
   }
-  auto g = std::make_shared<ChannelGeometry>(e, obstacle, gc.walls_y,
-                                             gc.walls_z);
   if (gc.moving) {
-    g->set_wall_velocity(ChannelGeometry::Wall::z_low, {0.02, 0.01, 0.0});
-    g->set_wall_velocity(ChannelGeometry::Wall::y_high, {-0.01, 0.0, 0.005});
+    using Wall = ChannelGeometry::Wall;
+    cfg.wall_velocity[static_cast<std::size_t>(Wall::z_low)] = {0.02, 0.01,
+                                                                 0.0};
+    cfg.wall_velocity[static_cast<std::size_t>(Wall::y_high)] = {-0.01, 0.0,
+                                                                  0.005};
   }
-  return g;
+  return cfg;
+}
+
+std::shared_ptr<const ChannelGeometry> make_geom(const GeoCase& gc,
+                                                 const Extents& e) {
+  return sim::make_geometry(make_config(gc, e));
 }
 
 FluidParams make_params(int ncomp, CollisionModel cm, const GeoCase& gc) {
@@ -169,9 +181,9 @@ TEST(TileKernels, BackendsMatchScalarAcrossMatrix) {
     for (const auto& gc : kGeoCases)
       for (int ncomp : {1, 2})
         for (CollisionModel cm : {CollisionModel::bgk, CollisionModel::mrt}) {
-          const auto geom = make_geom(gc, e);
           const FluidParams params = make_params(ncomp, cm, gc);
-          Simulation ref(geom, params);
+          const sim::RunnerConfig cfg = make_config(gc, e, params);
+          Simulation ref(cfg);
           {
             BackendGuard g(KernelBackend::scalar);
             run_sim(ref, params, 10);
@@ -183,7 +195,7 @@ TEST(TileKernels, BackendsMatchScalarAcrossMatrix) {
                          std::to_string(ncomp) + " " +
                          (cm == CollisionModel::bgk ? "bgk" : "mrt") + " " +
                          to_string(b));
-            Simulation tile_sim(geom, params);
+            Simulation tile_sim(cfg);
             BackendGuard g(b);
             run_sim(tile_sim, params, 10);
             expect_slabs_match(tile_sim.slab(), ref.slab());
@@ -195,9 +207,8 @@ TEST(TileKernels, DensityBitIdenticalAcrossBackends) {
   // the density pass is pure additions in a fixed order: from the same
   // populations, every backend must produce the exact same bits
   const Extents e{6, 5, 11};
-  const auto geom = make_geom(kGeoCases[1], e);
   const FluidParams params = make_params(2, CollisionModel::bgk, kGeoCases[1]);
-  Simulation probe(geom, params);
+  Simulation probe(make_config(kGeoCases[1], e, params));
   {
     BackendGuard gs(KernelBackend::scalar);
     run_sim(probe, params, 6);
@@ -260,11 +271,11 @@ TEST(TileKernels, OnePassBitIdenticalToScalar) {
     for (const GeoCase& gc : {kGeoCases[1], kGeoCases[2]})
       for (int ncomp : {1, 2})
         for (CollisionModel cm : {CollisionModel::bgk, CollisionModel::mrt}) {
-          const auto geom = make_geom(gc, e);
           const FluidParams params = make_params(ncomp, cm, gc);
+          const sim::RunnerConfig cfg = make_config(gc, e, params);
           // One pass of every kernel on `b`, from 6 scalar phases.
           const auto one_pass = [&](KernelBackend b) {
-            auto sim = std::make_unique<Simulation>(geom, params);
+            auto sim = std::make_unique<Simulation>(cfg);
             {
               BackendGuard g(KernelBackend::scalar);
               run_sim(*sim, params, 6);

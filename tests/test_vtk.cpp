@@ -8,10 +8,11 @@
 #include <fstream>
 #include <sstream>
 
-#include "lbm/simulation.hpp"
 #include "lbm/vtk.hpp"
+#include "sim/simulation.hpp"
 
 using namespace slipflow::lbm;
+using slipflow::sim::Simulation;
 
 namespace {
 
