@@ -1,6 +1,5 @@
 #include "lbm/checkpoint.hpp"
 
-#include <cstring>
 #include <fstream>
 #include <vector>
 
@@ -19,12 +18,14 @@ struct Header {
   std::int64_t phase = 0;
   std::int64_t plane_doubles = 0;
 };
-static_assert(sizeof(Header) == kCheckpointHeaderBytes);
+static_assert(sizeof(Header) == 64, "the on-disk header is 64 bytes");
 
-std::streamoff plane_offset(const Header& h, index_t gx) {
+/// Byte offset of global plane `gx` when planes pack to `plane_doubles`
+/// doubles each.
+std::streamoff plane_offset(index_t plane_doubles, index_t gx) {
   return static_cast<std::streamoff>(sizeof(Header)) +
          static_cast<std::streamoff>(gx) *
-             static_cast<std::streamoff>(h.plane_doubles) * 8;
+             static_cast<std::streamoff>(plane_doubles) * 8;
 }
 
 Header read_header(std::istream& in, const std::string& path) {
@@ -76,7 +77,8 @@ CheckpointInfo read_checkpoint_info(const std::string& path) {
 }
 
 std::size_t expected_checkpoint_bytes(const CheckpointInfo& info) {
-  return checkpoint_plane_offset(info.plane_doubles, info.global.nx);
+  return static_cast<std::size_t>(
+      plane_offset(info.plane_doubles, info.global.nx));
 }
 
 void begin_checkpoint(const Extents& global, std::size_t components,
@@ -87,7 +89,7 @@ void begin_checkpoint(const Extents& global, std::size_t components,
   const Header h = header_for(global, components, phase, plane_doubles);
   out.write(reinterpret_cast<const char*>(&h), sizeof(h));
   // pre-size the file so concurrent range writers can seek anywhere
-  out.seekp(plane_offset(h, global.nx) - 1);
+  out.seekp(plane_offset(h.plane_doubles, global.nx) - 1);
   const char zero = 0;
   out.write(&zero, 1);
   SLIPFLOW_REQUIRE_MSG(out.good(), "cannot size checkpoint " << path);
@@ -106,31 +108,11 @@ void write_checkpoint_planes(const Slab& slab, const std::string& path) {
       static_cast<std::size_t>(slab.migration_doubles(1)));
   for (index_t gx = slab.x_begin(); gx < slab.x_end(); ++gx) {
     slab.pack_owned_plane(gx, buf);
-    out.seekp(plane_offset(h, gx));
+    out.seekp(plane_offset(h.plane_doubles, gx));
     out.write(reinterpret_cast<const char*>(buf.data()),
               static_cast<std::streamsize>(buf.size() * sizeof(double)));
   }
   SLIPFLOW_REQUIRE_MSG(out.good(), "short write to checkpoint " << path);
-}
-
-std::vector<std::byte> pack_checkpoint_planes(const Slab& slab) {
-  std::vector<std::byte> bytes;
-  pack_checkpoint_planes(slab, bytes);
-  return bytes;
-}
-
-void pack_checkpoint_planes(const Slab& slab, std::vector<std::byte>& out) {
-  const auto plane_doubles =
-      static_cast<std::size_t>(slab.migration_doubles(1));
-  const auto planes = static_cast<std::size_t>(slab.x_end() - slab.x_begin());
-  out.resize(planes * plane_doubles * sizeof(double));
-  std::vector<double> buf(plane_doubles);
-  std::size_t off = 0;
-  for (index_t gx = slab.x_begin(); gx < slab.x_end(); ++gx) {
-    slab.pack_owned_plane(gx, buf);
-    std::memcpy(out.data() + off, buf.data(), plane_doubles * sizeof(double));
-    off += plane_doubles * sizeof(double);
-  }
 }
 
 long long load_checkpoint_planes(Slab& slab, const std::string& path) {
@@ -141,7 +123,7 @@ long long load_checkpoint_planes(Slab& slab, const std::string& path) {
   std::vector<double> buf(
       static_cast<std::size_t>(slab.migration_doubles(1)));
   for (index_t gx = slab.x_begin(); gx < slab.x_end(); ++gx) {
-    in.seekg(plane_offset(h, gx));
+    in.seekg(plane_offset(h.plane_doubles, gx));
     in.read(reinterpret_cast<char*>(buf.data()),
             static_cast<std::streamsize>(buf.size() * sizeof(double)));
     SLIPFLOW_REQUIRE_MSG(in.good(), "short read from checkpoint " << path);

@@ -18,34 +18,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "lbm/slab.hpp"
 
 namespace slipflow::lbm {
-
-/// Fixed size of the on-disk checkpoint header.
-inline constexpr std::size_t kCheckpointHeaderBytes = 64;
-
-/// Byte offset of global plane `gx` in a checkpoint whose planes pack to
-/// `plane_doubles` doubles each. Because a slab's owned planes are a
-/// contiguous x-range, its whole contribution is one contiguous span
-/// starting at checkpoint_plane_offset(plane_doubles, x_begin) — which
-/// is what lets the async writer ship it as a single positional write.
-inline std::size_t checkpoint_plane_offset(index_t plane_doubles,
-                                           index_t gx) {
-  return kCheckpointHeaderBytes + static_cast<std::size_t>(gx) *
-                                      static_cast<std::size_t>(plane_doubles) *
-                                      sizeof(double);
-}
-
-/// Pack the slab's owned planes (x_begin .. x_end) into one contiguous
-/// byte buffer, laid out exactly as write_checkpoint_planes writes them
-/// on disk starting at checkpoint_plane_offset(..., x_begin). The
-/// `out` overload reuses the buffer's capacity (double buffering with
-/// obs::AsyncWriter::take_buffer).
-std::vector<std::byte> pack_checkpoint_planes(const Slab& slab);
-void pack_checkpoint_planes(const Slab& slab, std::vector<std::byte>& out);
 
 /// Header contents of a checkpoint file.
 struct CheckpointInfo {

@@ -6,6 +6,8 @@
 
 namespace slipflow::lbm {
 
+namespace {
+
 std::string vtk_to_string(const Slab& slab, const std::string& title) {
   std::ostringstream out;
   out.precision(std::numeric_limits<double>::max_digits10);
@@ -47,6 +49,8 @@ std::string vtk_to_string(const Slab& slab, const std::string& title) {
 
   return std::move(out).str();
 }
+
+}  // namespace
 
 void write_vtk(const Slab& slab, const std::string& path,
                const std::string& title) {

@@ -10,16 +10,11 @@
 
 namespace slipflow::lbm {
 
-/// Render the slab's *owned* region as a STRUCTURED_POINTS dataset:
-/// one scalar field per component number density, the total mass density,
-/// and the mixture velocity vector field. The dataset origin encodes the
-/// slab's global x offset so per-rank files tile the domain. Returning
-/// the bytes (rather than streaming to disk) is what lets the async
-/// writer ship a snapshot off-thread while the timestep continues.
-std::string vtk_to_string(const Slab& slab,
-                          const std::string& title = "slipflow fields");
-
-/// vtk_to_string + write the bytes to `path` (synchronous).
+/// Write the slab's *owned* region to `path` as a STRUCTURED_POINTS
+/// dataset: one scalar field per component number density, the total
+/// mass density, and the mixture velocity vector field. The dataset
+/// origin encodes the slab's global x offset so per-rank files tile the
+/// domain.
 void write_vtk(const Slab& slab, const std::string& path,
                const std::string& title = "slipflow fields");
 

@@ -206,10 +206,6 @@ transport::LaunchConfig make_launch_config(const JobSpec& spec,
     lc.worker_command.push_back("--checkpoint-every=" +
                                 std::to_string(spec.checkpoint_every));
     lc.worker_command.push_back("--checkpoint-out=" + paths.checkpoint_prefix);
-    // Recovery seeds only from complete files: atomic publication is a
-    // sync-path property, so force --io=sync for checkpointing jobs.
-    lc.worker_command.push_back("--checkpoint-atomic");
-    lc.worker_command.push_back("--io=sync");
   }
   if (spec.fault_kill_rank >= 0 && spec.fault_kill_rank < spec.ranks &&
       spec.fault_kill_phase >= 0)

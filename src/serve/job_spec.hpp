@@ -98,10 +98,9 @@ struct JobPaths {
 
 /// Lower a spec to the launch configuration: worker argv (including the
 /// path-shaped flags from `paths`), supervision budgets, transport.
-/// When the spec requests recovery checkpoints the worker is forced to
-/// --io=sync --checkpoint-atomic: only the synchronous path publishes
-/// checkpoints via rename, and recovery must never seed from a torn
-/// file. Fault-injection fields become extra_args for the guilty rank.
+/// Recovery checkpoints need no extra flag: the runner publishes every
+/// checkpoint by rename, so recovery never seeds from a torn file.
+/// Fault-injection fields become extra_args for the guilty rank.
 transport::LaunchConfig make_launch_config(const JobSpec& spec,
                                            const std::string& worker_exe,
                                            const JobPaths& paths);

@@ -47,9 +47,9 @@ std::string error_json(const std::string& what) {
 }
 
 /// Newest complete recovery checkpoint `<prefix>.<P>.ckpt` in `dir`
-/// matching the spec's domain. Torn files cannot appear (checkpointing
-/// jobs publish via rename), but validate header + exact size anyway —
-/// the directory is also the tenant's, not only ours.
+/// matching the spec's domain. Torn files cannot appear (every
+/// checkpoint is published by rename), but validate header + exact size
+/// anyway — the directory is also the tenant's, not only ours.
 struct RecoveryCandidate {
   std::string path;
   long long phase = 0;

@@ -10,7 +10,6 @@
 #include "lbm/checkpoint.hpp"
 #include "lbm/observables.hpp"
 #include "lbm/vtk.hpp"
-#include "obs/async_writer.hpp"
 
 namespace slipflow::sim {
 
@@ -140,6 +139,12 @@ ParallelLbm::ParallelLbm(RunnerConfig cfg, transport::Communicator& comm)
     : cfg_(std::move(cfg)), comm_(comm) {
   SLIPFLOW_REQUIRE(cfg_.remap_interval >= 1);
   SLIPFLOW_REQUIRE(cfg_.threads >= 1);
+  const OutputOptions& out = cfg_.output;
+  SLIPFLOW_REQUIRE_MSG(
+      out.checkpoint_every <= 0 || !out.checkpoint_prefix.empty(),
+      "checkpoint_every needs a checkpoint_prefix");
+  SLIPFLOW_REQUIRE_MSG(out.vtk_every <= 0 || !out.vtk_prefix.empty(),
+                       "vtk_every needs a vtk_prefix");
   geom_ = make_geometry(cfg_);
   const auto [begin, mine] =
       initial_extent(cfg_.global.nx, comm_.size(), comm_.rank());
@@ -243,8 +248,7 @@ void ParallelLbm::run(int phases) {
       }
     }
 
-    // --- periodic output --- packs a snapshot and (by default) hands
-    // it to the background writer; the phase never blocks on disk.
+    // --- periodic output --- written inline, under the "io" span.
     if (cfg_.output.checkpoint_every > 0 || cfg_.output.vtk_every > 0)
       write_outputs();
   }
@@ -256,17 +260,6 @@ void ParallelLbm::run(int phases) {
       phases % cfg_.remap_interval == 0 &&
       comm_.allreduce_max(last_phase_moved ? 1.0 : 0.0) > 0.0)
     refresh_observables();
-  flush_output();
-  if (writer_ != nullptr) {
-    // Cumulative writer counters, as gauges so repeated run() calls
-    // overwrite instead of double-count.
-    const obs::AsyncWriterStats ws = writer_->stats();
-    prof_->set("time/io_async", ws.write_seconds);
-    prof_->set("io/bytes_queued", static_cast<double>(ws.bytes_queued));
-    prof_->set("io/bytes_written", static_cast<double>(ws.bytes_written));
-    prof_->set("io/jobs_written", static_cast<double>(ws.jobs_written));
-    prof_->set("io/submit_block_seconds", ws.submit_block_seconds);
-  }
   stats_.planes = slab_->nx_local();
   prof_->set("planes_end", static_cast<double>(slab_->nx_local()));
   prof_->set("phases_done", static_cast<double>(phases_done_));
@@ -486,33 +479,12 @@ void ParallelLbm::write_outputs() {
   if (!ckpt && !vtk) return;
   const double t0 = prof_->now();
   const std::string tag = std::to_string(phases_done_);
-  if (ckpt) {
-    const std::string path = out.checkpoint_prefix + "." + tag + ".ckpt";
-    if (out.async) {
-      save_checkpoint_async(path, phases_done_);
-    } else if (out.atomic_checkpoints) {
-      // save_checkpoint's final barrier guarantees every rank's planes
-      // are on disk before rank 0 publishes the file under its real
-      // name; readers (the server's recovery scan) only ever see
-      // complete checkpoints.
-      save_checkpoint(path + ".tmp", phases_done_);
-      if (comm_.rank() == 0 &&
-          std::rename((path + ".tmp").c_str(), path.c_str()) != 0)
-        throw transport::comm_error("cannot publish checkpoint " + path);
-    } else {
-      save_checkpoint(path, phases_done_);
-    }
-  }
-  if (vtk) {
-    const std::string path = out.vtk_prefix + "." + tag + ".r" +
-                             std::to_string(comm_.rank()) + ".vtk";
-    if (out.async) {
-      if (writer_ == nullptr) writer_ = std::make_unique<obs::AsyncWriter>();
-      writer_->submit_file(path, lbm::vtk_to_string(*slab_));
-    } else {
-      lbm::write_vtk(*slab_, path);
-    }
-  }
+  if (ckpt)
+    save_checkpoint(out.checkpoint_prefix + "." + tag + ".ckpt",
+                    phases_done_);
+  if (vtk)
+    lbm::write_vtk(*slab_, out.vtk_prefix + "." + tag + ".r" +
+                               std::to_string(comm_.rank()) + ".vtk");
   prof_->record_span("io", t0, prof_->now());
 }
 
@@ -538,7 +510,6 @@ void ParallelLbm::count_suppressed(balance::Suppressed why) {
 }
 
 void ParallelLbm::send_planes(int peer, lbm::Side side, long long k) {
-  const lbm::index_t pc = slab_->plane_cells();
   std::vector<double> msg(1 +
                           static_cast<std::size_t>(slab_->migration_doubles(k)));
   msg[0] = static_cast<double>(k);
@@ -548,7 +519,6 @@ void ParallelLbm::send_planes(int peer, lbm::Side side, long long k) {
     prof_->add("planes_sent", static_cast<double>(k));
     prof_->add("migration_bytes", 8.0 * static_cast<double>(msg.size()));
   }
-  (void)pc;
   comm_.send(peer, kTagPlanes, msg);
 }
 
@@ -840,13 +810,21 @@ std::vector<double> ParallelLbm::global_masses() {
 
 void ParallelLbm::save_checkpoint(const std::string& path, long long phase) {
   SLIPFLOW_REQUIRE_MSG(initialized_, "nothing to checkpoint yet");
+  // Recovery and the warm cache seed only from complete files, so the
+  // planes go to a sibling and the final name appears by rename: a crash
+  // mid-write leaves at worst a stale .tmp, never a torn `path`, and an
+  // old file under `path` is replaced rather than truncated in place.
+  const std::string tmp = path + ".tmp";
   if (comm_.rank() == 0) {
     lbm::begin_checkpoint(cfg_.global, slab_->num_components(), phase,
-                          slab_->migration_doubles(1), path);
+                          slab_->migration_doubles(1), tmp);
   }
   comm_.barrier();  // the file must exist before anyone writes planes
-  lbm::write_checkpoint_planes(*slab_, path);
-  comm_.barrier();  // and be complete before anyone reads it back
+  lbm::write_checkpoint_planes(*slab_, tmp);
+  comm_.barrier();  // every rank's planes are down before the publish
+  if (comm_.rank() == 0 && std::rename(tmp.c_str(), path.c_str()) != 0)
+    throw transport::comm_error("cannot publish checkpoint " + path);
+  comm_.barrier();  // and `path` is complete before anyone reads it back
 }
 
 long long ParallelLbm::load_checkpoint(const std::string& path) {
@@ -863,30 +841,6 @@ long long ParallelLbm::load_checkpoint(const std::string& path) {
   // attempts.
   phases_done_ = phase;
   return phase;
-}
-
-void ParallelLbm::save_checkpoint_async(const std::string& path,
-                                        long long phase) {
-  SLIPFLOW_REQUIRE_MSG(initialized_, "nothing to checkpoint yet");
-  if (comm_.rank() == 0) {
-    lbm::begin_checkpoint(cfg_.global, slab_->num_components(), phase,
-                          slab_->migration_doubles(1), path);
-  }
-  comm_.barrier();  // the file must exist before anyone queues planes
-  if (writer_ == nullptr) writer_ = std::make_unique<obs::AsyncWriter>();
-  // The owned planes are a contiguous x-range, so the whole payload is
-  // one positional write; a recycled buffer keeps this double-buffered.
-  std::vector<std::byte> bytes = writer_->take_buffer();
-  lbm::pack_checkpoint_planes(*slab_, bytes);
-  writer_->submit_pwrite(
-      path,
-      lbm::checkpoint_plane_offset(slab_->migration_doubles(1),
-                                   slab_->x_begin()),
-      std::move(bytes));
-}
-
-void ParallelLbm::flush_output() {
-  if (writer_ != nullptr) writer_->flush();
 }
 
 }  // namespace slipflow::sim

@@ -26,33 +26,21 @@
 #include "transport/communicator.hpp"
 #include "util/thread_pool.hpp"
 
-namespace slipflow::obs {
-class AsyncWriter;
-}
-
 namespace slipflow::sim {
 
-/// Periodic on-disk output of a running simulation. Disabled by default.
-/// With `async` set (the default), snapshots are packed on the phase
-/// thread and handed to a background obs::AsyncWriter, so no phase ever
-/// blocks on disk; bytes on disk are identical to the synchronous path.
+/// Periodic on-disk output of a running simulation, written inline from
+/// the phase loop. Disabled by default; a nonzero interval needs a
+/// non-empty prefix.
 struct OutputOptions {
   /// Phases between collective checkpoints (0 = never). Phase P writes
-  /// <checkpoint_prefix>.<P>.ckpt (all ranks, one file).
+  /// <checkpoint_prefix>.<P>.ckpt (all ranks, one file), published by
+  /// save_checkpoint's rename.
   int checkpoint_every = 0;
   std::string checkpoint_prefix;
   /// Phases between VTK snapshots (0 = never). Phase P, rank R writes
   /// <vtk_prefix>.<P>.r<R>.vtk (per-rank tiles; see lbm/vtk.hpp).
   int vtk_every = 0;
   std::string vtk_prefix;
-  /// false = write inline (synchronous), for contrast and debugging.
-  bool async = true;
-  /// Tear-proof periodic checkpoints (sync path only): planes go to
-  /// <path>.tmp and rank 0 renames after the completion barrier, so a
-  /// crash mid-write can never leave a full-sized file of half-written
-  /// planes under the final name. The campaign server requires this for
-  /// the checkpoints its crash recovery restarts from.
-  bool atomic_checkpoints = false;
 };
 
 struct RunnerConfig {
@@ -156,25 +144,18 @@ class ParallelLbm {
   /// run exactly even though its migration history differs. Collective.
   std::vector<double> global_masses();
 
-  /// Collective checkpoint: rank 0 creates the file, then every rank
-  /// writes its own plane range. Because the format is per-plane, the
+  /// Collective checkpoint, the one way any checkpoint reaches disk:
+  /// rank 0 creates <path>.tmp, every rank writes its own plane range
+  /// into it, and rank 0 renames it to `path` once all planes are down.
+  /// So `path` never names a torn file — an existing file there is
+  /// replaced, not rewritten in place — and on return it is complete
+  /// and visible on every rank. Because the format is per-plane, the
   /// checkpoint can later be restored on a *different* number of ranks.
   void save_checkpoint(const std::string& path, long long phase = 0);
 
   /// Collective restore: every rank loads the planes of its current
   /// extent. Counts as initialization. Returns the stored phase count.
   long long load_checkpoint(const std::string& path);
-
-  /// Like save_checkpoint, but the plane payload goes through the
-  /// background writer as one positional write (rank 0 still creates
-  /// the file synchronously, then a barrier). The file is complete only
-  /// after every rank's flush_output() — run() flushes at its end.
-  void save_checkpoint_async(const std::string& path, long long phase = 0);
-
-  /// Block until every queued async output is on disk; rethrows the
-  /// first writer error. run() calls this at its end; call it yourself
-  /// before reading an async-written file back mid-run.
-  void flush_output();
 
  private:
   class RingExchanger;
@@ -204,9 +185,9 @@ class ParallelLbm {
   void prime();
 
   /// Periodic checkpoint/VTK hook, run after the remap block of an
-  /// output phase under the "io" span. Reads the clock exactly twice in
-  /// both the async and sync paths, so enabling async never shifts the
-  /// injected-clock sequence the load balancer sees.
+  /// output phase under the "io" span. Reads the clock exactly twice and
+  /// never inside a timed stage, so the intervals the load balancer
+  /// measures are the same with output on or off.
   void write_outputs();
 
   /// Recompute the mixture observables (total density + macroscopic
@@ -261,7 +242,6 @@ class ParallelLbm {
   std::shared_ptr<const balance::RemapPolicy> policy_;
   std::unique_ptr<balance::NodeBalancer> balancer_;
   std::unique_ptr<obs::PhaseProfiler> prof_;
-  std::unique_ptr<obs::AsyncWriter> writer_;  ///< created on first async job
   RankStats stats_;
   double slowdown_factor_ = 0.0;
   double cells_updated_ = 0.0;  ///< fluid-cell updates, for the MLUPS gauge

@@ -61,7 +61,8 @@ class Simulation {
   int run_until_steady(int max_phases, double tolerance = 1e-8,
                        int check_interval = 50);
 
-  /// Write the full state to a restart file (see lbm/checkpoint.hpp).
+  /// Write the full state to a restart file (see lbm/checkpoint.hpp),
+  /// published by rename like every runner checkpoint.
   void save_checkpoint(const std::string& path) const {
     run_->save_checkpoint(path, run_->phase_count());
   }

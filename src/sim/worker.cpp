@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "lbm/kernels.hpp"
-#include "obs/async_writer.hpp"
 #include "obs/clock.hpp"
 #include "obs/metrics.hpp"
 #include "transport/shm_comm.hpp"
@@ -222,15 +221,6 @@ int worker_main(int argc, const char* const* argv) {
   cfg.output.checkpoint_prefix = opts.get("checkpoint-out", std::string{});
   cfg.output.vtk_every = static_cast<int>(opts.get("vtk-every", 0LL));
   cfg.output.vtk_prefix = opts.get("vtk-out", std::string{});
-  const std::string io = opts.get("io", std::string("async"));
-  if (io == "async") {
-    cfg.output.async = true;
-  } else if (io == "sync") {
-    cfg.output.async = false;
-  } else {
-    std::fprintf(stderr, "rank %d: unknown --io=%s\n", rank, io.c_str());
-    return 2;
-  }
 
   // --- job-spec mode (campaign server; see src/serve) ---
   // Resume/seed from a checkpoint, publish an equilibrated warm state,
@@ -240,7 +230,6 @@ int worker_main(int argc, const char* const* argv) {
   const std::string warm_out = opts.get("warm-checkpoint-out", std::string{});
   const long long stream_every = opts.get("stream-every", 0LL);
   const std::string stream_dir = opts.get("stream-dir", std::string{});
-  cfg.output.atomic_checkpoints = opts.get("checkpoint-atomic", false);
   const std::string obs_set_name =
       opts.get("observables", std::string("full"));
   ObservableSet obs_set = ObservableSet::full;
@@ -261,6 +250,15 @@ int worker_main(int argc, const char* const* argv) {
   if (stream_every > 0 && stream_dir.empty()) {
     std::fprintf(stderr, "rank %d: --stream-every needs --stream-dir\n",
                  rank);
+    return 2;
+  }
+  if (cfg.output.checkpoint_every > 0 && cfg.output.checkpoint_prefix.empty()) {
+    std::fprintf(stderr, "rank %d: --checkpoint-every needs --checkpoint-out\n",
+                 rank);
+    return 2;
+  }
+  if (cfg.output.vtk_every > 0 && cfg.output.vtk_prefix.empty()) {
+    std::fprintf(stderr, "rank %d: --vtk-every needs --vtk-out\n", rank);
     return 2;
   }
 
@@ -327,15 +325,10 @@ int worker_main(int argc, const char* const* argv) {
         next = std::min(next, (at / stream_every + 1) * stream_every);
       run.run(static_cast<int>(next - at));
       at = next;
-      if (!warm_out.empty() && at == warm_phases) {
-        // Published atomically: save_checkpoint's final barrier puts
-        // every rank's planes on disk before rank 0 renames, so the
-        // warm cache can never promote a torn equilibration state.
-        run.save_checkpoint(warm_out + ".tmp", at);
-        if (comm->rank() == 0 &&
-            std::rename((warm_out + ".tmp").c_str(), warm_out.c_str()) != 0)
-          throw transport::comm_error("cannot publish " + warm_out);
-      }
+      // save_checkpoint publishes by rename, so the warm cache can
+      // never promote a torn equilibration state.
+      if (!warm_out.empty() && at == warm_phases)
+        run.save_checkpoint(warm_out, at);
       if (stream_every > 0 && at % stream_every == 0 && at < phases)
         write_stream_fragment(run, *comm, at, stream_dir, trace_cursor);
     }
@@ -347,30 +340,15 @@ int worker_main(int argc, const char* const* argv) {
     if (socket_comm != nullptr) socket_comm->publish_stats();
     if (shm_comm != nullptr) shm_comm->publish_stats();
 
-    if (cfg.output.async) {
-      // Same background-writer path the runner uses for checkpoints/VTK;
-      // flush() below is the rendezvous before the final barrier.
-      obs::AsyncWriter writer;
-      if (!observables_out.empty() && comm->rank() == 0)
-        writer.submit_file(observables_out, observables);
-      if (!metrics_out.empty()) {
-        std::ostringstream csv;
-        reg.write_csv(csv);
-        writer.submit_file(metrics_out, std::move(csv).str());
-      }
-      writer.flush();
-    } else {
-      if (!observables_out.empty() && comm->rank() == 0) {
-        std::ofstream f(observables_out, std::ios::binary | std::ios::trunc);
-        if (!f)
-          throw transport::comm_error("cannot write " + observables_out);
-        f << observables;
-      }
-      if (!metrics_out.empty()) {
-        std::ofstream f(metrics_out, std::ios::binary | std::ios::trunc);
-        if (!f) throw transport::comm_error("cannot write " + metrics_out);
-        reg.write_csv(f);
-      }
+    if (!observables_out.empty() && comm->rank() == 0) {
+      std::ofstream f(observables_out, std::ios::binary | std::ios::trunc);
+      if (!f) throw transport::comm_error("cannot write " + observables_out);
+      f << observables;
+    }
+    if (!metrics_out.empty()) {
+      std::ofstream f(metrics_out, std::ios::binary | std::ios::trunc);
+      if (!f) throw transport::comm_error("cannot write " + metrics_out);
+      reg.write_csv(f);
     }
     // Final barrier so no rank tears down its endpoint while a peer is
     // still mid-collective.

@@ -18,6 +18,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/clock.hpp"
@@ -265,6 +266,26 @@ TEST(MultiProcess, WorkerRejectsUnknownFlags) {
       << res.diagnostic;
   EXPECT_NE(res.diagnostic.find("--phases"), std::string::npos)
       << res.diagnostic;
+}
+
+// An output interval without its prefix would write hidden files into
+// the working directory; the worker names the missing flag instead.
+TEST(MultiProcess, WorkerRejectsOutputIntervalWithoutPrefix) {
+  for (const auto& [interval, needed] :
+       {std::pair<std::string, std::string>{"--checkpoint-every=5",
+                                            "--checkpoint-out"},
+        {"--vtk-every=5", "--vtk-out"}}) {
+    transport::LaunchConfig lc;
+    lc.ranks = 1;
+    lc.worker_command = {SLIPFLOW_WORKER_EXE, "--phases=10", interval};
+    lc.wall_clock_timeout = 20.0;
+    const transport::LaunchResult res = transport::launch_workers(lc);
+    EXPECT_FALSE(res.ok) << interval;
+    EXPECT_NE(res.diagnostic.find("exited with code 2"), std::string::npos)
+        << res.diagnostic;
+    EXPECT_NE(res.diagnostic.find(needed), std::string::npos)
+        << res.diagnostic;
+  }
 }
 
 // The same flag hygiene holds for the launcher-side binaries: every

@@ -188,10 +188,16 @@ TEST(Serve, MakeLaunchConfigLowersSpec) {
   EXPECT_TRUE(has("--wall-accel=0.2"));
   EXPECT_TRUE(has("--gravity=2e-05"));
   EXPECT_TRUE(has("--observables=physics"));
-  // Checkpointing jobs are forced onto the atomic sync path: recovery
-  // must never seed from a torn file.
-  EXPECT_TRUE(has("--checkpoint-atomic"));
-  EXPECT_TRUE(has("--io=sync"));
+  // Checkpointing adds exactly its interval and prefix to the argv: no
+  // output-path flag rides along, because the runner publishes every
+  // checkpoint by rename (pinned by Output.CheckpointReplacesNotRewrites).
+  JobSpec plain = s;
+  plain.checkpoint_every = 0;
+  std::vector<std::string> expected =
+      serve::make_launch_config(plain, "worker", paths).worker_command;
+  expected.push_back("--checkpoint-every=5");
+  expected.push_back("--checkpoint-out=/tmp/ck");
+  EXPECT_EQ(lc.worker_command, expected);
   // The injected fault reaches only the guilty rank's argv.
   ASSERT_EQ(lc.extra_args.count(1), 1u);
   EXPECT_EQ(lc.extra_args.at(1).front(), "--fault-kill-phase=12");

@@ -7,7 +7,8 @@
 #      sweep plus a chaos job whose rank 1 is killed mid-run by fault
 #      injection;
 #   3. assert the killed job recovers from its checkpoint (attempt 2,
-#      guilty rank named in the event stream) and completes;
+#      guilty rank named in the event stream, resumed at phase 10) and
+#      completes;
 #   4. assert every served result is byte-identical to a direct
 #      standalone run of the same spec (slipflow_submit --direct — the
 #      same argv builder, so a diff means the service moved the physics);
@@ -89,6 +90,10 @@ grep -q '"event":"failure"' "$WORK/fault.log" || fail "no failure event streamed
 grep -q '"failed_rank":1' "$WORK/fault.log" || fail "failure event did not name rank 1"
 grep -q '"event":"recovery"' "$WORK/fault.log" || fail "no recovery event streamed"
 grep -q 'attempts 2' "$WORK/fault.log" || fail "recovered job should report attempts 2"
+# Checkpoints every 5 phases, rank killed at phase 12: recovery must seed
+# from the phase-10 checkpoint. A silent restart from phase 0 gives the
+# same bytes, so only the event stream can tell the two apart.
+grep -q '"resume_phase":10' "$WORK/fault.log" || fail "recovery did not resume from the phase-10 checkpoint"
 
 # --- 4. byte-identity against direct standalone runs -------------------
 # direct/ is not created first: --out-dir must make it, as the README's
