@@ -1,14 +1,15 @@
 #pragma once
 /// \file policy.hpp
 /// Remapping decision policies (Section 3) as pure functions of load
-/// information, so that the exact same code drives both the real
-/// thread-parallel LBM runner and the virtual-cluster performance model.
+/// information, so that the exact same code drives both the real LBM
+/// runner (over its thread, socket and shm transports) and the
+/// virtual-cluster performance model.
 ///
 /// Local policies look at the (left, me, right) triplet; the global
-/// policy looks at every node. The runners are responsible for the
-/// corresponding communication (neighbor exchange vs allgather), for
-/// conflict resolution between adjacent triplets, and for quantizing
-/// transfers to whole yz-planes.
+/// policy looks at every node. Conflict resolution between adjacent
+/// triplets and quantizing transfers to whole yz-planes live in
+/// remapper.hpp; the runners only carry the corresponding communication
+/// (neighbor exchange vs allgather).
 
 #include <memory>
 #include <optional>

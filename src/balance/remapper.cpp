@@ -52,7 +52,9 @@ bool pays_for_itself(double saving_per_phase, const MigrationCost& cost) {
 Proposal NodeBalancer::decide(const std::optional<NodeLoad>& left,
                               long long my_points,
                               const std::optional<NodeLoad>& right,
-                              const MigrationCost& cost) const {
+                              const MigrationCost& cost,
+                              double* charge) const {
+  if (charge != nullptr) *charge = 0.0;
   if (!ready()) return {};
   const NodeLoad me = self_load(my_points);
   Proposal p = policy_->decide(left, me, right, cfg_);
@@ -72,12 +74,69 @@ Proposal NodeBalancer::decide(const std::optional<NodeLoad>& left,
   };
   ship(left, p.to_left);
   ship(right, p.to_right);
-  if (loads.size() == 1 ||
-      pays_for_itself(predicted_saving(loads, after),
-                      {cost.seconds + receiver_cost, cost.horizon_phases}))
-    return p;
-  p.drop(Suppressed::cost);
+  if (loads.size() == 1) return p;
+  const MigrationCost charged{cost.seconds + receiver_cost,
+                              cost.horizon_phases};
+  if (charge != nullptr) *charge = charged.seconds;
+  if (!pays_for_itself(predicted_saving(loads, after), charged))
+    p.drop(Suppressed::cost);
   return p;
+}
+
+Proposal NodeBalancer::propose(const std::optional<NodeLoad>& left,
+                               long long my_points,
+                               const std::optional<NodeLoad>& right,
+                               const MigrationCost& cost) {
+  double charge = 0.0;
+  Proposal p = decide(left, my_points, right, cost, &charge);
+  const bool pays = p.to_left + p.to_right > 0;
+  if (charge > 0.0 && !paid_) p.drop(Suppressed::cost);
+  paid_ = pays;
+  return p;
+}
+
+GlobalPlan NodeBalancer::plan_global(
+    std::span<const std::optional<NodeLoad>> all, long long plane_cells,
+    int horizon_phases) {
+  GlobalPlan out;
+  std::vector<NodeLoad> loads;
+  std::vector<long long> current, planes;
+  for (const std::optional<NodeLoad>& load : all) {
+    if (!load) return out;  // someone's window is not full yet
+    loads.push_back(*load);
+    current.push_back(static_cast<long long>(load->points));
+    planes.push_back(current.back() / plane_cells);
+  }
+  const long long min_t = cfg_.min_transfer_points;
+  const std::vector<long long> flows =
+      boundary_flows(current, policy_->decide_global(loads, cfg_));
+  for (std::size_t b = 0; b < flows.size(); ++b)
+    if (flows[b] != 0 && std::llabs(flows[b]) < min_t)
+      out.suppressed.emplace_back(static_cast<int>(flows[b] > 0 ? b : b + 1),
+                                  Suppressed::threshold);
+  std::vector<Transfer> plan =
+      plan_transfers(flows, plane_cells, min_t, planes);
+  double charge = 0.0;
+  for (const Transfer& tr : plan)
+    charge = std::max(
+        charge, loads[static_cast<std::size_t>(tr.donor)].migration_seconds +
+                    loads[static_cast<std::size_t>(tr.receiver)]
+                        .migration_seconds);
+  std::vector<double> after;
+  for (const long long n : planes)
+    after.push_back(static_cast<double>(n * plane_cells));
+  const bool pays =
+      !plan.empty() && pays_for_itself(predicted_saving(loads, after),
+                                       {charge, horizon_phases});
+  if (!pays || (charge > 0.0 && !paid_)) {
+    paid_ = pays;
+    for (const Transfer& tr : plan)
+      out.suppressed.emplace_back(tr.donor, Suppressed::cost);
+    return out;
+  }
+  paid_ = false;
+  out.transfers = std::move(plan);
+  return out;
 }
 
 long long quantize_flow_to_planes(long long net_points, long long plane_cells,
@@ -126,6 +185,26 @@ std::vector<Transfer> plan_transfers(const std::vector<long long>& flows,
         {static_cast<int>(donor), static_cast<int>(receiver), k});
   }
   return plan;
+}
+
+LocalMoves clamp_donor(long long net_left, long long net_right,
+                       long long plane_cells, long long planes) {
+  LocalMoves out{net_left, net_right, 0, 0};
+  if (net_left < 0)
+    out.ship_left = -quantize_flow_to_planes(net_left, plane_cells, planes);
+  if (net_right > 0)
+    out.ship_right = quantize_flow_to_planes(net_right, plane_cells,
+                                             planes - out.ship_left);
+  return out;
+}
+
+LocalMoves settle_local(const Proposal& mine, long long from_left,
+                        long long from_right, long long min_transfer_points,
+                        long long plane_cells, long long planes) {
+  return clamp_donor(
+      resolve_pair(from_left, mine.to_left, min_transfer_points),
+      resolve_pair(mine.to_right, from_right, min_transfer_points),
+      plane_cells, planes);
 }
 
 }  // namespace slipflow::balance

@@ -66,7 +66,6 @@ double ClusterSim::sequential_time(int phases) const {
 
 void ClusterSim::exchange(std::vector<double>& t, double bytes_per_cell,
                           std::vector<NodeProfile>& prof,
-                          std::vector<double>* comm_into,
                           const char* span_name) {
   const int n = cfg_.nodes;
   const double bytes = bytes_per_cell * static_cast<double>(cfg_.plane_cells);
@@ -78,9 +77,7 @@ void ClusterSim::exchange(std::vector<double>& t, double bytes_per_cell,
   for (int i = 0; i < n; ++i) {
     const auto ui = static_cast<std::size_t>(i);
     send_done[ui] = nodes_[ui].finish_time(t[ui], cfg_.net.msg_cpu);
-    const double d = send_done[ui] - t[ui];
-    prof[ui].comm += d;
-    if (comm_into) (*comm_into)[ui] += d;
+    prof[ui].comm += send_done[ui] - t[ui];
     t[ui] = send_done[ui];
   }
 
@@ -106,9 +103,7 @@ void ClusterSim::exchange(std::vector<double>& t, double bytes_per_cell,
       if (share < 1.0)
         done += cfg_.net.sched_quantum * (1.0 / share - 1.0);
     }
-    const double d = done - t[ui];
-    prof[ui].comm += d;
-    if (comm_into) (*comm_into)[ui] += d;
+    prof[ui].comm += done - t[ui];
     ready[ui] = done;
   }
   t = ready;
@@ -153,7 +148,7 @@ void ClusterSim::execute_transfer(int donor, int recv, long long k,
 void ClusterSim::remap_local(std::vector<double>& t,
                              std::vector<long long>& planes,
                              std::vector<balance::NodeBalancer>& bal,
-                             SimResult& res) {
+                             const Loads& loads, SimResult& res) {
   const int n = cfg_.nodes;
   const long long pc = cfg_.plane_cells;
 
@@ -170,45 +165,34 @@ void ClusterSim::remap_local(std::vector<double>& t,
   }
   t = synced;
 
-  // Decisions from the pre-transfer snapshot (as in the real protocol).
-  std::vector<std::optional<balance::NodeLoad>> loads(
-      static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    const auto ui = static_cast<std::size_t>(i);
-    if (bal[ui].ready()) loads[ui] = bal[ui].self_load(planes[ui] * pc);
-  }
+  // The runner's decision steps at zero cost, from the pre-transfer
+  // snapshot; node order, left side first, is boundary order.
   std::vector<balance::Proposal> props(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     const auto ui = static_cast<std::size_t>(i);
-    if (!loads[ui]) continue;
-    const auto& left =
-        i > 0 ? loads[static_cast<std::size_t>(i - 1)] : std::nullopt;
-    const auto& right =
-        i + 1 < n ? loads[static_cast<std::size_t>(i + 1)] : std::nullopt;
-    props[ui] = bal[ui].decide(left, planes[ui] * pc, right);
+    props[ui] = bal[ui].propose(i > 0 ? loads[ui - 1] : std::nullopt,
+                                planes[ui] * pc,
+                                i + 1 < n ? loads[ui + 1] : std::nullopt);
   }
-
-  // Conflict resolution and plane-quantized execution per boundary.
-  for (int b = 0; b + 1 < n; ++b) {
-    const auto ub = static_cast<std::size_t>(b);
-    const long long net = balance::resolve_pair(
-        props[ub].to_right, props[ub + 1].to_left,
-        cfg_.balance.min_transfer_points);
-    if (net == 0) continue;
-    const int donor = net > 0 ? b : b + 1;
-    const long long k = std::llabs(balance::quantize_flow_to_planes(
-        net, pc, planes[static_cast<std::size_t>(donor)]));
-    if (k == 0) continue;
-    execute_transfer(donor, net > 0 ? b + 1 : b, k, t, planes, res);
+  const std::vector<long long> at_check(planes);
+  for (int i = 0; i < n; ++i) {
+    const auto ui = static_cast<std::size_t>(i);
+    const balance::LocalMoves mv = balance::settle_local(
+        props[ui], i > 0 ? props[ui - 1].to_right : 0,
+        i + 1 < n ? props[ui + 1].to_left : 0,
+        cfg_.balance.min_transfer_points, pc, at_check[ui]);
+    if (mv.ship_left > 0)
+      execute_transfer(i, i - 1, mv.ship_left, t, planes, res);
+    if (mv.ship_right > 0)
+      execute_transfer(i, i + 1, mv.ship_right, t, planes, res);
   }
 }
 
 void ClusterSim::remap_global(std::vector<double>& t,
                               std::vector<long long>& planes,
                               std::vector<balance::NodeBalancer>& bal,
-                              SimResult& res) {
+                              const Loads& loads, SimResult& res) {
   const int n = cfg_.nodes;
-  const long long pc = cfg_.plane_cells;
 
   // Allgather of load indexes: every node first spends (share-scaled)
   // CPU contributing, then all synchronize on the slowest, plus a
@@ -244,22 +228,9 @@ void ClusterSim::remap_global(std::vector<double>& t,
     t[ui] = sync;
   }
 
-  std::vector<balance::NodeLoad> loads;
-  loads.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    const auto ui = static_cast<std::size_t>(i);
-    if (!bal[ui].ready()) return;  // whole cluster waits for full windows
-    loads.push_back(bal[ui].self_load(planes[ui] * pc));
-  }
-  std::vector<long long> current(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i)
-    current[static_cast<std::size_t>(i)] = planes[static_cast<std::size_t>(i)] * pc;
-  const std::vector<long long> target =
-      policy_->decide_global(loads, cfg_.balance);
-  std::vector<long long> after = planes;
-  for (const balance::Transfer& tr : balance::plan_transfers(
-           balance::boundary_flows(current, target), pc,
-           cfg_.balance.min_transfer_points, after))
+  // Every node computes the same plan; node 0's balancer stands for all.
+  for (const balance::Transfer& tr :
+       bal.front().plan_global(loads, cfg_.plane_cells).transfers)
     execute_transfer(tr.donor, tr.receiver, tr.planes, t, planes, res);
 }
 
@@ -299,9 +270,9 @@ SimResult ClusterSim::run(int phases) {
     };
 
     stage(cfg_.stage_fraction[0], "collide");
-    exchange(t, cfg_.f_halo_bytes_per_cell, res.profile, nullptr, "halo_f");
+    exchange(t, cfg_.f_halo_bytes_per_cell, res.profile, "halo_f");
     stage(cfg_.stage_fraction[1], "stream_density");
-    exchange(t, cfg_.density_halo_bytes_per_cell, res.profile, nullptr,
+    exchange(t, cfg_.density_halo_bytes_per_cell, res.profile,
              "halo_density");
     stage(cfg_.stage_fraction[2], "force_velocity");
 
@@ -313,10 +284,15 @@ SimResult ClusterSim::run(int phases) {
 
     if (remapping && phase % cfg_.remap_interval == 0) {
       const std::vector<double> t_in(t);
+      Loads loads(static_cast<std::size_t>(n));  // nullopt: window not full
+      for (int i = 0; i < n; ++i) {
+        const auto ui = static_cast<std::size_t>(i);
+        if (bal[ui].ready()) loads[ui] = bal[ui].self_load(planes[ui] * pc);
+      }
       if (policy_->global())
-        remap_global(t, planes, bal, res);
+        remap_global(t, planes, bal, loads, res);
       else
-        remap_local(t, planes, bal, res);
+        remap_local(t, planes, bal, loads, res);
       for (int i = 0; i < n; ++i) {
         const auto ui = static_cast<std::size_t>(i);
         // span() folds the duration into the "time/remap" counter

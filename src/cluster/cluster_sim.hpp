@@ -14,11 +14,13 @@
 /// effect — a slow node delaying nodes k hops away after k exchanges —
 /// emerges rather than being assumed.
 ///
-/// The remapping policies are the *same* balance:: objects the real
-/// thread-parallel runner uses.
+/// Every remapping decision comes from the balance:: steps the real
+/// runner (over thread, socket and shm transports) calls; only the
+/// transport differs, charged here in virtual time.
 
 #include <array>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "balance/remapper.hpp"
@@ -87,7 +89,7 @@ class ClusterSim {
   /// Attach a metrics sink (one shard per node, ranks() >= nodes).
   /// run() then records every stage / halo / remap span in *virtual*
   /// seconds — deterministically, so identical runs export identical
-  /// bytes — using the same stage names as the thread-parallel runner
+  /// bytes — using the same stage names as the real runner
   /// (see DESIGN.md "Observability"). Metrics accumulate across run()
   /// calls; pass nullptr to detach.
   void attach_metrics(obs::MetricsRegistry* metrics);
@@ -105,16 +107,18 @@ class ClusterSim {
   static std::vector<long long> even_planes(long long total, int nodes);
 
  private:
-  struct ExchangeKind;
   void exchange(std::vector<double>& t, double bytes_per_cell,
-                std::vector<NodeProfile>& prof,
-                std::vector<double>* comm_into, const char* span_name);
+                std::vector<NodeProfile>& prof, const char* span_name);
   void span(int node, const char* name, double begin, double end);
   void count(int node, const char* name, double delta);
+  /// Every node's load at a remap check; nullopt until its window fills.
+  using Loads = std::vector<std::optional<balance::NodeLoad>>;
   void remap_local(std::vector<double>& t, std::vector<long long>& planes,
-                   std::vector<balance::NodeBalancer>& bal, SimResult& res);
+                   std::vector<balance::NodeBalancer>& bal, const Loads& loads,
+                   SimResult& res);
   void remap_global(std::vector<double>& t, std::vector<long long>& planes,
-                    std::vector<balance::NodeBalancer>& bal, SimResult& res);
+                    std::vector<balance::NodeBalancer>& bal,
+                    const Loads& loads, SimResult& res);
   void execute_transfer(int donor, int recv, long long k,
                         std::vector<double>& t,
                         std::vector<long long>& planes, SimResult& res);

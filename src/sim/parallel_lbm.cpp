@@ -32,20 +32,23 @@ double halo_exchange_bytes(lbm::index_t doubles_per_message) {
          static_cast<double>(doubles_per_message);
 }
 
-/// The second half of the remap cost gate. A CPU contention episode on a
-/// shared host slows one rank 2-3x for a few milliseconds — one remap
-/// check of a sub-millisecond-phase run — and looks exactly like a slow
-/// node there, but a move made on it is never paid back. So a transfer
-/// that pays for itself now (`pays`) ships only if the gate also passed
-/// at the previous check. The receiver, the faster end, failed its own
-/// gate toward the donor at the shipping check, so it cannot ship planes
-/// back at the next one: a transfer stands for at least kGateIntervals
-/// remap intervals, the horizon its saving is counted over.
-constexpr int kGateIntervals = 2;
-bool persists(bool pays, bool& paid_before) {
-  const bool ship = pays && paid_before;
-  paid_before = pays;
-  return ship;
+/// The count heading a remap frame from `peer` (a proposal's points, a
+/// transfer's planes). Peer frames are untrusted: unless the count is an
+/// integer in [0, limit) and the frame holds 1 + doubles_per_count x
+/// count doubles, throw comm_error naming the peer and the message.
+long long decode_count(std::span<const double> frame, int peer,
+                       const char* what, long long limit,
+                       long long doubles_per_count) {
+  const double k = frame.empty() ? -1.0 : frame[0];
+  if (std::isfinite(k) && k >= 0.0 && k < static_cast<double>(limit) &&
+      k == std::floor(k) &&
+      frame.size() == static_cast<std::size_t>(
+                          1 + doubles_per_count * static_cast<long long>(k)))
+    return static_cast<long long>(k);
+  throw transport::comm_error(
+      "remap " + std::string(what) + " from peer " + std::to_string(peer) +
+      ": malformed frame of " + std::to_string(frame.size()) +
+      " doubles, count " + (frame.empty() ? "missing" : std::to_string(k)));
 }
 }  // namespace
 
@@ -221,11 +224,13 @@ void ParallelLbm::run(int phases) {
 
     // --- lattice point remapping --- (lines 20-32)
     last_phase_moved = false;
-    if (cfg_.policy != "none" && p % cfg_.remap_interval == 0) {
+    if (cfg_.policy != "none" && phases_done_ % cfg_.remap_interval == 0) {
       const long long moved_before =
           stats_.planes_sent + stats_.planes_received;
+      prof_->set("remap/migration_cost_seconds", migration_cost_);
       const double r0 = prof_->now();
-      const double transfers = remap_step();
+      const double transfers =
+          policy_->global() ? remap_global() : remap_local();
       const double r1 = prof_->now();
       // record_span folds the duration into the "time/remap" counter
       prof_->record_span("remap", r0, r1);
@@ -257,7 +262,7 @@ void ParallelLbm::run(int phases) {
   // rank knows whether the last phase was a remap check, so the
   // agreement collective runs on all ranks or on none.
   if (phases > 0 && cfg_.policy != "none" &&
-      phases % cfg_.remap_interval == 0 &&
+      phases_done_ % cfg_.remap_interval == 0 &&
       comm_.allreduce_max(last_phase_moved ? 1.0 : 0.0) > 0.0)
     refresh_observables();
   stats_.planes = slab_->nx_local();
@@ -488,11 +493,6 @@ void ParallelLbm::write_outputs() {
   prof_->record_span("io", t0, prof_->now());
 }
 
-double ParallelLbm::remap_step() {
-  prof_->set("remap/migration_cost_seconds", migration_cost_);
-  return policy_->global() ? remap_global() : remap_local();
-}
-
 void ParallelLbm::count_suppressed(balance::Suppressed why) {
   switch (why) {
     case balance::Suppressed::none:
@@ -524,8 +524,8 @@ void ParallelLbm::send_planes(int peer, lbm::Side side, long long k) {
 
 void ParallelLbm::recv_planes(int peer, lbm::Side side) {
   const std::vector<double> msg = comm_.recv(peer, kTagPlanes);
-  SLIPFLOW_REQUIRE(!msg.empty());
-  const auto k = static_cast<long long>(msg[0]);
+  const long long k = decode_count(msg, peer, "planes", cfg_.global.nx,
+                                   slab_->migration_doubles(1));
   if (k > 0) {
     slab_->attach_planes(side, k,
                          std::span<const double>(msg).subspan(1));
@@ -550,9 +550,6 @@ std::optional<balance::NodeLoad> ParallelLbm::load_of(
 }
 
 double ParallelLbm::remap_local() {
-  const lbm::index_t pc = slab_->plane_cells();
-  const long long my_points = slab_->owned_cells();
-
   // 1. Exchange load infos with chain neighbors.
   const LoadInfo info = load_info();
   const int ln = left_neighbor();
@@ -565,11 +562,9 @@ double ParallelLbm::remap_local() {
 
   // 2. Local decision, cost-gated on this rank's side before anything is
   //    exchanged, then proposals cross each boundary.
-  balance::Proposal prop = balancer_->decide(
-      left, my_points, right,
-      {migration_cost_, kGateIntervals * cfg_.remap_interval});
-  if (!persists(prop.to_left + prop.to_right > 0, proposal_paid_))
-    prop.drop(balance::Suppressed::cost);
+  const balance::Proposal prop = balancer_->propose(
+      left, slab_->owned_cells(), right,
+      {migration_cost_, balance::kGateIntervals * cfg_.remap_interval});
   count_suppressed(prop.left_why);
   count_suppressed(prop.right_why);
   if (ln >= 0) {
@@ -580,114 +575,52 @@ double ParallelLbm::remap_local() {
     const double v = static_cast<double>(prop.to_right);
     comm_.send(rn, kTagProposal, std::span<const double>(&v, 1));
   }
-  long long left_to_me = 0, right_to_me = 0;
-  if (ln >= 0)
-    left_to_me = static_cast<long long>(comm_.recv(ln, kTagProposal)[0]);
-  if (rn >= 0)
-    right_to_me = static_cast<long long>(comm_.recv(rn, kTagProposal)[0]);
+  const long long max_points = cfg_.global.nx * slab_->plane_cells();
+  const auto proposal_from = [&](int peer) {
+    return decode_count(comm_.recv(peer, kTagProposal), peer, "proposal",
+                        max_points, 0);
+  };
+  const long long left_to_me = ln >= 0 ? proposal_from(ln) : 0;
+  const long long right_to_me = rn >= 0 ? proposal_from(rn) : 0;
 
-  // 3. Conflict resolution per boundary (both sides compute the same
-  //    net), then donor-clamped plane transfers. The header carries the
-  //    actual k, so clamping never needs cross-rank agreement.
-  const long long min_t = cfg_.balance.min_transfer_points;
-  const long long net_right =
-      rn >= 0 ? balance::resolve_pair(prop.to_right, right_to_me, min_t) : 0;
-  const long long net_left =
-      ln >= 0 ? balance::resolve_pair(left_to_me, prop.to_left, min_t) : 0;
-  // net_left > 0 means the left node ships to me (its rightward flow).
-  if (net_right == 0 && net_left == 0) return 0.0;
-
-  // All sends first (buffered), then receives — deadlock-free.
+  // 3. Both sides of a boundary agree on its net; the donor clamps on
+  //    its own (the header carries the actual k). All sends first
+  //    (buffered), then receives — deadlock-free.
+  const balance::LocalMoves mv = balance::settle_local(
+      prop, left_to_me, right_to_me, cfg_.balance.min_transfer_points,
+      slab_->plane_cells(), slab_->nx_local());
+  if (mv.net_left == 0 && mv.net_right == 0) return 0.0;
   const double t0 = prof_->now();
-  long long avail = slab_->nx_local();
-  if (net_right > 0) {
-    const long long k = balance::quantize_flow_to_planes(net_right, pc, avail);
-    avail -= k;
-    send_planes(rn, lbm::Side::right, k);
-  }
-  if (net_left < 0) {
-    const long long k =
-        std::llabs(balance::quantize_flow_to_planes(net_left, pc, avail));
-    send_planes(ln, lbm::Side::left, k);
-  }
-  if (net_right < 0) recv_planes(rn, lbm::Side::right);
-  if (net_left > 0) recv_planes(ln, lbm::Side::left);
+  if (mv.net_right > 0) send_planes(rn, lbm::Side::right, mv.ship_right);
+  if (mv.net_left < 0) send_planes(ln, lbm::Side::left, mv.ship_left);
+  if (mv.net_right < 0) recv_planes(rn, lbm::Side::right);
+  if (mv.net_left > 0) recv_planes(ln, lbm::Side::left);
   return prof_->now() - t0;
 }
 
 double ParallelLbm::remap_global() {
-  const lbm::index_t pc = slab_->plane_cells();
   const std::vector<double> all = comm_.allgather(load_info());
-
-  const int n = comm_.size();
   constexpr std::size_t kInfo = std::tuple_size_v<LoadInfo>;
-  std::vector<balance::NodeLoad> loads;
-  std::vector<long long> current;
-  loads.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    const auto load = load_of(std::span(all).subspan(
-        kInfo * static_cast<std::size_t>(i), kInfo));
-    if (!load) return 0.0;  // someone's window not full yet
-    loads.push_back(*load);
-    current.push_back(static_cast<long long>(load->points));
-  }
-  const std::vector<long long> target =
-      policy_->decide_global(loads, cfg_.balance);
-  const std::vector<long long> flows =
-      balance::boundary_flows(current, target);
-
-  // Every rank deterministically simulates the clamped execution plan.
+  std::vector<std::optional<balance::NodeLoad>> loads;
+  for (std::size_t o = 0; o < all.size(); o += kInfo)
+    loads.push_back(load_of(std::span(all).subspan(o, kInfo)));
+  // Every rank plans the same transfers from the allgathered inputs.
+  const balance::GlobalPlan plan = balancer_->plan_global(
+      loads, slab_->plane_cells(),
+      balance::kGateIntervals * cfg_.remap_interval);
   const int me = comm_.rank();
-  for (int b = 0; b + 1 < n; ++b) {
-    const long long f = flows[static_cast<std::size_t>(b)];
-    if (f != 0 && std::llabs(f) < cfg_.balance.min_transfer_points &&
-        (f > 0 ? b : b + 1) == me)
-      count_suppressed(balance::Suppressed::threshold);
-  }
-  std::vector<long long> planes(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i)
-    planes[static_cast<std::size_t>(i)] =
-        current[static_cast<std::size_t>(i)] / pc;
-  const std::vector<balance::Transfer> plan = balance::plan_transfers(
-      flows, pc, cfg_.balance.min_transfer_points, planes);
-  if (plan.empty()) {
-    plan_paid_ = false;
-    return 0.0;
-  }
-
-  // The cost gate on the whole plan, from allgathered inputs only, so
-  // every rank reaches the same verdict. Each transfer costs its donor's
-  // plus its receiver's migration (see balance::MigrationCost); the next
-  // phase waits for the dearest.
-  const auto cost_of = [&](int r) {
-    return loads[static_cast<std::size_t>(r)].migration_seconds;
-  };
-  double cost = 0.0;
-  for (const balance::Transfer& tr : plan)
-    cost = std::max(cost, cost_of(tr.donor) + cost_of(tr.receiver));
-  std::vector<double> after(static_cast<std::size_t>(n));
-  for (std::size_t i = 0; i < after.size(); ++i)
-    after[i] = static_cast<double>(planes[i] * pc);
-  const bool pays = balance::pays_for_itself(
-      balance::predicted_saving(loads, after),
-      {cost, kGateIntervals * cfg_.remap_interval});
-  if (!persists(pays, plan_paid_)) {
-    for (const balance::Transfer& tr : plan)
-      if (tr.donor == me) count_suppressed(balance::Suppressed::cost);
-    return 0.0;
-  }
-  // Any plan may reverse this one, so the next must pass twice afresh:
-  // this plan, too, stands for kGateIntervals intervals.
-  plan_paid_ = false;
+  for (const auto& [donor, why] : plan.suppressed)
+    if (donor == me) count_suppressed(why);
+  if (plan.transfers.empty()) return 0.0;
 
   const double t0 = prof_->now();
-  for (const balance::Transfer& tr : plan) {
+  for (const balance::Transfer& tr : plan.transfers) {
     if (tr.donor != me) continue;
     send_planes(tr.receiver,
                 tr.receiver > me ? lbm::Side::right : lbm::Side::left,
                 tr.planes);
   }
-  for (const balance::Transfer& tr : plan) {
+  for (const balance::Transfer& tr : plan.transfers) {
     if (tr.receiver != me) continue;
     recv_planes(tr.donor, tr.donor > me ? lbm::Side::right : lbm::Side::left);
   }

@@ -105,7 +105,9 @@ class ParallelLbm {
                       init_density);
   void initialize_uniform();
 
-  /// Advance `phases` phases, remapping on the configured interval.
+  /// Advance `phases` phases, remapping after every phase whose count
+  /// (phase_count()) is a multiple of the configured interval, so a run
+  /// split into several calls checks on the same phases as one call.
   void run(int phases);
 
   const lbm::Slab& slab() const { return *slab_; }
@@ -201,13 +203,9 @@ class ParallelLbm {
   /// inputs, same kernel, same order).
   void refresh_observables();
 
-  /// One remapping check. Both protocols ship a transfer only when its
-  /// predicted saving over the phases it is guaranteed to stand (two
-  /// remap intervals) exceeds the migration cost of both ends, at this
-  /// check and the previous one (DESIGN.md
-  /// "Key algorithms").
-  /// Returns the time this rank spent transferring planes (0 if none).
-  double remap_step();
+  /// One remapping check: this rank's messages around the balance::
+  /// decision steps (DESIGN.md "Key algorithms"). Returns the time this
+  /// rank spent transferring planes (0 if none).
   double remap_local();
   double remap_global();
   /// What a rank tells the others at a remap check: (points, predicted
@@ -252,10 +250,6 @@ class ParallelLbm {
   /// then the transfer + rebuild time of its latest migration.
   double migration_cost_ = 0.0;
   bool migration_measured_ = false;
-  /// Whether the cost gate passed at the previous remap check, for this
-  /// rank's proposal (local policies) or the whole plan (global); see
-  /// persists() in the source.
-  bool proposal_paid_ = false, plan_paid_ = false;
 
   // Per-lane cell counts and the interior/halo-wait split feed the
   // thread/<t>/cells_updated counters and the overlap_efficiency gauge

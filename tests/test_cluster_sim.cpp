@@ -4,9 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <numeric>
 
 #include "cluster/cluster_sim.hpp"
+#include "cluster/load_generator.hpp"
 #include "cluster/scenario.hpp"
 
 using namespace slipflow::cluster;
@@ -244,4 +247,23 @@ TEST(ClusterSim, Fig09VirtualResultsArePinned) {
     EXPECT_EQ(r.makespan, g.makespan) << g.policy;
     EXPECT_EQ(r.planes_moved, g.planes_moved) << g.policy;
   }
+}
+
+// Canary for the donor clamp: fig09's one slow node never receives and
+// ships in the same check, but under trace-driven load on every node a
+// donor does. Pins seed 1 of ablation_trace_replay's 10 s-episode
+// filtered run (600 phases, busy fraction 0.25) bit for bit.
+TEST(ClusterSim, TraceReplayFilteredIsPinned) {
+  const int phases = paper::kShortPhases;
+  const double episode_s = 10.0;
+  ClusterSim base(paper::base_config(), RemapPolicy::create("none"));
+  const double horizon = 8.0 * base.run(phases).makespan;
+  ClusterSim sim(paper::base_config(), RemapPolicy::create("filtered"));
+  slipflow::util::Rng rng(1 * 7919 + static_cast<std::uint64_t>(episode_s));
+  for (int node = 0; node < paper::kNodes; ++node)
+    sim.node(node).add_load(std::make_unique<TraceLoad>(synthetic_trace(
+        horizon, 2.0, rng, 0.25, 1.5, std::min(1.0, 2.0 / episode_s * 2.0))));
+  const auto r = sim.run(phases);
+  EXPECT_EQ(r.makespan, 0x1.9c6df36b770bep+9);  // 824.859 s
+  EXPECT_EQ(r.planes_moved, 6005);
 }

@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
 #include <mutex>
+#include <string>
 
 #include "lbm/observables.hpp"
 #include "obs/clock.hpp"
@@ -67,7 +70,9 @@ struct ParallelOutcome {
   long long total_migrated = 0;
 };
 
-ParallelOutcome run_parallel(int ranks, int phases, const RunnerConfig& cfg) {
+/// `chunks` > 1 splits the run into that many equal run() calls.
+ParallelOutcome run_parallel(int ranks, int phases, const RunnerConfig& cfg,
+                             int chunks = 1) {
   ParallelOutcome out;
   out.fields.water.resize(static_cast<std::size_t>(kGrid.nx));
   out.fields.air.resize(static_cast<std::size_t>(kGrid.nx));
@@ -76,7 +81,7 @@ ParallelOutcome run_parallel(int ranks, int phases, const RunnerConfig& cfg) {
   transport::run_ranks(ranks, [&](transport::Communicator& comm) {
     ParallelLbm run(cfg, comm);
     run.initialize_uniform();
-    run.run(phases);
+    for (int c = 0; c < chunks; ++c) run.run(phases / chunks);
     auto stats = run.gather_stats();
     for (index_t gx = 0; gx < kGrid.nx; ++gx) {
       auto w = run.gather_density_profile_y(0, gx, 2);
@@ -213,4 +218,93 @@ TEST(ParallelRemap, FinalPhaseMigrationLeavesRealObservables) {
     return;
   }
   FAIL() << "no remap check in the first 6 moved planes";
+}
+
+TEST(ParallelRemap, ChunkedRunRemapsLikeOneRun) {
+  // Remap checks fall on absolute phases, so a run split into 3-phase
+  // calls (shorter than the 4-phase interval) checks, migrates and
+  // computes exactly as one straight run.
+  const auto cfg = remap_runner("filtered", /*slow_rank=*/1);
+  const auto straight = run_parallel(3, 24, cfg);
+  const auto chunked = run_parallel(3, 24, cfg, /*chunks=*/8);
+  EXPECT_GT(straight.total_migrated, 0);
+  ASSERT_EQ(chunked.stats.size(), straight.stats.size());
+  for (std::size_t r = 0; r < straight.stats.size(); ++r) {
+    EXPECT_EQ(chunked.stats[r].planes, straight.stats[r].planes) << r;
+    EXPECT_EQ(chunked.stats[r].planes_sent, straight.stats[r].planes_sent)
+        << r;
+  }
+  expect_fields_identical(straight.fields, chunked.fields);
+}
+
+namespace {
+
+// The runner's message tags (parallel_lbm.cpp).
+constexpr int kTagFRight = 10, kTagFLeft = 11, kTagNRight = 12,
+              kTagNLeft = 13, kTagInfo = 20, kTagProposal = 21,
+              kTagPlanes = 22;
+
+/// Rank 0 runs one phase with a remap check against rank 1, a scripted
+/// peer speaking the runner's wire protocol: it echoes rank 0's halo and
+/// load-info frames, then plays `answer` from the proposal exchange on.
+/// Returns the comm_error rank 0 raised ("" if none).
+std::string scripted_peer_error(
+    const std::function<void(transport::Communicator&)>& answer) {
+  auto cfg = remap_runner("filtered");
+  cfg.remap_interval = 1;
+  std::string error;
+  transport::CommOptions opts;
+  opts.recv_timeout = 30.0;
+  transport::run_ranks(
+      2,
+      [&](transport::Communicator& comm) {
+        if (comm.rank() == 0) {
+          ParallelLbm run(cfg, comm);
+          run.initialize_uniform();
+          try {
+            run.run(1);
+          } catch (const transport::comm_error& e) {
+            error = e.what();
+          }
+          return;
+        }
+        const auto echo = [&](int tag) {
+          comm.send(0, tag, comm.recv(0, tag));
+        };
+        echo(kTagNRight);  // the priming density halo
+        echo(kTagNLeft);
+        for (int tag : {kTagFRight, kTagFLeft, kTagNRight, kTagNLeft})
+          echo(tag);  // phase 1
+        echo(kTagInfo);
+        answer(comm);
+      },
+      opts);
+  return error;
+}
+
+}  // namespace
+
+TEST(ParallelRemap, EmptyProposalFrameIsRejectedNamingThePeer) {
+  const std::string error =
+      scripted_peer_error([](transport::Communicator& comm) {
+        comm.recv(0, kTagProposal);
+        comm.send(0, kTagProposal, std::span<const double>{});
+      });
+  EXPECT_NE(error.find("peer 1"), std::string::npos) << error;
+  EXPECT_NE(error.find("proposal"), std::string::npos) << error;
+}
+
+TEST(ParallelRemap, NonIntegralPlaneCountIsRejectedNamingThePeer) {
+  // the peer proposes two planes (48 points) toward rank 0, whose window
+  // is not full yet, so rank 0 expects them; the header's count is NaN
+  const std::string error =
+      scripted_peer_error([](transport::Communicator& comm) {
+        comm.recv(0, kTagProposal);
+        const double two_planes = 48.0;
+        comm.send(0, kTagProposal, std::span<const double>(&two_planes, 1));
+        const double nan = std::numeric_limits<double>::quiet_NaN();
+        comm.send(0, kTagPlanes, std::span<const double>(&nan, 1));
+      });
+  EXPECT_NE(error.find("peer 1"), std::string::npos) << error;
+  EXPECT_NE(error.find("planes"), std::string::npos) << error;
 }

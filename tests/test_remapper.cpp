@@ -1,5 +1,6 @@
-// NodeBalancer (per-point normalized prediction) and the plane
-// quantization / boundary flow helpers shared by both runners.
+// NodeBalancer (per-point normalized prediction, the cost gate, the
+// global plan) and the plane quantization / boundary flow / donor clamp
+// helpers: the one remap round both runners call.
 
 #include <gtest/gtest.h>
 
@@ -266,4 +267,99 @@ TEST(PlanTransfers, SkipsSubThresholdFlowsAndClampsDonors) {
   EXPECT_EQ(plan[0].receiver, 1);
   EXPECT_EQ(plan[0].planes, 4);
   EXPECT_EQ(planes, (std::vector<long long>{2, 9, 1}));
+}
+
+// --- one remap round: the steps both runners call ---
+
+TEST(CostGate, ShipsOnlyAfterPayingAtTwoChecks) {
+  auto b = primed("filtered", 1.2e-3, 2048);  // 4x slower than both sides
+  const NodeLoad nb{2048, 0.30e-3};
+  const MigrationCost cheap{0.8e-3, 5};
+  const Proposal want = b.decide(nb, 2048, nb, cheap);
+  ASSERT_GT(want.to_left + want.to_right, 0);
+
+  // pays at the first check, but did not pay at the one before
+  const Proposal first = b.propose(nb, 2048, nb, cheap);
+  EXPECT_EQ(first.to_left + first.to_right, 0);
+  EXPECT_EQ(first.left_why, Suppressed::cost);
+  EXPECT_EQ(first.right_why, Suppressed::cost);
+  // pays twice in a row: ships what the saving gate passed
+  const Proposal second = b.propose(nb, 2048, nb, cheap);
+  EXPECT_EQ(second.to_left, want.to_left);
+  EXPECT_EQ(second.to_right, want.to_right);
+  EXPECT_EQ(second.left_why, Suppressed::none);
+  // a check that does not pay resets the streak
+  const Proposal dear = b.propose(nb, 2048, nb, MigrationCost{1.0, 5});
+  EXPECT_EQ(dear.to_left + dear.to_right, 0);
+  const Proposal again = b.propose(nb, 2048, nb, cheap);
+  EXPECT_EQ(again.to_left + again.to_right, 0);
+  EXPECT_EQ(again.left_why, Suppressed::cost);
+  EXPECT_EQ(b.propose(nb, 2048, nb, cheap).to_left, want.to_left);
+}
+
+TEST(CostGate, ZeroCostDisablesPersistence) {
+  // the virtual cluster's contract: no measured cost, no gate at all
+  auto b = primed("filtered", 0.36e-3, 2048);
+  const NodeLoad nb{2048, 0.30e-3};
+  const Proposal want = b.decide(nb, 2048, nb);
+  ASSERT_GT(want.to_left + want.to_right, 0);
+  const Proposal first = b.propose(nb, 2048, nb);
+  EXPECT_EQ(first.to_left, want.to_left);
+  EXPECT_EQ(first.to_right, want.to_right);
+  EXPECT_EQ(first.left_why, Suppressed::none);
+}
+
+TEST(CostGate, GlobalPlanShipsOnlyAfterPayingAtTwoChecks) {
+  auto b = make_balancer("global");
+  // node 1 is 4x slow; 100-point planes, 10 planes each
+  const std::vector<std::optional<NodeLoad>> loads{
+      NodeLoad{1000, 1e-3, 1e-4}, NodeLoad{1000, 4e-3, 1e-4},
+      NodeLoad{1000, 1e-3, 1e-4}};
+  const GlobalPlan first = b.plan_global(loads, 100, 10);
+  EXPECT_TRUE(first.transfers.empty());
+  ASSERT_FALSE(first.suppressed.empty());
+  for (const auto& [donor, why] : first.suppressed) {
+    EXPECT_EQ(donor, 1);
+    EXPECT_EQ(why, Suppressed::cost);
+  }
+  const GlobalPlan second = b.plan_global(loads, 100, 10);
+  ASSERT_EQ(second.transfers.size(), 2u);
+  for (const Transfer& tr : second.transfers) EXPECT_EQ(tr.donor, 1);
+  // an executed plan must pass twice afresh
+  EXPECT_TRUE(b.plan_global(loads, 100, 10).transfers.empty());
+  // nothing is planned until every window is full, at zero cost too
+  std::vector<std::optional<NodeLoad>> waiting{
+      NodeLoad{1000, 1e-3}, std::nullopt, NodeLoad{1000, 1e-3}};
+  const GlobalPlan none = b.plan_global(waiting, 100);
+  EXPECT_TRUE(none.transfers.empty());
+  EXPECT_TRUE(none.suppressed.empty());
+}
+
+TEST(DonorClamp, LeftBoundaryFirst) {
+  // 10 planes of 100 points, asked for 10 planes left and 5 right: the
+  // left boundary takes all but the one plane the donor keeps
+  const LocalMoves s = clamp_donor(-1000, 500, 100, 10);
+  EXPECT_EQ(s.ship_left, 9);
+  EXPECT_EQ(s.ship_right, 0);
+  // flows into the node ship nothing; the drain is clamped alone
+  const LocalMoves right_only = clamp_donor(300, 500, 100, 10);
+  EXPECT_EQ(right_only.ship_left, 0);
+  EXPECT_EQ(right_only.ship_right, 5);
+}
+
+TEST(DonorClamp, SettleAgreesOnBothBoundaries) {
+  // this node proposes 700 left and 200 right; its left neighbor
+  // proposes 300 toward it, its right neighbor 900
+  Proposal mine;
+  mine.to_left = 700;
+  mine.to_right = 200;
+  const LocalMoves mv = settle_local(mine, 300, 900, 100, 100, 10);
+  EXPECT_EQ(mv.net_left, -400);   // ships 4 planes left
+  EXPECT_EQ(mv.net_right, -700);  // receives from the right
+  EXPECT_EQ(mv.ship_left, 4);
+  EXPECT_EQ(mv.ship_right, 0);
+  // the threshold is re-applied to each net
+  const LocalMoves small = settle_local(mine, 650, 150, 100, 100, 10);
+  EXPECT_EQ(small.net_left, 0);
+  EXPECT_EQ(small.net_right, 0);
 }
