@@ -22,8 +22,9 @@
 ///
 /// The whole run pins the scalar backend; the per-backend full-phase
 /// benches (BM_FullPhase_TwoComponent_Backend_* on the perf box and
-/// BM_RankSlabPhase_* on one rank's slab of the README job, registered
-/// for every backend this build/CPU supports) and the 4-rank runner
+/// BM_RankSlabPhase_* on one rank's slab of the README job, plus that
+/// slab's per-stage split BM_RankSlabStages_*, registered for every
+/// backend this build/CPU supports) and the 4-rank runner
 /// benches (BM_ParallelPhase_*, on the default backend) switch it for
 /// their own loop only.
 
@@ -187,6 +188,42 @@ void BM_RankSlabPhase(benchmark::State& state, KernelBackend backend) {
   set_kernel_backend(KernelBackend::scalar);
 }
 
+/// The rank slab's phase split by kernel stage on `backend`, through the
+/// dispatching entry points the one-pass equivalence test drives (the
+/// exchanges are the 1-rank periodic self copy): counters stream_us
+/// (edge-plane pre-collide + fused collide+stream), density_us and
+/// forces_us (force/velocity pass), per phase.
+void BM_RankSlabStages(benchmark::State& state, KernelBackend backend) {
+  using Clock = std::chrono::steady_clock;
+  set_kernel_backend(backend);
+  sim::Simulation s = warm_simulation(kRankSlab);
+  Slab& slab = s.slab();
+  PeriodicSelfExchanger halo;
+  double stream = 0.0, density = 0.0, forces = 0.0;
+  for (auto _ : state) {
+    const auto t0 = Clock::now();
+    collide_boundary_planes(slab);
+    halo.exchange_f(slab);
+    fused_collide_stream(slab);
+    const auto t1 = Clock::now();
+    compute_density(slab);
+    halo.exchange_density(slab);
+    const auto t2 = Clock::now();
+    compute_forces_and_velocity_plan(slab);
+    const auto t3 = Clock::now();
+    benchmark::ClobberMemory();
+    stream += std::chrono::duration<double, std::micro>(t1 - t0).count();
+    density += std::chrono::duration<double, std::micro>(t2 - t1).count();
+    forces += std::chrono::duration<double, std::micro>(t3 - t2).count();
+  }
+  const auto n = static_cast<double>(state.iterations());
+  state.counters["stream_us"] = stream / n;
+  state.counters["density_us"] = density / n;
+  state.counters["forces_us"] = forces / n;
+  set_cells_rate(state, slab);
+  set_kernel_backend(KernelBackend::scalar);
+}
+
 /// Analytic doubles-touched-per-cell of one two-component plan phase on
 /// the perf box — the roofline denominator for the MLUPS numbers
 /// (bytes/s = MLUPS * 1e6 * bytes_per_cell). Counted for an interior
@@ -228,9 +265,10 @@ BENCHMARK(BM_PlaneMigration);
 // The perf box split across 4 rank-threads, stepping the real
 // ParallelLbm on the default kernel backend — the one workers run — for
 // the bench's own loop. Only run() is timed (manual time, max over ranks
-// via the closing barrier); setup and teardown stay outside. The
-// Overlap_T* variants ride ThreadComm's in-process mailboxes with 1, 2
-// and 4 interior-sweep threads per rank; Shm rides ShmComm's
+// via the closing barrier); setup, the streaming plan and row-tile build
+// (one untimed warm-up phase, as warm_simulation does) and teardown stay
+// outside. The Overlap_T* variants ride ThreadComm's in-process mailboxes
+// with 1, 2 and 4 interior-sweep threads per rank; Shm rides ShmComm's
 // shared-memory rings at one thread — the cost of the real wire format
 // (frames, rings, spin-then-yield waits) with zero process-launch
 // overhead in the timed region.
@@ -260,6 +298,7 @@ void BM_ParallelPhase(benchmark::State& state, RankHarness harness,
     harness(kRanks, [&](transport::Communicator& c) {
       sim::ParallelLbm run(cfg, c);
       run.initialize_uniform();
+      run.run(1);  // builds the plan and tiles outside the timed region
       c.barrier();
       const auto t0 = std::chrono::steady_clock::now();
       run.run(kPhasesPerIter);
@@ -379,6 +418,12 @@ int main(int argc, char** argv) {
     const std::string name = std::string("BM_RankSlabPhase_") + to_string(b);
     benchmark::RegisterBenchmark(name.c_str(), [b](benchmark::State& s) {
       BM_RankSlabPhase(s, b);
+    });
+  }
+  for (KernelBackend b : backends) {
+    const std::string name = std::string("BM_RankSlabStages_") + to_string(b);
+    benchmark::RegisterBenchmark(name.c_str(), [b](benchmark::State& s) {
+      BM_RankSlabStages(s, b);
     });
   }
 

@@ -11,6 +11,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <utility>
 
 #include "lbm/kernels_tile.hpp"
 

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <utility>
 
 #include "lbm/kernels_tile.hpp"
 

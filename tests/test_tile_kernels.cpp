@@ -16,8 +16,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -320,6 +322,120 @@ TEST(TileKernels, OnePassBitIdenticalToScalar) {
             EXPECT_TRUE(same_vec(ts.velocity(), rs.velocity())) << "u";
           }
         }
+}
+
+namespace {
+
+/// A deterministic per-(cell, salt) hash for crafted inputs.
+unsigned craft_hash(index_t cell, unsigned salt) {
+  return static_cast<unsigned>(cell) * 2654435761u + salt * 40503u + 17u;
+}
+
+/// Overwrite every storage cell's f, n and ueq with inputs that stress
+/// the lattice fold: ueq components of +0.0, -0.0 and either sign per
+/// axis, f / n spanning six decades with +0.0 and -0.0 populations mixed
+/// in, and vacuum cells whose populations are all signed zeros.
+void craft_state(Slab& s) {
+  static constexpr double kU[] = {0.0, -0.0, 1e-9, -1e-9, 0.07, -0.07, -3e-4};
+  const index_t cells = s.storage().cells();
+  for (std::size_t c = 0; c < s.num_components(); ++c) {
+    const auto cu = static_cast<unsigned>(c);
+    for (index_t cell = 0; cell < cells; ++cell) {
+      const auto u = [&](unsigned axis) {
+        return kU[(craft_hash(cell, axis + 7u * cu) >> 8) % 7];
+      };
+      s.ueq(c).set(cell, Vec3{u(1), u(2), u(3)});
+      const unsigned hn = craft_hash(cell, 50u + cu);
+      const bool vacuum = (hn >> 12) % 9 == 0;
+      s.density(c)[cell] =
+          vacuum ? 0.0
+                 : std::pow(10.0, static_cast<double>((hn >> 8) % 7) - 3.0) *
+                       (1.0 + static_cast<double>((hn >> 4) % 13) / 13.0);
+      for (int d = 0; d < kQ; ++d) {
+        const unsigned h =
+            craft_hash(cell, 100u + 19u * cu + static_cast<unsigned>(d)) >> 8;
+        double v = std::pow(10.0, static_cast<double>(h % 7) - 3.0) *
+                   (1.0 + static_cast<double>(h % 97) / 97.0);
+        if (h % 11 == 0 || (vacuum && h % 2 == 0)) v = 0.0;
+        if (h % 11 == 1 || (vacuum && h % 2 == 1)) v = -0.0;
+        s.f(c).at(d, cell) = v;
+      }
+    }
+  }
+}
+
+}  // namespace
+
+TEST(TileKernels, CraftedSignedZerosBitIdenticalToScalar) {
+  // The row kernels fold the D3Q19 velocities in at compile time (no
+  // multiply by 0 or ±1). From a crafted state, each kernel on every
+  // SIMD backend must still write exactly the scalar path's bytes —
+  // memcmp, so a -0.0 / +0.0 flip counts — including on masked tail
+  // vectors (nz = 11 and 7 leave a short vector on every backend).
+  const auto backends = simd_backends();
+  ASSERT_FALSE(backends.empty()) << "no SIMD backend compiled in";
+  for (const Extents& e : {Extents{4, 7, 11}, Extents{5, 3, 7}})
+    for (const GeoCase& gc : {kGeoCases[1], kGeoCases[2]})
+      for (int ncomp : {1, 2}) {
+        const FluidParams params = make_params(ncomp, CollisionModel::bgk, gc);
+        const sim::RunnerConfig cfg = make_config(gc, e, params);
+        struct Pass {
+          std::unique_ptr<Simulation> stream, force;
+          std::vector<DistField> precollide;
+        };
+        // collide+stream and density+forces, each from the crafted state
+        const auto one_pass = [&](KernelBackend b) {
+          Pass out;
+          out.stream = std::make_unique<Simulation>(cfg);
+          out.force = std::make_unique<Simulation>(cfg);
+          {
+            BackendGuard g(KernelBackend::scalar);
+            out.stream->initialize_uniform();
+            out.force->initialize_uniform();
+          }
+          PeriodicSelfExchanger halo;
+          BackendGuard g(b);
+          Slab& ss = out.stream->slab();
+          ss.tiles();
+          craft_state(ss);
+          collide_boundary_planes(ss);
+          for (std::size_t c = 0; c < ss.num_components(); ++c)
+            out.precollide.push_back(ss.f_post(c));
+          halo.exchange_f(ss);
+          fused_collide_stream(ss);
+          Slab& fs = out.force->slab();
+          fs.tiles();
+          craft_state(fs);
+          compute_density(fs);
+          halo.exchange_density(fs);
+          compute_forces_and_velocity_plan(fs);
+          return out;
+        };
+        const Pass ref = one_pass(KernelBackend::scalar);
+        for (KernelBackend b : backends) {
+          SCOPED_TRACE(std::string(gc.name) + " " + std::to_string(e.nx) +
+                       "x" + std::to_string(e.ny) + "x" +
+                       std::to_string(e.nz) + " ncomp=" +
+                       std::to_string(ncomp) + " " + to_string(b));
+          const Pass got = one_pass(b);
+          const Slab& ts = got.stream->slab();
+          const Slab& rs = ref.stream->slab();
+          const Slab& tf = got.force->slab();
+          const Slab& rf = ref.force->slab();
+          for (std::size_t c = 0; c < ts.num_components(); ++c) {
+            EXPECT_TRUE(same_dist(got.precollide[c], ref.precollide[c]))
+                << "pre-collided f_post, c=" << c;
+            EXPECT_TRUE(same_dist(ts.f(c), rs.f(c)))
+                << "streamed f_post, c=" << c;
+            EXPECT_TRUE(same_bytes(tf.density(c), rf.density(c)))
+                << "n, c=" << c;
+            EXPECT_TRUE(same_vec(tf.ueq(c), rf.ueq(c))) << "ueq, c=" << c;
+          }
+          EXPECT_TRUE(same_bytes(tf.total_density(), rf.total_density()))
+              << "rho_tot";
+          EXPECT_TRUE(same_vec(tf.velocity(), rf.velocity())) << "u";
+        }
+      }
 }
 
 // -- structural invariants of the TileLayout ---------------------------
