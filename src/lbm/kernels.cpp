@@ -122,23 +122,9 @@ void stream(Slab& slab) {
 }
 
 void compute_density(Slab& slab) {
-  compute_density_planes(slab, 1, slab.nx_local() + 1);
-}
-
-void compute_density_planes(Slab& slab, index_t plane_begin,
-                            index_t plane_end) {
-  SLIPFLOW_REQUIRE(plane_begin >= 1 && plane_end <= slab.nx_local() + 1 &&
-                   plane_begin <= plane_end);
   const Extents& st = slab.storage();
-  const index_t first = plane_begin * st.plane_cells();
-  const index_t count = (plane_end - plane_begin) * st.plane_cells();
-  const KernelBackend bk = active_kernel_backend();
-  if (bk != KernelBackend::scalar) {
-    // Pure additions in the same order — bit-identical to the loop below
-    // under any flags, just wider.
-    compute_density_cells(slab, bk, first, count);
-    return;
-  }
+  const index_t first = st.plane_cells();
+  const index_t count = slab.nx_local() * st.plane_cells();
   for (std::size_t c = 0; c < slab.num_components(); ++c) {
     const DistField& f = slab.f(c);
     ScalarField& n = slab.density(c);
@@ -155,6 +141,18 @@ void compute_density_planes(Slab& slab, index_t plane_begin,
       for (index_t i = 0; i < count; ++i) nd[i] += fd[i];
     }
   }
+}
+
+void compute_density_planes(Slab& slab, index_t plane_begin,
+                            index_t plane_end) {
+  SLIPFLOW_REQUIRE(plane_begin >= 1 && plane_end <= slab.nx_local() + 1 &&
+                   plane_begin <= plane_end);
+  const Extents& st = slab.storage();
+  // Pure additions in compute_density's order — bit-identical to it
+  // under any flags, just wider.
+  compute_density_cells(slab, active_kernel_backend(),
+                        plane_begin * st.plane_cells(),
+                        (plane_end - plane_begin) * st.plane_cells());
 }
 
 void compute_forces_and_velocity(Slab& slab) {

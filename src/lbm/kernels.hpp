@@ -38,7 +38,8 @@ void collide(Slab& slab);
 void stream(Slab& slab);
 
 /// Recompute each component's number density n = sum_i f_i on the owned
-/// planes from the post-streaming populations.
+/// planes from the post-streaming populations (a plain scalar loop: the
+/// oracle never dispatches to a kernel backend).
 void compute_density(Slab& slab);
 
 /// Compute, on the owned planes: the common velocity u', the per-component
@@ -52,59 +53,63 @@ void compute_forces_and_velocity(Slab& slab);
 /// molecular mass) — a conserved quantity used by tests.
 double owned_mass(const Slab& slab, std::size_t component);
 
-// --- plan-based kernel path (kernels_plan.cpp) -------------------------
+// --- the fused kernel path (kernels_plan.cpp, kernels_tile*.cpp) -------
 // The same phase, restructured around the slab's StreamingPlan so the hot
-// loops are branch-free. The plan path produces bit-identical populations
-// to the legacy kernels above (tests/test_plan_kernels.cpp pins this).
+// loops are branch-free: the row tiles run unit-stride vector kernels on
+// the active KernelBackend (simd.hpp), and only the cells the row masks
+// cannot express (periodic wraps, moving-wall links, solids) plus the
+// halo pulls take a per-cell path, as does the collision of MRT
+// components. The fused path produces bit-identical populations to the
+// legacy kernels above on every backend (tests/test_plan_kernels.cpp and
+// tests/test_tile_kernels.cpp pin this).
 
 /// Collide only the two boundary-adjacent owned planes into f_post — the
 /// minimum the f-halo exchange needs before fused_collide_stream re-does
-/// collision and streaming in one fused pass. On a tile backend the BGK
-/// components sweep each plane as one contiguous vector range.
+/// collision and streaming in one fused pass. The BGK components sweep
+/// each plane as one contiguous vector range.
 void collide_boundary_planes(Slab& slab);
 
 /// Fused collide + stream: collide every owned fluid cell once (BGK or
 /// MRT) and push its 19 outputs directly to their streaming destinations
-/// — interior cells over contiguous plan runs with no conditionals,
-/// boundary cells through precomputed link tables (bounce-back and
-/// moving-wall corrections resolved at plan build). Finishes by pulling
-/// the exchanged halo populations and swapping f_post into f. Requires
+/// — the rows under their lane masks, the per-cell cells through
+/// precomputed link tables (bounce-back and moving-wall corrections
+/// resolved at plan build). Finishes by pulling the exchanged halo
+/// populations and swapping f_post into f. Requires
 /// collide_boundary_planes + the f-halo exchange to have run.
 void fused_collide_stream(Slab& slab);
 
-/// Plan-based force/velocity kernel: identical physics and bit-identical
+/// Fused force/velocity kernel: identical physics and bit-identical
 /// results to compute_forces_and_velocity, but the per-component psi
 /// field is cached once per step (no per-neighbor exp) and the wall /
-/// periodic / obstacle masks come from the plan's neighbor tables.
+/// periodic / obstacle masks come from the plan.
 void compute_forces_and_velocity_plan(Slab& slab);
 
-// --- split plan kernels (kernels_plan.cpp) -----------------------------
-// The overlap runner executes the plan kernels in pieces: the
+// --- split kernels ------------------------------------------------------
+// The overlap runner executes the fused kernels in pieces: the
 // halo-independent bulk while the exchange is in flight (possibly sliced
 // further across pool threads), the halo-dependent remainder after
 // wait(). Each f_post slot / density cell / force cell is still written
 // exactly once per phase by exactly one piece, so any partition —
 // including a threaded one — is bit-identical to the fused calls above.
 
-/// Collide+stream the interior runs `runs` and the boundary cells
-/// `cells` (slices of plan.stream_interior() / plan.stream_boundary(), or
-/// TileLayout::stream_cells() on the tile path). Reads only owned
-/// f/n/ueq; writes only the f_post slots those cells' pushes and links
-/// own, so disjoint slices may run concurrently. No halo data is
-/// touched: every stream cell (boundary ones included) is
-/// halo-independent — the exchanged planes enter only through
-/// fused_collide_stream_finish's pulls.
-void fused_collide_stream_range(Slab& slab, std::span<const InteriorRun> runs,
+/// Collide+stream the per-cell fluid cells `cells` (a slice of
+/// plan.stream_cells()) through their link tables. Reads only owned
+/// f/n/ueq; writes only the f_post slots those cells' links own, so
+/// disjoint slices may run concurrently. No halo data is touched: the
+/// exchanged planes enter only through fused_collide_stream_finish's
+/// pulls.
+void fused_collide_stream_range(Slab& slab,
                                 std::span<const StreamBoundaryCell> cells);
 
 /// Complete streaming once the f-halo landed: copy the plan's halo pulls,
-/// swap f_post into f and pin solid cells. fused_collide_stream ==
-/// full-range fused_collide_stream_range + this.
+/// swap f_post into f and pin solid cells. fused_collide_stream == every
+/// row through fused_collide_stream_tiles + every per-cell cell through
+/// fused_collide_stream_range + this.
 void fused_collide_stream_finish(Slab& slab);
 
 /// Density of the owned planes [plane_begin, plane_end) (1-based local
-/// plane numbers, end exclusive), element-for-element the same update as
-/// compute_density — which equals planes [1, nx_local+1).
+/// plane numbers, end exclusive) on the active backend,
+/// element-for-element the same update as compute_density.
 void compute_density_planes(Slab& slab, index_t plane_begin,
                             index_t plane_end);
 
@@ -124,52 +129,42 @@ struct ForcePsiCache {
 void force_psi_prepare(Slab& slab, ForcePsiCache& cache, index_t cell_begin,
                        index_t cell_end, bool reset);
 
-/// Force/velocity for the interior runs `runs` and the boundary cells
-/// `cells` (slices of plan.force_interior() / plan.force_boundary(), or
-/// TileLayout::force_cells() on the tile path). Each cell writes only
-/// its own ueq / total density / velocity entries, so disjoint slices
-/// may run concurrently. The caller guarantees every psi value the slice
-/// gathers is ready (inner-plane slices need owned psi only; edge-plane
-/// slices need the halo planes too — see StreamingPlan::force_*_inner_*
-/// and TileLayout::force_cells_inner_*).
+/// Force/velocity for the per-cell cells `cells` (a slice of
+/// plan.force_cells()) through their neighbour tables. Each cell writes
+/// only its own ueq / total density / velocity entries, so disjoint
+/// slices may run concurrently. The caller guarantees every psi value
+/// the slice gathers is ready (inner-plane slices need owned psi only;
+/// edge-plane slices need the halo planes too — see
+/// StreamingPlan::force_cells_inner_*).
 void compute_forces_plan_range(Slab& slab, const ForcePsiCache& cache,
-                               std::span<const InteriorRun> runs,
                                std::span<const ForceBoundaryCell> cells);
 
-// --- tile/SIMD kernel path (kernels_tile*.cpp) -------------------------
-// The slab's owned fluid cells as masked row tiles (Slab::tiles()),
-// swept by unit-stride vector kernels; which ISA executes is picked by
-// KernelBackend (simd.hpp). The dispatching wrappers above
-// (fused_collide_stream, collide_boundary_planes, compute_density_planes,
-// compute_forces_and_velocity_plan) route here whenever
-// active_kernel_backend() != scalar. Wall-adjacent and edge-plane cells
-// ride the rows under their lane masks; only the cells the masks cannot
-// express (TileLayout::stream_cells / force_cells: periodic wraps,
-// moving-wall links, solids) and the halo pulls take the per-cell plan
-// path, as does the collision of MRT components.
+// --- row kernels (kernels_tile*.cpp) -------------------------------------
+// The pieces above that sweep plan.rows() or contiguous cell ranges on
+// one ISA instantiation (`backend`; the entry points pass the active one).
 
-/// Collide+stream the rows [row_begin, row_end) of slab.tiles().rows()
+/// Collide+stream the rows [row_begin, row_end) of slab.plan().rows()
 /// (MRT components cell by cell through the same masks). Rows write
 /// disjoint f_post slots, so disjoint row slices may run concurrently.
-/// Requires backend != scalar (and supported).
+/// Requires a supported backend.
 void fused_collide_stream_tiles(Slab& slab, KernelBackend backend,
                                 std::size_t row_begin, std::size_t row_end);
 
-/// Force/velocity for the rows [row_begin, row_end) of slab.tiles().rows(),
+/// Force/velocity for the rows [row_begin, row_end) of slab.plan().rows(),
 /// with the psi-readiness contract of compute_forces_plan_range (use
-/// TileLayout::inner_* to stay off the halo planes).
+/// StreamingPlan::inner_* to stay off the halo planes).
 void compute_forces_tiles(Slab& slab, const ForcePsiCache& cache,
                           KernelBackend backend, std::size_t row_begin,
                           std::size_t row_end);
 
 /// BGK collision of one component's storage cells [first, first + count)
-/// into their own f_post slots on a tile backend — bit-identical to the
-/// scalar pre-collide.
+/// into their own f_post slots on `backend` — bit-identical to the
+/// legacy collide().
 void collide_cells(Slab& slab, KernelBackend backend, std::size_t component,
                    index_t first, index_t count);
 
-/// Density of storage cells [first, first + count) on a tile backend —
-/// bit-identical to the scalar kernel (pure additions, same order).
+/// Density of storage cells [first, first + count) on `backend` —
+/// bit-identical to compute_density (pure additions, same order).
 void compute_density_cells(Slab& slab, KernelBackend backend, index_t first,
                            index_t count);
 

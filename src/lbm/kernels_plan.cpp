@@ -1,10 +1,10 @@
 /// \file kernels_plan.cpp
-/// Plan-based hot kernels: fused collide+stream over the StreamingPlan's
-/// interior runs and boundary link tables, and the psi-cached force
-/// kernel. Every per-cell expression is kept textually identical to the
-/// legacy kernels in kernels.cpp so the two paths (and interior vs.
-/// boundary classification, which changes with the decomposition) produce
-/// bit-identical populations.
+/// The phase entry points of the fused kernel path and the per-cell
+/// kernels for the cells the row masks cannot express: collide+stream
+/// through the StreamingPlan's link tables and the psi-cached force pass
+/// through its neighbour tables. Every per-cell expression is kept
+/// textually identical to the legacy kernels in kernels.cpp, so a cell
+/// produces the same bits whichever path the plan gives it.
 
 #include <cmath>
 #include <vector>
@@ -12,7 +12,6 @@
 #include "lbm/kernels.hpp"
 #include "lbm/mrt.hpp"
 #include "lbm/plan.hpp"
-#include "lbm/tile.hpp"
 
 namespace slipflow::lbm {
 
@@ -22,8 +21,7 @@ namespace {
 constexpr double kTinyDensity = 1e-12;
 
 /// BGK relaxation of one cell into out[0..18] — the exact expressions of
-/// the legacy collide(), shared by the boundary-plane pre-collide and the
-/// fused kernel so every path relaxes a cell to the same bits.
+/// the legacy collide().
 inline void bgk_cell(const DistField& f, index_t cell, double nc,
                      const Vec3& u, double inv_tau, double* out) {
   const double u2 = u.norm2();
@@ -45,9 +43,9 @@ void collide_boundary_planes(Slab& slab) {
   const KernelBackend bk = active_kernel_backend();
   for (std::size_t c = 0; c < slab.num_components(); ++c) {
     const ComponentParams& cp = slab.params().components[c];
-    if (bk != KernelBackend::scalar && cp.collision == CollisionModel::bgk) {
+    if (cp.collision == CollisionModel::bgk) {
       // A plane is one contiguous cell range: the vector collide sweeps
-      // it whole, solids included, exactly like the loop below.
+      // it whole, solids included.
       for (int p = 0; p < nplanes; ++p)
         collide_cells(slab, bk, c, planes[p] * pc, pc);
       continue;
@@ -56,33 +54,24 @@ void collide_boundary_planes(Slab& slab) {
     const VectorField& ueq = slab.ueq(c);
     const DistField& f = slab.f(c);
     DistField& fp = slab.f_post(c);
-    const bool mrt = cp.collision == CollisionModel::mrt;
     const MrtOperator& op = MrtOperator::instance();
     const MrtRates rates = MrtRates::for_tau(cp.tau);
-    const double inv_tau = 1.0 / cp.tau;
     double fin[kQ], fout[kQ];
     for (int p = 0; p < nplanes; ++p) {
       const index_t first = planes[p] * pc;
       const index_t last = first + pc;
       for (index_t cell = first; cell < last; ++cell) {
-        if (mrt) {
-          for (int d = 0; d < kQ; ++d) fin[d] = f.at(d, cell);
-          op.collide_cell(fin, fout, n[cell], ueq.at(cell), rates);
-        } else {
-          bgk_cell(f, cell, n[cell], ueq.at(cell), inv_tau, fout);
-        }
+        for (int d = 0; d < kQ; ++d) fin[d] = f.at(d, cell);
+        op.collide_cell(fin, fout, n[cell], ueq.at(cell), rates);
         for (int d = 0; d < kQ; ++d) fp.at(d, cell) = fout[d];
       }
     }
   }
 }
 
-void fused_collide_stream_range(Slab& slab, std::span<const InteriorRun> runs,
+void fused_collide_stream_range(Slab& slab,
                                 std::span<const StreamBoundaryCell> cells) {
   const StreamingPlan& plan = slab.plan();
-  index_t off[kQ];
-  for (int d = 0; d < kQ; ++d) off[d] = plan.dir_offset(d);
-
   for (std::size_t c = 0; c < slab.num_components(); ++c) {
     const ComponentParams& cp = slab.params().components[c];
     const ScalarField& n = slab.density(c);
@@ -105,23 +94,9 @@ void fused_collide_stream_range(Slab& slab, std::span<const InteriorRun> runs,
       }
     };
 
-    // Interior: every push lands at a fixed offset — collide the source
-    // once and scatter the 19 outputs, no conditionals. This re-collides
-    // the cells collide_boundary_planes already handled only when a run
-    // touches them, which it never does (plane 1 / nx_local cells are
-    // never stream-interior).
-    for (const InteriorRun& r : runs) {
-      for (index_t i = 0; i < r.count; ++i) {
-        const index_t cell = r.cell + i;
-        collide_one(cell);
-        fp.at(0, cell) = fout[0];
-        for (int d = 1; d < kQ; ++d) fp.at(d, cell + off[d]) = fout[d];
-      }
-    }
-
-    // Boundary: walk the precomputed link table. Bounce-back links point
-    // back at the cell itself with the moving-wall correction term's
-    // c·u_wall baked in at plan-build time.
+    // Walk the precomputed link table. Bounce-back links point back at
+    // the cell itself with the moving-wall correction term's c·u_wall
+    // baked in at plan-build time.
     const auto& links = plan.links();
     for (const StreamBoundaryCell& b : cells) {
       collide_one(b.cell);
@@ -159,17 +134,9 @@ void fused_collide_stream_finish(Slab& slab) {
 
 void fused_collide_stream(Slab& slab) {
   const StreamingPlan& plan = slab.plan();
-  const KernelBackend bk = active_kernel_backend();
-  if (bk != KernelBackend::scalar) {
-    // Tile path: every row through the SIMD backend, the cells the row
-    // masks cannot express through their link tables.
-    const TileLayout& tiles = slab.tiles();
-    fused_collide_stream_tiles(slab, bk, 0, tiles.rows().size());
-    fused_collide_stream_range(slab, {}, tiles.stream_cells());
-  } else {
-    fused_collide_stream_range(slab, plan.stream_interior(),
-                               plan.stream_boundary());
-  }
+  fused_collide_stream_tiles(slab, active_kernel_backend(), 0,
+                             plan.rows().size());
+  fused_collide_stream_range(slab, plan.stream_cells());
   fused_collide_stream_finish(slab);
 }
 
@@ -203,7 +170,6 @@ void force_psi_prepare(Slab& slab, ForcePsiCache& cache, index_t cell_begin,
 }
 
 void compute_forces_plan_range(Slab& slab, const ForcePsiCache& cache,
-                               std::span<const InteriorRun> runs,
                                std::span<const ForceBoundaryCell> cells) {
   const StreamingPlan& plan = slab.plan();
   const FluidParams& prm = slab.params();
@@ -213,14 +179,25 @@ void compute_forces_plan_range(Slab& slab, const ForcePsiCache& cache,
   const bool patterned = static_cast<bool>(prm.wall_pattern);
   const std::array<const double*, 8>& psi = cache.psi;
 
-  index_t off[kQ];
-  for (int d = 0; d < kQ; ++d) off[d] = plan.dir_offset(d);
+  const auto& nbrs = plan.force_neighbors();
+  Vec3 grad[8];  // Shan-Chen neighbor sums
+  Vec3 p[8];     // per-component first moments, computed once and reused
+  for (const ForceBoundaryCell& b : cells) {
+    const index_t cell = b.cell;
+    for (std::size_t c2 = 0; c2 < nc; ++c2) {
+      const double* ps = psi[c2];
+      Vec3 g{};
+      for (int d = 1; d < kQ; ++d) {
+        const index_t nb = nbrs[b.nbr_begin + static_cast<std::uint32_t>(d) - 1];
+        if (nb < 0) continue;  // psi = 0 inside walls / solids
+        const double psv = ps[static_cast<std::size_t>(nb)];
+        g.x += kWeight[d] * psv * kCx[d];
+        g.y += kWeight[d] * psv * kCy[d];
+        g.z += kWeight[d] * psv * kCz[d];
+      }
+      grad[c2] = g;
+    }
 
-  // Everything after the psi gather is identical for interior and
-  // boundary cells; `grad` holds the Shan-Chen neighbor sums.
-  Vec3 p[8];  // per-component first moments, computed once and reused
-  const auto finish_cell = [&](index_t cell, index_t yz, index_t gx,
-                               const Vec3* grad) {
     // First moments and the common velocity u' (Section 2.1):
     // u' = sum_c (m_c / tau_c) p_c  /  sum_c (m_c / tau_c) n_c.
     Vec3 unum{};
@@ -242,8 +219,9 @@ void compute_forces_plan_range(Slab& slab, const ForcePsiCache& cache,
     }
     const Vec3 uprime = uden > kTinyDensity ? (1.0 / uden) * unum : Vec3{};
 
-    Vec3 wall_a = slab.wall_accel_unit(yz);
-    if (patterned) wall_a = prm.wall_pattern(gx, yz / nz, yz % nz) * wall_a;
+    Vec3 wall_a = slab.wall_accel_unit(b.yz);
+    if (patterned)
+      wall_a = prm.wall_pattern(b.gx, b.yz / nz, b.yz % nz) * wall_a;
     double rho_tot = 0.0;
     Vec3 rho_u{};
     Vec3 force_sum{};
@@ -287,42 +265,6 @@ void compute_forces_plan_range(Slab& slab, const ForcePsiCache& cache,
     if (rho_tot > kTinyDensity)
       u_out = (1.0 / rho_tot) * (rho_u + 0.5 * force_sum);
     slab.velocity().set(cell, u_out);
-  };
-
-  Vec3 grad[8];
-  for (const InteriorRun& r : runs) {
-    for (index_t i = 0; i < r.count; ++i) {
-      const index_t cell = r.cell + i;
-      for (std::size_t c2 = 0; c2 < nc; ++c2) {
-        const double* ps = psi[c2];
-        Vec3 g{};
-        for (int d = 1; d < kQ; ++d) {
-          const double psv = ps[static_cast<std::size_t>(cell + off[d])];
-          g.x += kWeight[d] * psv * kCx[d];
-          g.y += kWeight[d] * psv * kCy[d];
-          g.z += kWeight[d] * psv * kCz[d];
-        }
-        grad[c2] = g;
-      }
-      finish_cell(cell, r.yz + i, r.gx, grad);
-    }
-  }
-  const auto& nbrs = plan.force_neighbors();
-  for (const ForceBoundaryCell& b : cells) {
-    for (std::size_t c2 = 0; c2 < nc; ++c2) {
-      const double* ps = psi[c2];
-      Vec3 g{};
-      for (int d = 1; d < kQ; ++d) {
-        const index_t nb = nbrs[b.nbr_begin + static_cast<std::uint32_t>(d) - 1];
-        if (nb < 0) continue;  // psi = 0 inside walls / solids
-        const double psv = ps[static_cast<std::size_t>(nb)];
-        g.x += kWeight[d] * psv * kCx[d];
-        g.y += kWeight[d] * psv * kCy[d];
-        g.z += kWeight[d] * psv * kCz[d];
-      }
-      grad[c2] = g;
-    }
-    finish_cell(b.cell, b.yz, b.gx, grad);
   }
 }
 
@@ -330,15 +272,9 @@ void compute_forces_and_velocity_plan(Slab& slab) {
   const StreamingPlan& plan = slab.plan();
   static thread_local ForcePsiCache cache;
   force_psi_prepare(slab, cache, 0, slab.storage().cells(), /*reset=*/true);
-  const KernelBackend bk = active_kernel_backend();
-  if (bk != KernelBackend::scalar) {
-    const TileLayout& tiles = slab.tiles();
-    compute_forces_tiles(slab, cache, bk, 0, tiles.rows().size());
-    compute_forces_plan_range(slab, cache, {}, tiles.force_cells());
-  } else {
-    compute_forces_plan_range(slab, cache, plan.force_interior(),
-                              plan.force_boundary());
-  }
+  compute_forces_tiles(slab, cache, active_kernel_backend(), 0,
+                       plan.rows().size());
+  compute_forces_plan_range(slab, cache, plan.force_cells());
 }
 
 }  // namespace slipflow::lbm

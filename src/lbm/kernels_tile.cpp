@@ -1,8 +1,8 @@
 /// \file kernels_tile.cpp
-/// Dispatcher of the tile/SIMD kernel path: binds Slab state into the
-/// plain-pointer contexts of kernels_tile.hpp and forwards row ranges to
-/// the backend picked by KernelBackend. Also hosts the piece that stays
-/// scalar inside the tile path — the stream step of MRT components (the
+/// Dispatcher of the row kernels: binds Slab state into the plain-pointer
+/// contexts of kernels_tile.hpp and forwards row ranges to the ISA
+/// instantiation picked by KernelBackend. Also hosts the piece that stays
+/// scalar on the rows — the stream step of MRT components (the
 /// moment-space collision is not worth vectorizing at D3Q19 sizes)
 /// sweeps the same rows cell by cell through the same lane masks, so
 /// coverage is identical either way.
@@ -11,7 +11,6 @@
 #include "lbm/kernels_tile.hpp"
 #include "lbm/mrt.hpp"
 #include "lbm/plan.hpp"
-#include "lbm/tile.hpp"
 
 namespace slipflow::lbm {
 
@@ -19,8 +18,7 @@ namespace {
 
 const tilek::Backend* tile_backend(KernelBackend b) {
   switch (b) {
-    case KernelBackend::scalar:
-      return nullptr;
+    case KernelBackend::scalar:  // an alias of autovec (simd.hpp)
     case KernelBackend::autovec:
       return tilek::tile_backend_autovec();
     case KernelBackend::avx2:
@@ -37,7 +35,7 @@ const tilek::Backend* tile_backend(KernelBackend b) {
 void mrt_stream_rows(Slab& slab, std::size_t c, std::size_t rb,
                      std::size_t re) {
   const StreamingPlan& plan = slab.plan();
-  const std::vector<RowTile>& rows = slab.tiles().rows();
+  const std::vector<RowTile>& rows = plan.rows();
   index_t off[kQ];
   for (int d = 0; d < kQ; ++d) off[d] = plan.dir_offset(d);
 
@@ -96,9 +94,8 @@ double eval_wall_pattern(const void* state, std::int64_t gx, std::int64_t y,
 void fused_collide_stream_tiles(Slab& slab, KernelBackend backend,
                                 std::size_t row_begin, std::size_t row_end) {
   const tilek::Backend* k = tile_backend(backend);
-  SLIPFLOW_REQUIRE_MSG(k != nullptr,
-                       "fused_collide_stream_tiles needs a tile backend");
-  const std::vector<RowTile>& rows = slab.tiles().rows();
+  SLIPFLOW_REQUIRE_MSG(k != nullptr, "kernel backend not compiled in");
+  const std::vector<RowTile>& rows = slab.plan().rows();
   SLIPFLOW_REQUIRE(row_begin <= row_end && row_end <= rows.size());
 
   for (std::size_t c = 0; c < slab.num_components(); ++c) {
@@ -115,7 +112,7 @@ void fused_collide_stream_tiles(Slab& slab, KernelBackend backend,
 void collide_cells(Slab& slab, KernelBackend backend, std::size_t component,
                    index_t first, index_t count) {
   const tilek::Backend* k = tile_backend(backend);
-  SLIPFLOW_REQUIRE_MSG(k != nullptr, "collide_cells needs a tile backend");
+  SLIPFLOW_REQUIRE_MSG(k != nullptr, "kernel backend not compiled in");
   SLIPFLOW_REQUIRE(slab.params().components[component].collision ==
                    CollisionModel::bgk);
   SLIPFLOW_REQUIRE(first >= 0 && count >= 0 &&
@@ -127,10 +124,9 @@ void compute_forces_tiles(Slab& slab, const ForcePsiCache& cache,
                           KernelBackend backend, std::size_t row_begin,
                           std::size_t row_end) {
   const tilek::Backend* k = tile_backend(backend);
-  SLIPFLOW_REQUIRE_MSG(k != nullptr,
-                       "compute_forces_tiles needs a tile backend");
+  SLIPFLOW_REQUIRE_MSG(k != nullptr, "kernel backend not compiled in");
   const StreamingPlan& plan = slab.plan();
-  const std::vector<RowTile>& rows = slab.tiles().rows();
+  const std::vector<RowTile>& rows = plan.rows();
   SLIPFLOW_REQUIRE(row_begin <= row_end && row_end <= rows.size());
   const FluidParams& prm = slab.params();
   const std::size_t nc = slab.num_components();
@@ -171,8 +167,7 @@ void compute_forces_tiles(Slab& slab, const ForcePsiCache& cache,
 void compute_density_cells(Slab& slab, KernelBackend backend, index_t first,
                            index_t count) {
   const tilek::Backend* k = tile_backend(backend);
-  SLIPFLOW_REQUIRE_MSG(k != nullptr,
-                       "compute_density_cells needs a tile backend");
+  SLIPFLOW_REQUIRE_MSG(k != nullptr, "kernel backend not compiled in");
   for (std::size_t c = 0; c < slab.num_components(); ++c) {
     tilek::DensityCtx ctx{};
     for (int d = 0; d < kQ; ++d) ctx.f[d] = slab.f(c).dir(d).data();

@@ -4,9 +4,9 @@
 /// lowers to whatever the build's baseline ISA offers (SSE2 on default
 /// x86 builds, NEON on arm, ...). This is the
 /// only tile backend in -DSLIPFLOW_DISABLE_SIMD=ON builds and on
-/// non-x86 targets. Per-lane operation order matches the scalar path
-/// and this TU compiles under the determinism contract's
-/// -ffp-contract=off, so results are bit-identical to it in every build
+/// non-x86 targets. Per-lane operation order matches the legacy
+/// reference kernels and this TU compiles under the determinism contract's
+/// -ffp-contract=off, so results are bit-identical to them in every build
 /// flavour.
 
 #include <cmath>

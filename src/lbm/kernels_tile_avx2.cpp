@@ -7,7 +7,8 @@
 /// with AVX encodings and COMDAT-merged into the portable path.
 ///
 /// No FMA intrinsics on purpose: separate mul and add keep every lane
-/// bit-identical to the scalar plan path (DESIGN.md, "Equivalence").
+/// bit-identical to the legacy reference kernels (DESIGN.md,
+/// "Bit-exactness").
 
 #include <cmath>
 #include <cstdint>

@@ -4,6 +4,60 @@
 
 namespace slipflow::lbm {
 
+namespace {
+
+constexpr std::uint32_t kAllDirs = (1u << kQ) - 1u;
+constexpr std::uint32_t kMovingDirs = kAllDirs & ~1u;
+
+/// Transpose an 8x8 bit matrix: bit 8*r + c moves to bit 8*c + r
+/// (Hacker's Delight, transpose8rS64).
+std::uint64_t transpose8(std::uint64_t x) {
+  std::uint64_t t = (x ^ (x >> 7)) & 0x00AA00AA00AA00AAull;
+  x = x ^ t ^ (t << 7);
+  t = (x ^ (x >> 14)) & 0x0000CCCC0000CCCCull;
+  x = x ^ t ^ (t << 14);
+  t = (x ^ (x >> 28)) & 0x00000000F0F0F0F0ull;
+  return x ^ t ^ (t << 28);
+}
+
+/// The row being filled: each lane's masks as direction bitsets (bit d =
+/// direction d), turned into the per-direction lane masks of a RowTile
+/// when the row closes.
+struct OpenRow {
+  RowTile row;
+  std::uint32_t lanes[4][kTileWidth]{};  // push, bounce, drop, psi
+
+  void add(std::uint32_t push, std::uint32_t bounce, std::uint32_t drop,
+           std::uint32_t psi) {
+    const auto l = static_cast<std::size_t>(row.count++);
+    lanes[0][l] = push;
+    lanes[1][l] = bounce;
+    lanes[2][l] = drop;
+    lanes[3][l] = psi;
+  }
+
+  RowTile finish() const {
+    RowTile out = row;
+    LaneMask* masks[4] = {out.push, out.bounce, out.drop, out.psi};
+    for (std::size_t kind = 0; kind < 4; ++kind) {
+      for (int d0 = 0; d0 < kQ; d0 += 8) {
+        // byte l = directions [d0, d0+8) of lane l; transposed, byte j
+        // holds direction d0+j of every lane
+        std::uint64_t x = 0;
+        for (std::size_t l = 0; l < static_cast<std::size_t>(row.count); ++l)
+          x |= static_cast<std::uint64_t>((lanes[kind][l] >> d0) & 0xFFu)
+               << (8 * l);
+        x = transpose8(x);
+        for (int j = 0; j < 8 && d0 + j < kQ; ++j)
+          masks[kind][d0 + j] = static_cast<LaneMask>(x >> (8 * j));
+      }
+    }
+    return out;
+  }
+};
+
+}  // namespace
+
 StreamingPlan::StreamingPlan(const ChannelGeometry& geom, index_t x_begin,
                              index_t nx_local)
     : geom_(&geom), x_begin_(x_begin), nx_local_(nx_local) {
@@ -20,57 +74,92 @@ StreamingPlan::StreamingPlan(const ChannelGeometry& geom, index_t x_begin,
   classify();
 }
 
-void StreamingPlan::push_links_for(index_t lx, index_t y, index_t z,
-                                   index_t gx) {
+StreamingPlan::Neighbor StreamingPlan::neighbor(index_t lx, index_t y,
+                                                index_t z, index_t gx,
+                                                int d) const {
   const ChannelGeometry& geom = *geom_;
-  const bool obstacles = geom.has_obstacles();
-  const bool moving = geom.has_moving_walls();
-  const bool wy = geom.walls_y();
-  const bool wz = geom.walls_z();
   using Wall = ChannelGeometry::Wall;
-  const index_t cell = store_.idx(lx, y, z);
+  Neighbor n;
+  index_t dy = y + kCy[d];
+  index_t dz = z + kCz[d];
+  // Same wall-crossing logic (and wall-velocity accumulation order) as
+  // the pull form in the legacy stream(): y extent first, then z.
+  if (dy < 0 || dy >= store_.ny) {
+    if (geom.walls_y()) {
+      n.blocked = true;
+      if (geom.has_moving_walls())
+        n.wall_u += geom.wall_velocity(dy < 0 ? Wall::y_low : Wall::y_high);
+    } else {
+      dy = (dy + store_.ny) % store_.ny;
+    }
+  }
+  if (dz < 0 || dz >= store_.nz) {
+    if (geom.walls_z()) {
+      n.blocked = true;
+      if (geom.has_moving_walls())
+        n.wall_u += geom.wall_velocity(dz < 0 ? Wall::z_low : Wall::z_high);
+    } else {
+      dz = (dz + store_.nz) % store_.nz;
+    }
+  }
+  if (!n.blocked && geom.has_obstacles() && geom.solid(gx + kCx[d], dy, dz))
+    n.blocked = true;
+  if (!n.blocked) n.cell = store_.idx(lx + kCx[d], dy, dz);
+  return n;
+}
+
+namespace {
+
+/// c[kOpposite[d]]·u_wall: the moving-wall term of the population leaving
+/// along d that bounces back into the cell along kOpposite[d].
+double bounce_wall_cu(int d, const Vec3& uw) {
+  const int b = kOpposite[d];
+  return kCx[b] * uw.x + kCy[b] * uw.y + kCz[b] * uw.z;
+}
+
+}  // namespace
+
+void StreamingPlan::push_links_for(index_t lx, index_t cell,
+                                   const Neighbors& nbrs) {
   for (int d = 1; d < kQ; ++d) {
-    index_t dy = y + kCy[d];
-    index_t dz = z + kCz[d];
-    // Same wall-crossing logic (and wall-velocity accumulation order) as
-    // the pull form in the legacy stream(): y extent first, then z.
-    bool wall = false;
-    Vec3 uw{};
-    if (dy < 0 || dy >= store_.ny) {
-      if (wy) {
-        wall = true;
-        if (moving)
-          uw += geom.wall_velocity(dy < 0 ? Wall::y_low : Wall::y_high);
-      } else {
-        dy = (dy + store_.ny) % store_.ny;
-      }
-    }
-    if (dz < 0 || dz >= store_.nz) {
-      if (wz) {
-        wall = true;
-        if (moving)
-          uw += geom.wall_velocity(dz < 0 ? Wall::z_low : Wall::z_high);
-      } else {
-        dz = (dz + store_.nz) % store_.nz;
-      }
-    }
-    if (!wall && obstacles && geom.solid(gx + kCx[d], dy, dz)) wall = true;
-    if (wall) {
+    const Neighbor& n = nbrs[static_cast<std::size_t>(d)];
+    if (n.blocked) {
       // The population leaving along d bounces straight back: it becomes
       // this cell's incoming population along kOpposite[d], plus the
       // moving-wall momentum correction evaluated for that pull direction.
-      const int dest_dir = kOpposite[d];
-      const double wall_cu =
-          kCx[dest_dir] * uw.x + kCy[dest_dir] * uw.y + kCz[dest_dir] * uw.z;
-      links_.push_back(StreamLink{cell, wall_cu, static_cast<std::int8_t>(d),
-                                  static_cast<std::int8_t>(dest_dir)});
+      links_.push_back(StreamLink{cell, bounce_wall_cu(d, n.wall_u),
+                                  static_cast<std::int8_t>(d),
+                                  static_cast<std::int8_t>(kOpposite[d])});
       continue;
     }
     const index_t dlx = lx + kCx[d];
     if (dlx < 1 || dlx > nx_local_) continue;  // halo exchange delivers it
-    links_.push_back(StreamLink{store_.idx(dlx, dy, dz), 0.0,
-                                static_cast<std::int8_t>(d),
+    links_.push_back(StreamLink{n.cell, 0.0, static_cast<std::int8_t>(d),
                                 static_cast<std::int8_t>(d)});
+  }
+}
+
+void StreamingPlan::push_neighbors_for(const Neighbors& nbrs) {
+  for (int d = 1; d < kQ; ++d) {
+    const Neighbor& n = nbrs[static_cast<std::size_t>(d)];
+    force_nbrs_.push_back(n.blocked ? index_t{-1} : n.cell);
+  }
+}
+
+void StreamingPlan::push_halo_pulls_for(index_t lx, index_t y, index_t z,
+                                        index_t gx) {
+  // Pulls from the exchanged halo planes (the legacy kernel's reads of
+  // f_post at lx=0 / lx=nx_local+1), minus those bounce-back resolves:
+  // slot (d, cell) pulls from cell - c_d, the neighbour along kOpposite[d].
+  const bool left_edge = lx == 1;
+  const bool right_edge = lx == nx_local_;
+  const index_t cell = store_.idx(lx, y, z);
+  for (int d = 1; d < kQ; ++d) {
+    if (kCx[d] == 0) continue;
+    if (kCx[d] > 0 ? !left_edge : !right_edge) continue;
+    const Neighbor n = neighbor(lx, y, z, gx, kOpposite[d]);
+    if (n.blocked) continue;  // bounced, not pulled
+    halo_pulls_.push_back(HaloPull{n.cell, cell, static_cast<std::int8_t>(d)});
   }
 }
 
@@ -80,9 +169,9 @@ void StreamingPlan::classify() {
   const index_t ny = store_.ny;
   const index_t nz = store_.nz;
 
-  // A cell's 18 moving-direction neighbors are "plain" when every one is
-  // an in-range (no wall crossing, no periodic wrap) non-solid site — then
-  // both push-streaming and the psi gather reduce to fixed index offsets.
+  // A cell's 18 moving-direction neighbours are "plain" when every one is
+  // an in-range (no wall crossing, no periodic wrap) non-solid site: then
+  // every push and psi gather is at the fixed offset, no bounce.
   const auto plain_yz_neighbors = [&](index_t gx, index_t y, index_t z) {
     if (y < 1 || y > ny - 2 || z < 1 || z > nz - 2) return false;
     if (!obstacles) return true;
@@ -92,135 +181,107 @@ void StreamingPlan::classify() {
     return true;
   };
 
-  // Size the lists for an obstacle-free slab up front — growing them cell
-  // by cell (the link tables above all) used to dominate the build. Not
-  // plain interior: both edge planes for streaming, the y/z rim of every
-  // plane for both kernels; obstacles only add to that.
-  {
-    const index_t rim = ny * nz - std::max<index_t>(ny - 2, 0) *
-                                      std::max<index_t>(nz - 2, 0);
-    const index_t edge = std::min<index_t>(nx_local_, 2);
-    const auto sb =
-        static_cast<std::size_t>(edge * ny * nz + (nx_local_ - edge) * rim);
-    const auto fb = static_cast<std::size_t>(nx_local_ * rim);
-    const auto rows = static_cast<std::size_t>(nx_local_ * ny);
-    stream_interior_.reserve(rows);
-    stream_boundary_.reserve(sb);
-    links_.reserve(sb * (kQ - 1));
-    halo_pulls_.reserve(static_cast<std::size_t>(edge * ny * nz * kXDirCount));
-    force_interior_.reserve(rows);
-    force_boundary_.reserve(fb);
-    force_nbrs_.reserve(fb * (kQ - 1));
-  }
+  // one row per kTileWidth cells of each (x, y) row, plus the breaks
+  // irregular cells add; halo pulls on the (at most two) edge planes
+  rows_.reserve(static_cast<std::size_t>(
+      nx_local_ * ny * ((nz + kTileWidth - 1) / kTileWidth)));
+  halo_pulls_.reserve(static_cast<std::size_t>(
+      std::min<index_t>(nx_local_, 2) * ny * nz * kXDirCount));
+
+  OpenRow open{};
+  const auto close_row = [&] {
+    if (open.row.count == 0) return;
+    rows_.push_back(open.finish());
+    open = OpenRow{};
+  };
+  // A cell the lane masks cannot express: its per-cell tables, and a
+  // break in the row.
+  const auto per_cell = [&](index_t lx, index_t y, index_t z, index_t gx,
+                            bool fluid) {
+    close_row();
+    const index_t cell = store_.idx(lx, y, z);
+    Neighbors nbrs{};
+    for (int d = 1; d < kQ; ++d)
+      nbrs[static_cast<std::size_t>(d)] = neighbor(lx, y, z, gx, d);
+    if (fluid) {
+      const auto begin = static_cast<std::uint32_t>(links_.size());
+      push_links_for(lx, cell, nbrs);
+      stream_cells_.push_back(StreamBoundaryCell{
+          cell, begin, static_cast<std::uint32_t>(links_.size())});
+    }
+    const auto nbr_begin = static_cast<std::uint32_t>(force_nbrs_.size());
+    push_neighbors_for(nbrs);
+    force_cells_.push_back(ForceBoundaryCell{cell, y * nz + z, gx, nbr_begin});
+  };
 
   for (index_t lx = 1; lx <= nx_local_; ++lx) {
     // Inner-slice markers for the overlap runner: planes [2, nx_local-1]
     // only. Both conditions fire at lx==2 when nx_local==2 (empty inner);
     // for nx_local==1 only the end fires, at size 0 (also empty).
     if (lx == 2) {
-      fi_inner_begin_ = force_interior_.size();
-      fb_inner_begin_ = force_boundary_.size();
+      inner_begin_ = rows_.size();
+      fc_inner_begin_ = force_cells_.size();
     }
     if (lx == nx_local_) {
-      fi_inner_end_ = force_interior_.size();
-      fb_inner_end_ = force_boundary_.size();
+      inner_end_ = rows_.size();
+      fc_inner_end_ = force_cells_.size();
     }
     const index_t gx = x_begin_ + lx - 1;
+    const bool edge = lx == 1 || lx == nx_local_;
+    // directions whose push leaves the owned planes: the exchange
+    // delivers those populations, so the row drops them
+    std::uint32_t leaves = 0;
+    for (int d = 1; d < kQ; ++d)
+      if (lx + kCx[d] < 1 || lx + kCx[d] > nx_local_) leaves |= 1u << d;
+
     for (index_t y = 0; y < ny; ++y) {
-      InteriorRun srun{};  // open stream-interior run of this row
-      InteriorRun frun{};  // open force-interior run of this row
       for (index_t z = 0; z < nz; ++z) {
         const index_t cell = store_.idx(lx, y, z);
-        const index_t yz = y * nz + z;
-        const bool solid = obstacles && geom.solid(gx, y, z);
-        const bool plain = plain_yz_neighbors(gx, y, z);
-
-        // --- streaming classification (fluid cells only) ---------------
-        if (solid) {
+        if (obstacles && geom.solid(gx, y, z)) {
           solids_.push_back(cell);
-        } else {
-          ++fluid_cells_;
-          if (plain && lx >= 2 && lx <= nx_local_ - 1) {
-            if (srun.count == 0) srun = InteriorRun{cell, 0, yz, gx};
-            ++srun.count;
-          } else {
-            if (srun.count > 0) {
-              stream_interior_.push_back(srun);
-              srun.count = 0;
-            }
-            const auto begin = static_cast<std::uint32_t>(links_.size());
-            push_links_for(lx, y, z, gx);
-            stream_boundary_.push_back(StreamBoundaryCell{
-                cell, begin, static_cast<std::uint32_t>(links_.size())});
-          }
-          // Pulls from the exchanged halo planes (the legacy kernel's
-          // reads of f_post at lx=0 / lx=nx_local+1), minus those the
-          // bounce-back links above already resolve.
-          const bool left_edge = lx == 1;
-          const bool right_edge = lx == nx_local_;
-          if (left_edge || right_edge) {
-            for (int d = 1; d < kQ; ++d) {
-              if (kCx[d] == 0) continue;
-              const bool from_left = kCx[d] > 0;  // pulls from lx-1
-              if (from_left ? !left_edge : !right_edge) continue;
-              index_t sy = y - kCy[d];
-              index_t sz = z - kCz[d];
-              if (sy < 0 || sy >= ny) {
-                if (geom.walls_y()) continue;  // bounced, not pulled
-                sy = (sy + ny) % ny;
-              }
-              if (sz < 0 || sz >= nz) {
-                if (geom.walls_z()) continue;
-                sz = (sz + nz) % nz;
-              }
-              if (obstacles && geom.solid(gx - kCx[d], sy, sz)) continue;
-              const index_t slx = from_left ? 0 : nx_local_ + 1;
-              halo_pulls_.push_back(HaloPull{store_.idx(slx, sy, sz), cell,
-                                             static_cast<std::int8_t>(d)});
-            }
-          }
+          per_cell(lx, y, z, gx, /*fluid=*/false);
+          continue;
         }
+        ++fluid_cells_;
+        if (edge) push_halo_pulls_for(lx, y, z, gx);
 
-        // --- force classification (all owned cells, matching the legacy
-        // kernel which sweeps solids too; solids always take the table so
-        // the interior runs hold fluid cells only) -----------------------
-        if (plain && !solid) {
-          if (frun.count == 0) frun = InteriorRun{cell, 0, yz, gx};
-          ++frun.count;
-        } else {
-          if (frun.count > 0) {
-            force_interior_.push_back(frun);
-            frun.count = 0;
+        // The cell's masks as direction bitsets (bit d = direction d).
+        // Rows express pushes at the fixed offset, plain half-way
+        // bounces and drops; a periodic wrap (neighbour off the fixed
+        // offset) or a moving-wall correction does not fit.
+        std::uint32_t push = kAllDirs & ~leaves;
+        std::uint32_t bounce = 0;
+        std::uint32_t psi = kMovingDirs;
+        bool regular = true;
+        if (!plain_yz_neighbors(gx, y, z)) {
+          push = 1u;  // the rest population stays home
+          psi = 0;
+          for (int d = 1; d < kQ && regular; ++d) {
+            const std::uint32_t bit = 1u << d;
+            const Neighbor n = neighbor(lx, y, z, gx, d);
+            if (n.blocked) {
+              bounce |= bit;  // psi is zero there: the bit stays clear
+              regular = bounce_wall_cu(d, n.wall_u) == 0.0;
+            } else {
+              psi |= bit;
+              if ((leaves & bit) == 0) push |= bit;
+              regular = n.cell == cell + dir_offset(d);
+            }
           }
-          const auto begin = static_cast<std::uint32_t>(force_nbrs_.size());
-          for (int d = 1; d < kQ; ++d) {
-            index_t ny2 = y + kCy[d];
-            index_t nz2 = z + kCz[d];
-            if (ny2 < 0 || ny2 >= ny) {
-              if (geom.walls_y()) {
-                force_nbrs_.push_back(-1);
-                continue;
-              }
-              ny2 = (ny2 + ny) % ny;
-            }
-            if (nz2 < 0 || nz2 >= nz) {
-              if (geom.walls_z()) {
-                force_nbrs_.push_back(-1);
-                continue;
-              }
-              nz2 = (nz2 + nz) % nz;
-            }
-            if (obstacles && geom.solid(gx + kCx[d], ny2, nz2)) {
-              force_nbrs_.push_back(-1);
-              continue;
-            }
-            force_nbrs_.push_back(store_.idx(lx + kCx[d], ny2, nz2));
-          }
-          force_boundary_.push_back(ForceBoundaryCell{cell, yz, gx, begin});
         }
+        if (!regular) {
+          per_cell(lx, y, z, gx, /*fluid=*/true);
+          continue;
+        }
+        if (open.row.count == kTileWidth) close_row();
+        if (open.row.count == 0) {
+          open.row.cell = cell;
+          open.row.yz = y * nz + z;
+          open.row.gx = gx;
+        }
+        open.add(push, bounce, kMovingDirs & ~push & ~bounce, psi);
       }
-      if (srun.count > 0) stream_interior_.push_back(srun);
-      if (frun.count > 0) force_interior_.push_back(frun);
+      close_row();  // rows never span two (x, y) rows
     }
   }
 }

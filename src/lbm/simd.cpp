@@ -37,6 +37,10 @@ const char* to_string(KernelBackend b) {
 }
 
 std::optional<KernelBackend> parse_kernel_backend(std::string_view name) {
+  // "scalar" runs the portable rows, exactly as "autovec" does. The name
+  // stays parseable (worker --kernel-backend, SLIPFLOW_KERNEL_BACKEND)
+  // and listed only because the benchmark harness reads the
+  // micro_lbm_kernels key mlups_backend_scalar.
   if (name == "scalar") return KernelBackend::scalar;
   if (name == "autovec") return KernelBackend::autovec;
   if (name == "avx2") return KernelBackend::avx2;
@@ -98,15 +102,7 @@ KernelBackend default_kernel_backend() {
   if (kernel_backend_supported(KernelBackend::avx512))
     return KernelBackend::avx512;
   if (kernel_backend_supported(KernelBackend::avx2)) return KernelBackend::avx2;
-#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
-  // On x86 without (compiled-in) AVX the scalar plan path is the tuned
-  // one; autovec under bare SSE2 buys little and scalar is the pinned
-  // reference. SIMD-disabled builds still *test* autovec via the sweeps.
-  if (kernel_backend_compiled(KernelBackend::avx2)) return KernelBackend::scalar;
   return KernelBackend::autovec;
-#else
-  return KernelBackend::autovec;
-#endif
 }
 
 KernelBackend active_kernel_backend() {

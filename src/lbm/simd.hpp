@@ -1,26 +1,31 @@
 #pragma once
 /// \file simd.hpp
-/// KernelBackend — which implementation of the tile kernels the
+/// KernelBackend — which ISA instantiation of the row kernels the
 /// dispatching entry points (fused_collide_stream, the density and force
-/// kernels) run.
+/// kernels) run. There is one fast path, the row tiles of the
+/// StreamingPlan; the backends differ only in how a row's lanes are
+/// lowered:
 ///
-///  * `scalar`  — the StreamingPlan reference path, cell at a time. The
-///    correctness baseline every other backend is pinned against.
-///  * `autovec` — the portable tile path: plain lane loops over
-///    vector-width tiles that any optimizing compiler auto-vectorizes.
-///    The only tile path in `-DSLIPFLOW_DISABLE_SIMD=ON` builds and on
-///    non-x86 targets.
+///  * `autovec` — the portable instantiation: a generic vector of
+///    kTileWidth doubles that the compiler lowers to the build's
+///    baseline ISA. The only row backend in `-DSLIPFLOW_DISABLE_SIMD=ON`
+///    builds and on non-x86 targets.
 ///  * `avx2` / `avx512` — `<immintrin.h>` instantiations of the same
-///    tile kernels, compiled in per-ISA translation units and selected
+///    row kernels, compiled in per-ISA translation units and selected
 ///    at runtime by CPUID. Written without FMA so their results are
-///    bit-identical to the scalar path (see DESIGN.md).
+///    bit-identical to the portable rows and to the legacy reference
+///    kernels (see DESIGN.md).
+///  * `scalar` — an alias of `autovec`, kept parseable for the benchmark
+///    harness (see parse_kernel_backend).
 ///
-/// The active backend is a process-global: the widest supported SIMD
-/// backend by default, overridable with set_kernel_backend() (the
-/// `--kernel-backend` flag on the worker and the benches). `autovec` is
-/// never auto-selected on x86 — it exists as the portable fallback and
-/// for A/B runs — so the default is avx512 > avx2 > autovec(non-SIMD
-/// builds) > scalar.
+/// The reference against which every backend is pinned is not a backend:
+/// it is lbm::reference_phase on the legacy per-cell kernels, which never
+/// dispatch.
+///
+/// The active backend is a process-global: the widest supported backend
+/// by default (avx512 > avx2 > autovec), overridable with
+/// set_kernel_backend() (the `--kernel-backend` flag on the worker and
+/// the benches) or SLIPFLOW_KERNEL_BACKEND.
 
 #include <optional>
 #include <string_view>
@@ -33,6 +38,9 @@ namespace slipflow::lbm {
 /// stride is padded to (DistField).
 inline constexpr int kTileWidth = 8;
 
+/// `scalar` dispatches to the autovec rows. It stays a backend name only
+/// because the benchmark harness reads micro_lbm_kernels'
+/// mlups_backend_scalar; retire it together with that key.
 enum class KernelBackend { scalar, autovec, avx2, avx512 };
 
 const char* to_string(KernelBackend b);
@@ -45,7 +53,8 @@ std::optional<KernelBackend> parse_kernel_backend(std::string_view name);
 bool kernel_backend_compiled(KernelBackend b);
 /// kernel_backend_compiled && the CPU executes it (CPUID).
 bool kernel_backend_supported(KernelBackend b);
-/// Every supported backend, scalar first (test sweeps iterate this).
+/// Every supported backend, scalar first (test and bench sweeps iterate
+/// this).
 std::vector<KernelBackend> supported_kernel_backends();
 /// The backend a fresh process dispatches to (see file comment).
 KernelBackend default_kernel_backend();

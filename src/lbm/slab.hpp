@@ -23,7 +23,6 @@
 #include "lbm/geometry.hpp"
 #include "lbm/params.hpp"
 #include "lbm/plan.hpp"
-#include "lbm/tile.hpp"
 
 namespace slipflow::lbm {
 
@@ -94,10 +93,12 @@ class Slab {
     return wall_unit_[static_cast<std::size_t>(yz)];
   }
 
-  /// The slab's streaming/force plan, built lazily on first use and
-  /// dropped automatically when plane migration rebuilds the slab (the
-  /// move-assign in detach/attach replaces the cached pointer). Runners
-  /// that want the rebuild timed call plan() inside their own span.
+  /// The slab's row tiles and per-cell tables, built lazily on first use
+  /// and dropped automatically when plane migration rebuilds the slab
+  /// (the move-assign in detach/attach replaces the cached pointer).
+  /// Runners that want the rebuild timed call plan() inside their own
+  /// span. Not thread-safe to build: runners touch plan() on the
+  /// coordinating thread before slicing it across a pool.
   const StreamingPlan& plan() const {
     if (plan_ == nullptr)
       plan_ = std::make_unique<StreamingPlan>(*geom_, x_begin_, nx_local_);
@@ -106,16 +107,6 @@ class Slab {
   /// Whether the plan is currently built (used by runners to decide if a
   /// rebuild span is worth recording).
   bool has_plan() const { return plan_ != nullptr; }
-
-  /// The owned fluid cells as masked row tiles for the SIMD kernel path
-  /// (built from plan()); cached like the plan and likewise dropped by
-  /// the move-assign of plane migration. Not thread-safe to build — runners
-  /// touch tiles() on the coordinating thread before slicing it across a
-  /// pool (plan() has the same contract).
-  const TileLayout& tiles() const {
-    if (tiles_ == nullptr) tiles_ = std::make_unique<TileLayout>(plan());
-    return *tiles_;
-  }
 
   // -- initialization ---------------------------------------------------
   /// Set per-component number density from a function of *global* cell
@@ -199,7 +190,6 @@ class Slab {
   ScalarField rho_total_;
   std::vector<Vec3> wall_unit_;
   mutable std::unique_ptr<StreamingPlan> plan_;
-  mutable std::unique_ptr<TileLayout> tiles_;
 };
 
 }  // namespace slipflow::lbm

@@ -198,8 +198,6 @@ double ParallelLbm::ensure_plan() {
   if (slab_->has_plan()) return 0.0;
   const double t0 = prof_->now();
   slab_->plan();
-  if (lbm::active_kernel_backend() != lbm::KernelBackend::scalar)
-    slab_->tiles();  // rebuilt with the plan so the rebuild span covers it
   const double t1 = prof_->now();
   prof_->record_span("plan", t0, t1);
   // Until this rank has paid for a migration, a plan build is the best
@@ -227,7 +225,7 @@ void ParallelLbm::run(int phases) {
     if (cfg_.policy != "none" && phases_done_ % cfg_.remap_interval == 0) {
       const long long moved_before =
           stats_.planes_sent + stats_.planes_received;
-      prof_->set("remap/migration_cost_seconds", migration_cost_);
+      prof_->set("remap/migration_cost_seconds", migration_charge());
       const double r0 = prof_->now();
       const double transfers =
           policy_->global() ? remap_global() : remap_local();
@@ -244,7 +242,7 @@ void ParallelLbm::run(int phases) {
           stats_.planes_sent + stats_.planes_received != moved_before;
       if (last_phase_moved) {
         // What the cost gate charges the next proposal: this migration's
-        // plane transfers plus the plan/tile rebuild they forced — not
+        // plane transfers plus the plan rebuild they forced — not
         // the rest of the remap span, whose wait for the neighbors to
         // reach the check is the imbalance itself, paid with or without
         // a migration.
@@ -288,16 +286,13 @@ void ParallelLbm::run(int phases) {
 
 void ParallelLbm::step_phase() {
   lbm::Slab& slab = *slab_;
+  // built on this thread, not under the pool
   const lbm::StreamingPlan& plan = slab.plan();
   // Which kernel backend this step runs, read once so every slice of the
-  // phase agrees. On a tile backend the pool slices *row* indices, never
-  // cells: a slice boundary can then never split a row, so each cell
-  // takes the same vector-lane code path for any rank x thread count —
-  // the partition-invariance the run slicing has on the scalar path.
+  // phase agrees. The pool slices *row* indices, never cells: a slice
+  // boundary can then never split a row, so each cell takes the same
+  // vector-lane code path for any rank x thread count.
   const lbm::KernelBackend backend = lbm::active_kernel_backend();
-  const bool tile_path = backend != lbm::KernelBackend::scalar;
-  // build on this thread, not under the pool
-  const lbm::TileLayout* tiles = tile_path ? &slab.tiles() : nullptr;
   const lbm::index_t nxl = slab.nx_local();
   const lbm::index_t pc = slab.storage().plane_cells();
   const double phase_begin = prof_->now();
@@ -319,34 +314,20 @@ void ParallelLbm::step_phase() {
   prof_->add("halo_bytes", halo_exchange_bytes(slab.f_halo_doubles()));
 
   // --- the collide+stream sweep, threaded, while frames fly --- every
-  // stream cell (boundary ones included) reads owned state only and owns
+  // row lane and per-cell cell reads owned state only and owns
   // a disjoint set of f_post slots; the exchanged planes enter the phase
   // through the finish pulls below, never here.
   t0 = t;
-  // The per-cell list: everything on the scalar path, the cells no row
-  // covers on the tile path.
-  const std::span<const lbm::StreamBoundaryCell> scells =
-      tile_path ? std::span(tiles->stream_cells())
-                : std::span(plan.stream_boundary());
+  const std::vector<lbm::RowTile>& rows = plan.rows();
+  const std::span<const lbm::StreamBoundaryCell> scells = plan.stream_cells();
   pool_->run([&](int lane, int lanes) {
+    const auto [rb, re] = util::ThreadPool::slice(rows.size(), lane, lanes);
     const auto [cb, ce] = util::ThreadPool::slice(scells.size(), lane, lanes);
-    const auto cells_of = scells.subspan(cb, ce - cb);
-    double cells = static_cast<double>(cells_of.size());
-    if (tile_path) {
-      const auto& rows = tiles->rows();
-      const auto [rb, re] = util::ThreadPool::slice(rows.size(), lane, lanes);
-      lbm::fused_collide_stream_tiles(slab, backend, rb, re);
-      lbm::fused_collide_stream_range(slab, {}, cells_of);
-      for (std::size_t ri = rb; ri < re; ++ri)
-        cells += static_cast<double>(rows[ri].count);
-    } else {
-      const std::span<const lbm::InteriorRun> runs = plan.stream_interior();
-      const auto [rb, re] = util::ThreadPool::slice(runs.size(), lane, lanes);
-      lbm::fused_collide_stream_range(slab, runs.subspan(rb, re - rb),
-                                      cells_of);
-      for (std::size_t ri = rb; ri < re; ++ri)
-        cells += static_cast<double>(runs[ri].count);
-    }
+    lbm::fused_collide_stream_tiles(slab, backend, rb, re);
+    lbm::fused_collide_stream_range(slab, scells.subspan(cb, ce - cb));
+    double cells = static_cast<double>(ce - cb);
+    for (std::size_t ri = rb; ri < re; ++ri)
+      cells += static_cast<double>(rows[ri].count);
     thread_cells_[static_cast<std::size_t>(lane)] += cells;
   });
   t = prof_->now();
@@ -396,33 +377,19 @@ void ParallelLbm::step_phase() {
   }
   lbm::force_psi_prepare(slab, psi_cache_, pc, (nxl + 1) * pc,
                          /*reset=*/true);
-  // Bulk units (rows or runs) and per-cell lists, each split into the
-  // inner slice swept now and the edge remainder swept after the wait.
-  const std::span<const lbm::ForceBoundaryCell> fcells =
-      tile_path ? std::span(tiles->force_cells())
-                : std::span(plan.force_boundary());
-  const std::size_t fc_b = tile_path ? tiles->force_cells_inner_begin()
-                                     : plan.force_boundary_inner_begin();
-  const std::size_t fc_e = tile_path ? tiles->force_cells_inner_end()
-                                     : plan.force_boundary_inner_end();
-  const std::span<const lbm::InteriorRun> fruns = plan.force_interior();
-  const std::size_t fu_n = tile_path ? tiles->rows().size() : fruns.size();
-  const std::size_t fu_b =
-      tile_path ? tiles->inner_begin() : plan.force_interior_inner_begin();
-  const std::size_t fu_e =
-      tile_path ? tiles->inner_end() : plan.force_interior_inner_end();
-  // Force units [ub, ue) plus per-cell entries [cb, ce).
+  // Rows and per-cell force cells, each split into the inner slice swept
+  // now and the edge remainder swept after the wait.
+  const std::span<const lbm::ForceBoundaryCell> fcells = plan.force_cells();
+  const std::size_t fc_b = plan.force_cells_inner_begin();
+  const std::size_t fc_e = plan.force_cells_inner_end();
+  const std::size_t fu_b = plan.inner_begin();
+  const std::size_t fu_e = plan.inner_end();
+  // Force rows [ub, ue) plus per-cell entries [cb, ce).
   const auto forces = [&](std::size_t ub, std::size_t ue, std::size_t cb,
                           std::size_t ce) {
-    if (tile_path) {
-      lbm::compute_forces_tiles(slab, psi_cache_, backend, ub, ue);
-      lbm::compute_forces_plan_range(slab, psi_cache_, {},
-                                     fcells.subspan(cb, ce - cb));
-    } else {
-      lbm::compute_forces_plan_range(slab, psi_cache_,
-                                     fruns.subspan(ub, ue - ub),
-                                     fcells.subspan(cb, ce - cb));
-    }
+    lbm::compute_forces_tiles(slab, psi_cache_, backend, ub, ue);
+    lbm::compute_forces_plan_range(slab, psi_cache_,
+                                   fcells.subspan(cb, ce - cb));
   };
   pool_->run([&](int lane, int lanes) {
     const auto [ub, ue] = util::ThreadPool::slice(fu_e - fu_b, lane, lanes);
@@ -448,7 +415,7 @@ void ParallelLbm::step_phase() {
   lbm::force_psi_prepare(slab, psi_cache_, (nxl + 1) * pc, (nxl + 2) * pc,
                          /*reset=*/false);
   forces(0, fu_b, 0, fc_b);
-  forces(fu_e, fu_n, fc_e, fcells.size());
+  forces(fu_e, rows.size(), fc_e, fcells.size());
   t = prof_->now();
   prof_->record_span("boundary_force", t0, t);
   compute += t - t0;
@@ -539,7 +506,17 @@ ParallelLbm::LoadInfo ParallelLbm::load_info() const {
   const bool ready = balancer_->ready();
   return {static_cast<double>(points),
           ready ? balancer_->predicted_time(points) : 0.0, ready ? 1.0 : 0.0,
-          migration_cost_};
+          migration_charge()};
+}
+
+double ParallelLbm::migration_charge() const {
+  if (migration_measured_ || !balancer_->ready()) return migration_cost_;
+  // Before its first move a rank has timed only a plan build. A
+  // migration also rebuilds the slab, copying every field of every owned
+  // plane, about the memory one phase sweeps; without that term the
+  // charge tracks the plan build alone and per-phase noise pays for
+  // moves on an idle host.
+  return migration_cost_ + balancer_->predicted_time(slab_->owned_cells());
 }
 
 std::optional<balance::NodeLoad> ParallelLbm::load_of(
@@ -564,7 +541,7 @@ double ParallelLbm::remap_local() {
   //    exchanged, then proposals cross each boundary.
   const balance::Proposal prop = balancer_->propose(
       left, slab_->owned_cells(), right,
-      {migration_cost_, balance::kGateIntervals * cfg_.remap_interval});
+      {migration_charge(), balance::kGateIntervals * cfg_.remap_interval});
   count_suppressed(prop.left_why);
   count_suppressed(prop.right_why);
   if (ln >= 0) {

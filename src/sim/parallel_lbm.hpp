@@ -162,9 +162,9 @@ class ParallelLbm {
  private:
   class RingExchanger;
 
-  /// Build the slab's streaming plan (and, on a SIMD backend, its row
-  /// tiles) if it is missing (first run, or dropped by a migration
-  /// rebuild); the build is recorded under the "plan" span — outside
+  /// Build the slab's streaming plan (its row tiles and per-cell tables)
+  /// if it is missing (first run, or dropped by a migration rebuild);
+  /// the build is recorded under the "plan" span — outside
   /// "remap", so fig09's remap-cost story stays honest. Returns the build
   /// time (0 if none).
   double ensure_plan();
@@ -212,6 +212,10 @@ class ParallelLbm {
   /// phase time, window full ? 1 : 0, migration cost).
   using LoadInfo = std::array<double, 4>;
   LoadInfo load_info() const;
+  /// What the remap gate charges this rank for a migration (injected
+  /// clock): migration_cost_, plus one predicted phase for the slab
+  /// rebuild until the rank has measured a migration of its own.
+  double migration_charge() const;
   /// A peer's LoadInfo as a policy input; nullopt until its window fills.
   static std::optional<balance::NodeLoad> load_of(std::span<const double> info);
   /// Bump the remap/suppressed_<filter> counter for `why` (none: no-op).
@@ -245,9 +249,9 @@ class ParallelLbm {
   double cells_updated_ = 0.0;  ///< fluid-cell updates, for the MLUPS gauge
   long long phases_done_ = 0;
   bool initialized_ = false;
-  /// This rank's migration cost estimate for the remap gate (injected
-  /// clock): the initial plan build until the rank first moves planes,
-  /// then the transfer + rebuild time of its latest migration.
+  /// This rank's measured migration cost (injected clock): the initial
+  /// plan build until the rank first moves planes, then the transfer +
+  /// rebuild time of its latest migration.
   double migration_cost_ = 0.0;
   bool migration_measured_ = false;
 

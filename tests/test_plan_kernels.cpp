@@ -5,9 +5,12 @@
 // expressions keep FP contraction identical) across every
 // boundary-condition class the geometry supports, for both collision
 // operators and both component counts. Plus: the plan's write coverage
-// is structurally verified (every fluid slot written exactly once), and
-// a plan rebuilt after a mid-run plane migration in the thread runner
-// still matches the sequential legacy reference.
+// is structurally verified (the row masks, the per-cell link tables and
+// the halo pulls write every fluid slot exactly once; rows and per-cell
+// force cells visit every owned cell once), the oracle gives the same
+// bytes whichever kernel backend is active, and a plan rebuilt after a
+// mid-run plane migration in the thread runner still matches the
+// sequential legacy reference.
 
 #include <gtest/gtest.h>
 
@@ -199,8 +202,9 @@ TEST(PlanKernels, ShanChenPsiFormMatchesLegacy) {
 
 namespace {
 
-// Replay the fused kernel's write pattern symbolically and count how many
-// times each (direction, cell) slot of f would be written.
+// Replay the fused kernel's write pattern symbolically — row masks,
+// per-cell link tables, halo pulls — and count how many times each
+// (direction, cell) slot of f would be written.
 void expect_full_coverage(const ChannelGeometry& geom, index_t x_begin,
                           index_t nx_local) {
   const StreamingPlan plan(geom, x_begin, nx_local);
@@ -213,11 +217,14 @@ void expect_full_coverage(const ChannelGeometry& geom, index_t x_begin,
                       static_cast<std::size_t>(e.cells()) +
                   static_cast<std::size_t>(cell)];
   };
-  for (const auto& run : plan.stream_interior())
-    for (index_t i = 0; i < run.count; ++i)
-      for (int d = 0; d < kQ; ++d)
-        slot(d, run.cell + i + plan.dir_offset(d)) += 1;
-  for (const auto& b : plan.stream_boundary()) {
+  for (const RowTile& row : plan.rows())
+    for (index_t i = 0; i < row.count; ++i)
+      for (int d = 0; d < kQ; ++d) {
+        const index_t cell = row.cell + i;
+        if ((row.push[d] >> i) & 1u) slot(d, cell + plan.dir_offset(d)) += 1;
+        if ((row.bounce[d] >> i) & 1u) slot(kOpposite[d], cell) += 1;
+      }
+  for (const auto& b : plan.stream_cells()) {
     slot(0, b.cell) += 1;  // the rest population stays home
     for (std::uint32_t l = b.link_begin; l < b.link_end; ++l) {
       const StreamLink& lk = plan.links()[l];
@@ -244,17 +251,18 @@ void expect_full_coverage(const ChannelGeometry& geom, index_t x_begin,
       }
 }
 
-// The force plan must cover every owned cell exactly once (the legacy
-// kernel sweeps solids too — they come out with zero density).
+// The rows and the per-cell force cells must cover every owned cell
+// exactly once (the legacy kernel sweeps solids too — they come out with
+// zero density).
 void expect_force_coverage(const ChannelGeometry& geom, index_t x_begin,
                            index_t nx_local) {
   const StreamingPlan plan(geom, x_begin, nx_local);
   const Extents& e = plan.storage();
   std::vector<int> visits(static_cast<std::size_t>(e.cells()), 0);
-  for (const auto& run : plan.force_interior())
-    for (index_t i = 0; i < run.count; ++i)
-      visits[static_cast<std::size_t>(run.cell + i)] += 1;
-  for (const auto& b : plan.force_boundary())
+  for (const RowTile& row : plan.rows())
+    for (index_t i = 0; i < row.count; ++i)
+      visits[static_cast<std::size_t>(row.cell + i)] += 1;
+  for (const auto& b : plan.force_cells())
     visits[static_cast<std::size_t>(b.cell)] += 1;
   for (index_t lx = 0; lx < e.nx; ++lx)
     for (index_t y = 0; y < e.ny; ++y)

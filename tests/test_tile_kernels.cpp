@@ -1,17 +1,19 @@
-// Equivalence and structural tests for the SIMD tile kernel path.
+// Equivalence and structural tests for the row-tile kernel path.
 //
-// Every KernelBackend this build/CPU supports must reproduce the scalar
-// plan path across a sweep of odd/prime grid extents (chosen so rows
-// leave every possible short-row length), geometries, component counts
-// and collision operators: bit for bit on one pass of each kernel, and
-// to within 1e-13 per population over runs — and the density pass must
-// be bit-identical (pure additions in a fixed order). Structurally, the
-// TileLayout's row tiles plus its per-cell lists must cover every owned
-// cell exactly once, in plane order with the inner-plane markers on the
-// plane boundaries, and the row masks replayed as writes and gathers
-// must reproduce the plan's link and neighbour tables slot for slot.
-// Finally a migrating multi-rank run on every SIMD backend must match
-// the sequential scalar reference, pinning partition invariance.
+// Every KernelBackend this build/CPU supports must reproduce the legacy
+// reference kernels (lbm::reference_phase, the oracle) across a sweep of
+// odd/prime grid extents (chosen so rows leave every possible short-row
+// length), geometries, component counts and collision operators: byte
+// for byte on one pass of each kernel — also from a crafted state full
+// of signed zeros — and to within 1e-13 per population over runs; the
+// density pass and the oracle itself must give the same bytes on every
+// backend. Structurally, the plan's row tiles plus its per-cell lists
+// must cover every owned cell exactly once, in plane order with the
+// inner-plane markers on the plane boundaries, and the row masks, link
+// tables and halo pulls replayed as writes and gathers must reproduce
+// the legacy pull and psi-gather rules slot for slot. Finally a
+// migrating multi-rank run on every backend must match the sequential
+// reference, pinning partition invariance.
 
 #include <gtest/gtest.h>
 
@@ -28,7 +30,6 @@
 #include "lbm/observables.hpp"
 #include "lbm/plan.hpp"
 #include "lbm/stepper.hpp"
-#include "lbm/tile.hpp"
 #include "obs/clock.hpp"
 #include "obs/metrics.hpp"
 #include "sim/parallel_lbm.hpp"
@@ -43,14 +44,16 @@ namespace {
 
 constexpr double kTol = 1e-13;
 
-/// Pin the process-global backend for a scope; restores scalar (the
-/// reference) on exit so test order cannot leak a SIMD backend.
+/// Pin the process-global backend for a scope; restores the default on
+/// exit so test order cannot leak a pinned backend.
 struct BackendGuard {
   explicit BackendGuard(KernelBackend b) { set_kernel_backend(b); }
-  ~BackendGuard() { set_kernel_backend(KernelBackend::scalar); }
+  ~BackendGuard() { set_kernel_backend(default_kernel_backend()); }
 };
 
-std::vector<KernelBackend> simd_backends() {
+/// Every distinct row backend this build/CPU runs (`scalar` is an alias
+/// of autovec, so sweeping it would only repeat autovec).
+std::vector<KernelBackend> row_backends() {
   std::vector<KernelBackend> out;
   for (KernelBackend b : supported_kernel_backends())
     if (b != KernelBackend::scalar) out.push_back(b);
@@ -171,73 +174,22 @@ void run_sim(Simulation& sim, const FluidParams& params, int phases) {
   sim.run(phases);
 }
 
-}  // namespace
-
-// -- backend equivalence: {5 grids} x {5 geometries} x {1,2 comp} x
-//    {BGK, MRT} x every supported SIMD backend vs scalar ----------------
-
-TEST(TileKernels, BackendsMatchScalarAcrossMatrix) {
-  const auto backends = simd_backends();
-  ASSERT_FALSE(backends.empty()) << "no SIMD backend compiled in";
-  for (const Extents& e : kGrids)
-    for (const auto& gc : kGeoCases)
-      for (int ncomp : {1, 2})
-        for (CollisionModel cm : {CollisionModel::bgk, CollisionModel::mrt}) {
-          const FluidParams params = make_params(ncomp, cm, gc);
-          const sim::RunnerConfig cfg = make_config(gc, e, params);
-          Simulation ref(cfg);
-          {
-            BackendGuard g(KernelBackend::scalar);
-            run_sim(ref, params, 10);
-          }
-          for (KernelBackend b : backends) {
-            SCOPED_TRACE(std::string(gc.name) + " " + std::to_string(e.nx) +
-                         "x" + std::to_string(e.ny) + "x" +
-                         std::to_string(e.nz) + " ncomp=" +
-                         std::to_string(ncomp) + " " +
-                         (cm == CollisionModel::bgk ? "bgk" : "mrt") + " " +
-                         to_string(b));
-            Simulation tile_sim(cfg);
-            BackendGuard g(b);
-            run_sim(tile_sim, params, 10);
-            expect_slabs_match(tile_sim.slab(), ref.slab());
-          }
-        }
+/// The oracle: a full-domain slab initialized like run_sim, primed and
+/// stepped `phases` reference phases on the legacy kernels.
+std::unique_ptr<Slab> reference_slab(const sim::RunnerConfig& cfg,
+                                     int phases) {
+  auto slab = std::make_unique<Slab>(sim::make_geometry(cfg), cfg.fluid, 0,
+                                     cfg.global.nx);
+  const FluidParams& params = cfg.fluid;
+  slab->initialize([&params](std::size_t c, index_t gx, index_t gy,
+                             index_t gz) {
+    return init_density(params, c, gx, gy, gz);
+  });
+  PeriodicSelfExchanger halo;
+  prime(*slab, halo);
+  for (int p = 0; p < phases; ++p) reference_phase(*slab, halo);
+  return slab;
 }
-
-TEST(TileKernels, DensityBitIdenticalAcrossBackends) {
-  // the density pass is pure additions in a fixed order: from the same
-  // populations, every backend must produce the exact same bits
-  const Extents e{6, 5, 11};
-  const FluidParams params = make_params(2, CollisionModel::bgk, kGeoCases[1]);
-  Simulation probe(make_config(kGeoCases[1], e, params));
-  {
-    BackendGuard gs(KernelBackend::scalar);
-    run_sim(probe, params, 6);
-  }
-  Slab& ps = probe.slab();
-  std::vector<std::vector<double>> scalar_n;
-  {
-    BackendGuard gs(KernelBackend::scalar);
-    compute_density(ps);
-    for (std::size_t c = 0; c < ps.num_components(); ++c)
-      scalar_n.emplace_back(ps.density(c).data().begin(),
-                            ps.density(c).data().end());
-  }
-  for (KernelBackend b : simd_backends()) {
-    SCOPED_TRACE(to_string(b));
-    BackendGuard gb(b);
-    compute_density(ps);
-    for (std::size_t c = 0; c < ps.num_components(); ++c)
-      for (index_t cell = 0; cell < ps.storage().cells(); ++cell)
-        ASSERT_EQ(ps.density(c)[cell], scalar_n[c][cell])
-            << "density not bit-identical, c=" << c << " cell=" << cell;
-  }
-}
-
-// -- one pass, bit for bit ---------------------------------------------
-
-namespace {
 
 template <class Field>
 bool same_bytes(const Field& a, const Field& b) {
@@ -246,80 +198,206 @@ bool same_bytes(const Field& a, const Field& b) {
          std::memcmp(da.data(), db.data(), da.size() * sizeof(double)) == 0;
 }
 
-bool same_dist(const DistField& a, const DistField& b) {
-  for (int d = 0; d < kQ; ++d) {
-    const auto da = a.dir(d), db = b.dir(d);
-    if (std::memcmp(da.data(), db.data(), da.size() * sizeof(double)) != 0)
-      return false;
-  }
-  return true;
-}
-
 bool same_vec(const VectorField& a, const VectorField& b) {
   return same_bytes(a.x(), b.x()) && same_bytes(a.y(), b.y()) &&
          same_bytes(a.z(), b.z());
 }
 
+/// Byte equality of every direction over the local planes
+/// [plane_begin, plane_end).
+bool same_planes(const DistField& a, const DistField& b, index_t plane_begin,
+                 index_t plane_end) {
+  for (int d = 0; d < kQ; ++d)
+    for (index_t lx = plane_begin; lx < plane_end; ++lx) {
+      const auto pa = a.dir_plane(d, lx), pb = b.dir_plane(d, lx);
+      if (std::memcmp(pa.data(), pb.data(), pa.size() * sizeof(double)) != 0)
+        return false;
+    }
+  return true;
+}
+
+std::string case_name(const GeoCase& gc, const Extents& e, int ncomp,
+                      CollisionModel cm) {
+  return std::string(gc.name) + " " + std::to_string(e.nx) + "x" +
+         std::to_string(e.ny) + "x" + std::to_string(e.nz) +
+         " ncomp=" + std::to_string(ncomp) + " " +
+         (cm == CollisionModel::bgk ? "bgk" : "mrt");
+}
+
+}  // namespace
+
+// -- backend equivalence: {6 grids} x {5 geometries} x {1,2 comp} x
+//    {BGK, MRT} x every row backend vs the oracle -----------------------
+
+TEST(TileKernels, BackendsMatchScalarAcrossMatrix) {
+  const auto backends = row_backends();
+  ASSERT_FALSE(backends.empty());
+  for (const Extents& e : kGrids)
+    for (const auto& gc : kGeoCases)
+      for (int ncomp : {1, 2})
+        for (CollisionModel cm : {CollisionModel::bgk, CollisionModel::mrt}) {
+          const FluidParams params = make_params(ncomp, cm, gc);
+          const sim::RunnerConfig cfg = make_config(gc, e, params);
+          const auto ref = reference_slab(cfg, 10);
+          for (KernelBackend b : backends) {
+            SCOPED_TRACE(case_name(gc, e, ncomp, cm) + " " + to_string(b));
+            Simulation tile_sim(cfg);
+            BackendGuard g(b);
+            run_sim(tile_sim, params, 10);
+            expect_slabs_match(tile_sim.slab(), *ref);
+          }
+        }
+}
+
+TEST(TileKernels, DensityBitIdenticalAcrossBackends) {
+  // the density pass is pure additions in a fixed order: from the same
+  // populations, every backend must write the oracle's exact bytes
+  const Extents e{6, 5, 11};
+  const FluidParams params = make_params(2, CollisionModel::bgk, kGeoCases[1]);
+  Simulation probe(make_config(kGeoCases[1], e, params));
+  run_sim(probe, params, 6);
+  Slab& ps = probe.slab();
+  compute_density(ps);
+  std::vector<ScalarField> ref_n;
+  for (std::size_t c = 0; c < ps.num_components(); ++c)
+    ref_n.push_back(ps.density(c));
+  for (KernelBackend b : row_backends()) {
+    SCOPED_TRACE(to_string(b));
+    BackendGuard gb(b);
+    compute_density_planes(ps, 1, ps.nx_local() + 1);
+    for (std::size_t c = 0; c < ps.num_components(); ++c)
+      EXPECT_TRUE(same_bytes(ps.density(c), ref_n[c]))
+          << "density not bit-identical, c=" << c;
+  }
+}
+
+TEST(TileKernels, ReferencePhaseSameBytesOnEveryBackend) {
+  // The oracle never dispatches: stepping reference_phase with any
+  // backend active (scalar included) gives the same bytes.
+  const Extents e{5, 7, 11};
+  for (const GeoCase& gc : {kGeoCases[0], kGeoCases[2]}) {
+    SCOPED_TRACE(gc.name);
+    const FluidParams params = make_params(2, CollisionModel::bgk, gc);
+    const sim::RunnerConfig cfg = make_config(gc, e, params);
+    std::unique_ptr<Slab> first;
+    for (KernelBackend b : supported_kernel_backends()) {
+      SCOPED_TRACE(to_string(b));
+      BackendGuard g(b);
+      auto slab = reference_slab(cfg, 4);
+      if (!first) {
+        first = std::move(slab);
+        continue;
+      }
+      const Extents& st = slab->storage();
+      for (std::size_t c = 0; c < slab->num_components(); ++c) {
+        EXPECT_TRUE(same_planes(slab->f(c), first->f(c), 0, st.nx))
+            << "f, c=" << c;
+        EXPECT_TRUE(same_bytes(slab->density(c), first->density(c)))
+            << "n, c=" << c;
+        EXPECT_TRUE(same_vec(slab->ueq(c), first->ueq(c))) << "ueq, c=" << c;
+      }
+      EXPECT_TRUE(same_bytes(slab->total_density(), first->total_density()))
+          << "rho_tot";
+      EXPECT_TRUE(same_vec(slab->velocity(), first->velocity())) << "u";
+    }
+  }
+}
+
+// -- one pass, bit for bit ---------------------------------------------
+
+namespace {
+
+/// One collide+stream and one density+forces pass, either on the fused
+/// kernels of the active backend or on the legacy oracle kernels. The
+/// stream slab keeps the pre-collided f_post of the exchange-facing
+/// planes (the f-halo payload) in `precollide`.
+struct OnePass {
+  std::vector<DistField> precollide;
+};
+
+OnePass stream_pass(Slab& s, bool legacy) {
+  PeriodicSelfExchanger halo;
+  OnePass out;
+  if (legacy)
+    collide(s);
+  else
+    collide_boundary_planes(s);
+  for (std::size_t c = 0; c < s.num_components(); ++c)
+    out.precollide.push_back(s.f_post(c));
+  halo.exchange_f(s);
+  if (legacy)
+    stream(s);
+  else
+    fused_collide_stream(s);
+  return out;
+}
+
+void force_pass(Slab& s, bool legacy) {
+  PeriodicSelfExchanger halo;
+  if (legacy)
+    compute_density(s);
+  else
+    compute_density_planes(s, 1, s.nx_local() + 1);
+  halo.exchange_density(s);
+  if (legacy)
+    compute_forces_and_velocity(s);
+  else
+    compute_forces_and_velocity_plan(s);
+}
+
+/// Byte equality of what one pass writes: the pre-collided edge planes
+/// (the fused path collides only those), the streamed populations of
+/// the owned planes, and the densities, ueq, total density and velocity.
+void expect_pass_matches(const Slab& ts, const OnePass& tp, const Slab& rs,
+                         const OnePass& rp, const Slab& tf, const Slab& rf) {
+  const index_t nxl = ts.nx_local();
+  for (std::size_t c = 0; c < ts.num_components(); ++c) {
+    EXPECT_TRUE(same_planes(tp.precollide[c], rp.precollide[c], 1, 2) &&
+                same_planes(tp.precollide[c], rp.precollide[c], nxl, nxl + 1))
+        << "pre-collided f_post, c=" << c;
+    EXPECT_TRUE(same_planes(ts.f(c), rs.f(c), 1, nxl + 1))
+        << "streamed f, c=" << c;
+    EXPECT_TRUE(same_bytes(tf.density(c), rf.density(c))) << "n, c=" << c;
+    EXPECT_TRUE(same_vec(tf.ueq(c), rf.ueq(c))) << "ueq, c=" << c;
+  }
+  EXPECT_TRUE(same_bytes(tf.total_density(), rf.total_density()))
+      << "rho_tot";
+  EXPECT_TRUE(same_vec(tf.velocity(), rf.velocity())) << "u";
+}
+
 }  // namespace
 
 TEST(TileKernels, OnePassBitIdenticalToScalar) {
-  // From one evolved state, each kernel of a phase on a SIMD backend
-  // must write exactly the scalar path's bytes: the pre-collided edge
-  // planes, the streamed populations, and the force pass's ueq,
-  // total density and velocity.
-  const auto backends = simd_backends();
-  ASSERT_FALSE(backends.empty()) << "no SIMD backend compiled in";
+  // From one evolved state, each kernel of a phase on every backend must
+  // write exactly the legacy kernels' bytes: the pre-collided edge
+  // planes, the streamed populations, and the force pass's ueq, total
+  // density and velocity.
+  const auto backends = row_backends();
+  ASSERT_FALSE(backends.empty());
   for (const Extents& e : kGrids)
     for (const GeoCase& gc : {kGeoCases[1], kGeoCases[2]})
       for (int ncomp : {1, 2})
         for (CollisionModel cm : {CollisionModel::bgk, CollisionModel::mrt}) {
           const FluidParams params = make_params(ncomp, cm, gc);
           const sim::RunnerConfig cfg = make_config(gc, e, params);
-          // One pass of every kernel on `b`, from 6 scalar phases.
-          const auto one_pass = [&](KernelBackend b) {
+          // Two copies of the state after 6 phases, one pass each.
+          const auto evolved = [&] {
             auto sim = std::make_unique<Simulation>(cfg);
-            {
-              BackendGuard g(KernelBackend::scalar);
-              run_sim(*sim, params, 6);
-            }
-            Slab& s = sim->slab();
-            PeriodicSelfExchanger halo;
-            BackendGuard g(b);
-            s.tiles();
-            collide_boundary_planes(s);
-            std::vector<DistField> precollide;
-            for (std::size_t c = 0; c < s.num_components(); ++c)
-              precollide.push_back(s.f_post(c));
-            halo.exchange_f(s);
-            fused_collide_stream(s);
-            compute_density(s);
-            halo.exchange_density(s);
-            compute_forces_and_velocity_plan(s);
-            return std::make_pair(std::move(sim), std::move(precollide));
+            run_sim(*sim, params, 6);
+            return sim;
           };
-          const auto ref = one_pass(KernelBackend::scalar);
-          const Slab& rs = ref.first->slab();
+          const auto ref = evolved();
+          Slab& rs = ref->slab();
+          const OnePass rp = stream_pass(rs, /*legacy=*/true);
+          force_pass(rs, /*legacy=*/true);
           for (KernelBackend b : backends) {
-            SCOPED_TRACE(std::string(gc.name) + " " + std::to_string(e.nx) +
-                         "x" + std::to_string(e.ny) + "x" +
-                         std::to_string(e.nz) + " ncomp=" +
-                         std::to_string(ncomp) + " " +
-                         (cm == CollisionModel::bgk ? "bgk" : "mrt") + " " +
-                         to_string(b));
-            const auto got = one_pass(b);
-            const Slab& ts = got.first->slab();
-            for (std::size_t c = 0; c < ts.num_components(); ++c) {
-              EXPECT_TRUE(same_dist(got.second[c], ref.second[c]))
-                  << "pre-collided f_post, c=" << c;
-              EXPECT_TRUE(same_dist(ts.f(c), rs.f(c)))
-                  << "streamed f_post, c=" << c;
-              EXPECT_TRUE(same_bytes(ts.density(c), rs.density(c)))
-                  << "n, c=" << c;
-              EXPECT_TRUE(same_vec(ts.ueq(c), rs.ueq(c))) << "ueq, c=" << c;
-            }
-            EXPECT_TRUE(same_bytes(ts.total_density(), rs.total_density()))
-                << "rho_tot";
-            EXPECT_TRUE(same_vec(ts.velocity(), rs.velocity())) << "u";
+            SCOPED_TRACE(case_name(gc, e, ncomp, cm) + " " + to_string(b));
+            const auto got = evolved();
+            Slab& ts = got->slab();
+            BackendGuard g(b);
+            const OnePass tp = stream_pass(ts, /*legacy=*/false);
+            force_pass(ts, /*legacy=*/false);
+            expect_pass_matches(ts, tp, rs, rp, ts, rs);
           }
         }
 }
@@ -369,76 +447,48 @@ void craft_state(Slab& s) {
 TEST(TileKernels, CraftedSignedZerosBitIdenticalToScalar) {
   // The row kernels fold the D3Q19 velocities in at compile time (no
   // multiply by 0 or ±1). From a crafted state, each kernel on every
-  // SIMD backend must still write exactly the scalar path's bytes —
-  // memcmp, so a -0.0 / +0.0 flip counts — including on masked tail
-  // vectors (nz = 11 and 7 leave a short vector on every backend).
-  const auto backends = simd_backends();
-  ASSERT_FALSE(backends.empty()) << "no SIMD backend compiled in";
+  // backend must still write exactly the legacy kernels' bytes — memcmp,
+  // so a -0.0 / +0.0 flip counts — including on masked tail vectors
+  // (nz = 11 and 7 leave a short vector on every backend).
+  const auto backends = row_backends();
+  ASSERT_FALSE(backends.empty());
   for (const Extents& e : {Extents{4, 7, 11}, Extents{5, 3, 7}})
     for (const GeoCase& gc : {kGeoCases[1], kGeoCases[2]})
       for (int ncomp : {1, 2}) {
         const FluidParams params = make_params(ncomp, CollisionModel::bgk, gc);
         const sim::RunnerConfig cfg = make_config(gc, e, params);
+        // collide+stream and density+forces, each from the crafted state
         struct Pass {
           std::unique_ptr<Simulation> stream, force;
-          std::vector<DistField> precollide;
+          OnePass one;
         };
-        // collide+stream and density+forces, each from the crafted state
-        const auto one_pass = [&](KernelBackend b) {
+        const auto run_pass = [&](bool legacy) {
           Pass out;
           out.stream = std::make_unique<Simulation>(cfg);
           out.force = std::make_unique<Simulation>(cfg);
-          {
-            BackendGuard g(KernelBackend::scalar);
-            out.stream->initialize_uniform();
-            out.force->initialize_uniform();
-          }
-          PeriodicSelfExchanger halo;
-          BackendGuard g(b);
+          out.stream->initialize_uniform();
+          out.force->initialize_uniform();
           Slab& ss = out.stream->slab();
-          ss.tiles();
           craft_state(ss);
-          collide_boundary_planes(ss);
-          for (std::size_t c = 0; c < ss.num_components(); ++c)
-            out.precollide.push_back(ss.f_post(c));
-          halo.exchange_f(ss);
-          fused_collide_stream(ss);
+          out.one = stream_pass(ss, legacy);
           Slab& fs = out.force->slab();
-          fs.tiles();
           craft_state(fs);
-          compute_density(fs);
-          halo.exchange_density(fs);
-          compute_forces_and_velocity_plan(fs);
+          force_pass(fs, legacy);
           return out;
         };
-        const Pass ref = one_pass(KernelBackend::scalar);
+        const Pass ref = run_pass(/*legacy=*/true);
         for (KernelBackend b : backends) {
-          SCOPED_TRACE(std::string(gc.name) + " " + std::to_string(e.nx) +
-                       "x" + std::to_string(e.ny) + "x" +
-                       std::to_string(e.nz) + " ncomp=" +
-                       std::to_string(ncomp) + " " + to_string(b));
-          const Pass got = one_pass(b);
-          const Slab& ts = got.stream->slab();
-          const Slab& rs = ref.stream->slab();
-          const Slab& tf = got.force->slab();
-          const Slab& rf = ref.force->slab();
-          for (std::size_t c = 0; c < ts.num_components(); ++c) {
-            EXPECT_TRUE(same_dist(got.precollide[c], ref.precollide[c]))
-                << "pre-collided f_post, c=" << c;
-            EXPECT_TRUE(same_dist(ts.f(c), rs.f(c)))
-                << "streamed f_post, c=" << c;
-            EXPECT_TRUE(same_bytes(tf.density(c), rf.density(c)))
-                << "n, c=" << c;
-            EXPECT_TRUE(same_vec(tf.ueq(c), rf.ueq(c))) << "ueq, c=" << c;
-          }
-          EXPECT_TRUE(same_bytes(tf.total_density(), rf.total_density()))
-              << "rho_tot";
-          EXPECT_TRUE(same_vec(tf.velocity(), rf.velocity())) << "u";
+          SCOPED_TRACE(case_name(gc, e, ncomp, CollisionModel::bgk) + " " +
+                       to_string(b));
+          BackendGuard g(b);
+          const Pass got = run_pass(/*legacy=*/false);
+          expect_pass_matches(got.stream->slab(), got.one, ref.stream->slab(),
+                              ref.one, got.force->slab(), ref.force->slab());
         }
       }
 }
 
-// -- structural invariants of the TileLayout ---------------------------
+// -- structural invariants of the plan's rows and per-cell lists --------
 
 namespace {
 
@@ -452,8 +502,7 @@ std::vector<index_t> slab_widths(const Extents& e) {
   return out;
 }
 
-void expect_rows_partition_cells(const StreamingPlan& plan,
-                                 const TileLayout& layout) {
+void expect_rows_partition_cells(const StreamingPlan& plan) {
   const Extents& e = plan.storage();
   const index_t nxl = plan.nx_local();
   std::vector<int> row_hits(static_cast<std::size_t>(e.cells()), 0);
@@ -463,8 +512,8 @@ void expect_rows_partition_cells(const StreamingPlan& plan,
   for (index_t s : plan.solids()) solid[static_cast<std::size_t>(s)] = 1;
 
   index_t last_lx = 1;
-  for (std::size_t ri = 0; ri < layout.rows().size(); ++ri) {
-    const RowTile& row = layout.rows()[ri];
+  for (std::size_t ri = 0; ri < plan.rows().size(); ++ri) {
+    const RowTile& row = plan.rows()[ri];
     ASSERT_GE(row.count, 1);
     ASSERT_LE(row.count, kTileWidth);
     const index_t lx = row.cell / e.plane_cells();
@@ -474,7 +523,7 @@ void expect_rows_partition_cells(const StreamingPlan& plan,
     ASSERT_LE(yz % e.nz + row.count, e.nz) << "row spans two (x, y) rows";
     ASSERT_GE(lx, last_lx) << "rows out of plane order";
     last_lx = lx;
-    const bool inner = ri >= layout.inner_begin() && ri < layout.inner_end();
+    const bool inner = ri >= plan.inner_begin() && ri < plan.inner_end();
     EXPECT_EQ(inner, lx >= 2 && lx <= nxl - 1) << "row " << ri;
 
     const auto live = static_cast<LaneMask>((1u << row.count) - 1u);
@@ -506,32 +555,35 @@ void expect_rows_partition_cells(const StreamingPlan& plan,
     }
   }
 
-  // per-cell lists: subsets of the plan's boundary lists, plane ordered,
-  // inner markers on the plane boundaries
-  std::size_t pi = 0;
-  for (const StreamBoundaryCell& b : layout.stream_cells()) {
-    while (pi < plan.stream_boundary().size() &&
-           plan.stream_boundary()[pi].cell != b.cell)
-      ++pi;
-    ASSERT_LT(pi, plan.stream_boundary().size()) << "not a plan entry";
-    EXPECT_EQ(plan.stream_boundary()[pi].link_begin, b.link_begin);
-    EXPECT_EQ(plan.stream_boundary()[pi].link_end, b.link_end);
+  // per-cell lists: plane ordered, link slices back to back, inner
+  // markers on the plane boundaries
+  std::uint32_t next_link = 0;
+  index_t last_cell = -1;
+  for (const StreamBoundaryCell& b : plan.stream_cells()) {
+    EXPECT_GT(b.cell, last_cell) << "stream cells out of storage order";
+    last_cell = b.cell;
+    EXPECT_EQ(b.link_begin, next_link);
+    EXPECT_LE(b.link_begin, b.link_end);
+    next_link = b.link_end;
     stream_hits[static_cast<std::size_t>(b.cell)] += 1;
   }
-  pi = 0;
-  for (std::size_t i = 0; i < layout.force_cells().size(); ++i) {
-    const ForceBoundaryCell& b = layout.force_cells()[i];
-    while (pi < plan.force_boundary().size() &&
-           plan.force_boundary()[pi].cell != b.cell)
-      ++pi;
-    ASSERT_LT(pi, plan.force_boundary().size()) << "not a plan entry";
-    EXPECT_EQ(plan.force_boundary()[pi].nbr_begin, b.nbr_begin);
+  EXPECT_EQ(next_link, plan.links().size());
+  last_cell = -1;
+  for (std::size_t i = 0; i < plan.force_cells().size(); ++i) {
+    const ForceBoundaryCell& b = plan.force_cells()[i];
+    EXPECT_GT(b.cell, last_cell) << "force cells out of storage order";
+    last_cell = b.cell;
+    EXPECT_EQ(b.nbr_begin, i * (kQ - 1));
     const index_t lx = b.cell / e.plane_cells();
-    const bool inner = i >= layout.force_cells_inner_begin() &&
-                       i < layout.force_cells_inner_end();
+    EXPECT_EQ(b.yz, b.cell % e.plane_cells());
+    EXPECT_EQ(b.gx, plan.x_begin() + lx - 1);
+    const bool inner = i >= plan.force_cells_inner_begin() &&
+                       i < plan.force_cells_inner_end();
     EXPECT_EQ(inner, lx >= 2 && lx <= nxl - 1) << "force cell " << i;
     force_hits[static_cast<std::size_t>(b.cell)] += 1;
   }
+  EXPECT_EQ(plan.force_neighbors().size(),
+            plan.force_cells().size() * (kQ - 1));
 
   // every owned fluid cell in exactly one row lane or the stream list;
   // every owned cell (solids too) in one row lane or the force list
@@ -548,70 +600,99 @@ void expect_rows_partition_cells(const StreamingPlan& plan,
       }
 }
 
-// Replay the fused kernel's writes twice — once from the plan (runs +
-// link tables), once from the layout (row masks + per-cell lists) — and
-// record which (cell, out_dir) wrote each (direction, cell) slot: the
-// two must agree slot for slot, and every owned fluid slot must be
-// written exactly once. The force gathers are replayed the same way.
+// Replay the fused kernel's writes from the plan (row masks, per-cell
+// link tables, halo pulls) and record which (cell, direction) source
+// fills each (direction, cell) slot; replay the legacy pull rule from
+// the geometry alone; the two must agree slot for slot, and every owned
+// fluid slot must be written exactly once. The force gathers are
+// checked the same way against the legacy psi-gather rule.
 void expect_full_coverage_tiles(const ChannelGeometry& geom, index_t x_begin,
                                 index_t nx_local) {
   const StreamingPlan plan(geom, x_begin, nx_local);
-  const TileLayout layout(plan);
   const Extents& e = plan.storage();
   const auto cells = static_cast<std::size_t>(e.cells());
   constexpr long long kNone = -1;
-  std::vector<long long> by_plan(static_cast<std::size_t>(kQ) * cells, kNone);
-  std::vector<long long> by_rows(by_plan.size(), kNone);
-  std::vector<int> writes(by_plan.size(), 0);
+  std::vector<long long> by_legacy(static_cast<std::size_t>(kQ) * cells,
+                                   kNone);
+  std::vector<long long> by_plan(by_legacy.size(), kNone);
+  std::vector<int> writes(by_legacy.size(), 0);
   const auto slot = [&](int d, index_t cell) {
     return static_cast<std::size_t>(d) * cells + static_cast<std::size_t>(cell);
   };
   const auto source = [](index_t cell, int d) {
     return static_cast<long long>(cell) * kQ + d;
   };
-  const auto replay_links = [&](const StreamBoundaryCell& b,
-                                std::vector<long long>& by) {
-    by[slot(0, b.cell)] = source(b.cell, 0);
-    for (std::uint32_t l = b.link_begin; l < b.link_end; ++l) {
-      const StreamLink& lk = plan.links()[l];
-      by[slot(lk.dest_dir, lk.dest)] = source(b.cell, lk.out_dir);
-    }
+  const auto write = [&](int d, index_t cell, long long src) {
+    by_plan[slot(d, cell)] = src;
+    writes[slot(d, cell)] += 1;
   };
 
-  for (const auto& run : plan.stream_interior())
-    for (index_t i = 0; i < run.count; ++i)
-      for (int d = 0; d < kQ; ++d)
-        by_plan[slot(d, run.cell + i + plan.dir_offset(d))] =
-            source(run.cell + i, d);
-  for (const auto& b : plan.stream_boundary()) replay_links(b, by_plan);
-
-  for (const RowTile& row : layout.rows())
+  for (const RowTile& row : plan.rows())
     for (index_t i = 0; i < row.count; ++i) {
       const index_t cell = row.cell + i;
       const unsigned bit = 1u << i;
       for (int d = 0; d < kQ; ++d) {
-        if (row.push[d] & bit) {
-          by_rows[slot(d, cell + plan.dir_offset(d))] = source(cell, d);
-          writes[slot(d, cell + plan.dir_offset(d))] += 1;
-        }
-        if (row.bounce[d] & bit) {
-          by_rows[slot(kOpposite[d], cell)] = source(cell, d);
-          writes[slot(kOpposite[d], cell)] += 1;
-        }
+        if (row.push[d] & bit)
+          write(d, cell + plan.dir_offset(d), source(cell, d));
+        if (row.bounce[d] & bit) write(kOpposite[d], cell, source(cell, d));
       }
     }
-  for (const auto& b : layout.stream_cells()) {
-    replay_links(b, by_rows);
-    writes[slot(0, b.cell)] += 1;
-    for (std::uint32_t l = b.link_begin; l < b.link_end; ++l)
-      writes[slot(plan.links()[l].dest_dir, plan.links()[l].dest)] += 1;
+  for (const auto& b : plan.stream_cells()) {
+    write(0, b.cell, source(b.cell, 0));
+    for (std::uint32_t l = b.link_begin; l < b.link_end; ++l) {
+      const StreamLink& lk = plan.links()[l];
+      write(lk.dest_dir, lk.dest, source(b.cell, lk.out_dir));
+    }
   }
-  for (const auto& h : plan.halo_pulls()) writes[slot(h.dir, h.dest)] += 1;
-  ASSERT_TRUE(by_rows == by_plan) << "row masks write other slots than "
-                                     "the plan's link tables";
+  for (const auto& h : plan.halo_pulls())
+    write(h.dir, h.dest, source(h.src, h.dir));
 
-  std::vector<char> solid(cells, 0);
-  for (index_t s : plan.solids()) solid[static_cast<std::size_t>(s)] = 1;
+  // The legacy stream(): slot (d, cell) pulls population d from
+  // cell - c_d (wrapped across periodic y/z), or — when that neighbour
+  // is a wall or solid — the cell's own population kOpposite[d] bounced.
+  // The psi gather of the legacy force kernel reads cell + c_d, or
+  // nothing (psi zero) past a wall or inside a solid.
+  const auto solid = [&](index_t gx, index_t y, index_t z) {
+    return geom.has_obstacles() && geom.solid(gx, y, z);
+  };
+  // neighbour (lx + s cx, y + s cy, z + s cz) of direction d, -1 past a
+  // wall or inside a solid
+  const auto neighbour = [&](index_t lx, index_t y, index_t z, int d,
+                             int s) -> index_t {
+    index_t ny = y + s * kCy[d], nz = z + s * kCz[d];
+    if (ny < 0 || ny >= e.ny) {
+      if (geom.walls_y()) return -1;
+      ny = (ny + e.ny) % e.ny;
+    }
+    if (nz < 0 || nz >= e.nz) {
+      if (geom.walls_z()) return -1;
+      nz = (nz + e.nz) % e.nz;
+    }
+    const index_t nlx = lx + s * kCx[d];
+    if (solid(x_begin + nlx - 1, ny, nz)) return -1;
+    return e.idx(nlx, ny, nz);
+  };
+  std::vector<index_t> g_legacy(by_legacy.size(), -2),
+      g_plan(by_legacy.size(), -2);
+  for (index_t lx = 1; lx <= nx_local; ++lx)
+    for (index_t y = 0; y < e.ny; ++y)
+      for (index_t z = 0; z < e.nz; ++z) {
+        const index_t cell = e.idx(lx, y, z);
+        for (int d = 1; d < kQ; ++d)
+          g_legacy[slot(d, cell)] = neighbour(lx, y, z, d, +1);
+        if (solid(x_begin + lx - 1, y, z)) continue;
+        by_legacy[slot(0, cell)] = source(cell, 0);
+        for (int d = 1; d < kQ; ++d) {
+          const index_t from = neighbour(lx, y, z, d, -1);
+          by_legacy[slot(d, cell)] =
+              from < 0 ? source(cell, kOpposite[d]) : source(from, d);
+        }
+      }
+  ASSERT_TRUE(by_plan == by_legacy) << "the plan's writes pull other "
+                                       "populations than the legacy stream";
+
+  std::vector<char> is_solid(cells, 0);
+  for (index_t s : plan.solids()) is_solid[static_cast<std::size_t>(s)] = 1;
   for (index_t lx = 0; lx < e.nx; ++lx)
     for (index_t y = 0; y < e.ny; ++y)
       for (index_t z = 0; z < e.nz; ++z) {
@@ -619,34 +700,25 @@ void expect_full_coverage_tiles(const ChannelGeometry& geom, index_t x_begin,
         const bool owned = lx >= 1 && lx <= nx_local;
         for (int d = 0; d < kQ; ++d) {
           const int expected =
-              owned && !solid[static_cast<std::size_t>(cell)] ? 1 : 0;
+              owned && !is_solid[static_cast<std::size_t>(cell)] ? 1 : 0;
           ASSERT_EQ(writes[slot(d, cell)], expected)
               << "d=" << d << " @(" << lx << "," << y << "," << z << ")";
         }
       }
 
   // force gathers: neighbour read per (cell, direction), -1 = psi zero
-  std::vector<index_t> g_plan(by_plan.size(), -2), g_rows(by_plan.size(), -2);
-  for (const auto& run : plan.force_interior())
-    for (index_t i = 0; i < run.count; ++i)
-      for (int d = 1; d < kQ; ++d)
-        g_plan[slot(d, run.cell + i)] = run.cell + i + plan.dir_offset(d);
-  const auto table = [&](const ForceBoundaryCell& b,
-                         std::vector<index_t>& g) {
-    for (int d = 1; d < kQ; ++d)
-      g[slot(d, b.cell)] =
-          plan.force_neighbors()[b.nbr_begin + static_cast<std::uint32_t>(d) -
-                                 1];
-  };
-  for (const auto& b : plan.force_boundary()) table(b, g_plan);
-  for (const RowTile& row : layout.rows())
+  for (const RowTile& row : plan.rows())
     for (index_t i = 0; i < row.count; ++i)
       for (int d = 1; d < kQ; ++d)
-        g_rows[slot(d, row.cell + i)] =
+        g_plan[slot(d, row.cell + i)] =
             (row.psi[d] >> i) & 1u ? row.cell + i + plan.dir_offset(d) : -1;
-  for (const auto& b : layout.force_cells()) table(b, g_rows);
-  ASSERT_TRUE(g_rows == g_plan) << "psi masks gather other neighbours than "
-                                   "the plan's tables";
+  for (const auto& b : plan.force_cells())
+    for (int d = 1; d < kQ; ++d)
+      g_plan[slot(d, b.cell)] =
+          plan.force_neighbors()[b.nbr_begin + static_cast<std::uint32_t>(d) -
+                                 1];
+  ASSERT_TRUE(g_plan == g_legacy) << "the plan gathers other psi "
+                                     "neighbours than the legacy kernel";
 }
 
 }  // namespace
@@ -661,8 +733,7 @@ TEST(TileStructure, TilesPartitionRunsExactly) {
         for (index_t x_begin : {index_t{0}, e.nx - nx_local}) {
           SCOPED_TRACE("slab " + std::to_string(x_begin) + "+" +
                        std::to_string(nx_local));
-          const StreamingPlan plan(*geom, x_begin, nx_local);
-          expect_rows_partition_cells(plan, TileLayout(plan));
+          expect_rows_partition_cells(StreamingPlan(*geom, x_begin, nx_local));
         }
     }
 }
@@ -684,24 +755,25 @@ TEST(TileStructure, EveryFluidSlotWrittenExactlyOnceViaTiles) {
 
 TEST(TileStructure, ChannelRowsCoverEveryCell) {
   // Walled y/z without obstacles or moving walls — the README channel:
-  // the masks express every cell, so nothing is left to the per-cell
-  // path, and full rows on a kTileWidth-wide channel carry no tail.
+  // the masks express every cell, so the plan keeps no per-cell table,
+  // and full rows on a kTileWidth-wide channel carry no tail.
   const Extents e{4, 6, 8};
   const auto geom = make_geom(kGeoCases[1], e);
   for (index_t nx_local : slab_widths(e)) {
     const StreamingPlan plan(*geom, 0, nx_local);
-    const TileLayout layout(plan);
-    EXPECT_TRUE(layout.stream_cells().empty());
-    EXPECT_TRUE(layout.force_cells().empty());
-    ASSERT_EQ(layout.rows().size(), static_cast<std::size_t>(nx_local * e.ny));
-    for (const RowTile& row : layout.rows()) EXPECT_EQ(row.count, e.nz);
+    EXPECT_TRUE(plan.stream_cells().empty());
+    EXPECT_TRUE(plan.force_cells().empty());
+    EXPECT_TRUE(plan.links().empty());
+    EXPECT_TRUE(plan.force_neighbors().empty());
+    ASSERT_EQ(plan.rows().size(), static_cast<std::size_t>(nx_local * e.ny));
+    for (const RowTile& row : plan.rows()) EXPECT_EQ(row.count, e.nz);
   }
 }
 
-// -- partition invariance: migrating multi-rank run on a SIMD backend --
+// -- partition invariance: migrating multi-rank run on every backend ---
 
 TEST(TileKernels, ParallelSimdRunMatchesSequentialScalar) {
-  const auto backends = simd_backends();
+  const auto backends = row_backends();
   ASSERT_FALSE(backends.empty());
   const Extents grid{18, 6, 4};
 
@@ -719,17 +791,21 @@ TEST(TileKernels, ParallelSimdRunMatchesSequentialScalar) {
   };
   const int chunks = 10;  // of remap_interval phases each
 
-  Simulation seq(grid, cfg.fluid);
+  // the sequential oracle
+  Slab seq(std::make_shared<const ChannelGeometry>(grid), cfg.fluid, 0,
+           grid.nx);
+  seq.initialize_uniform();
   {
-    BackendGuard g(KernelBackend::scalar);
-    seq.initialize_uniform();
-    seq.run(chunks * cfg.remap_interval);
+    PeriodicSelfExchanger halo;
+    prime(seq, halo);
+    for (int p = 0; p < chunks * cfg.remap_interval; ++p)
+      reference_phase(seq, halo);
   }
   std::vector<std::vector<double>> ref_w, ref_a, ref_u;
   for (index_t gx = 0; gx < grid.nx; ++gx) {
-    ref_w.push_back(density_profile_y(seq.slab(), 0, gx, 2));
-    ref_a.push_back(density_profile_y(seq.slab(), 1, gx, 2));
-    ref_u.push_back(velocity_profile_y(seq.slab(), gx, 2));
+    ref_w.push_back(density_profile_y(seq, 0, gx, 2));
+    ref_a.push_back(density_profile_y(seq, 1, gx, 2));
+    ref_u.push_back(velocity_profile_y(seq, gx, 2));
   }
 
   for (KernelBackend backend : backends)
@@ -774,7 +850,7 @@ TEST(TileKernels, ParallelSimdRunMatchesSequentialScalar) {
           for (const auto& s : stats) migrated += s.planes_sent;
       });
 
-      EXPECT_GT(migrated, 0);  // the run really crossed plan+tile rebuilds
+      EXPECT_GT(migrated, 0);  // the run really crossed plan rebuilds
       // ... down to a 1-plane slab: edge rows only, no inner rows
       EXPECT_EQ(slowed_min_planes, 1);
       for (std::size_t gx = 0; gx < par_w.size(); ++gx) {

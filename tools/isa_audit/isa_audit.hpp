@@ -7,7 +7,8 @@
 /// — but only if no such instruction leaks out of its dedicated
 /// translation unit (the COMDAT hazard: a shared inline function
 /// compiled under -mavx512f can be the copy the linker keeps). Likewise
-/// the scalar ≡ SIMD bit-identity argument requires that no kernel TU
+/// the bit-identity argument (every row backend ≡ the legacy reference
+/// kernels) requires that no kernel TU
 /// contracts a*b+c into an FMA. Both properties are invisible at the
 /// source level; this tool enforces them where they actually live, in
 /// the object files, by parsing `objdump -d` output and checking every
@@ -103,7 +104,7 @@ struct IsaPolicy {
 /// on baseline x86-64. contract_only checks just the FMA rule: under
 /// -march=native every TU legitimately uses the host's full ISA, but
 /// the kernel TUs must STILL be FMA-free or the -ffp-contract=off
-/// bit-identity argument (and with it scalar ≡ simd) silently breaks.
+/// bit-identity argument (and with it legacy ≡ SIMD) silently breaks.
 enum class AuditMode { strict, contract_only };
 
 struct IsaViolation {
