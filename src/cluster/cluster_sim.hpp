@@ -44,8 +44,10 @@ struct ClusterConfig {
   /// phase: collide | stream+bounce-back+density | forces+velocity.
   std::array<double, 3> stage_fraction{0.35, 0.30, 0.35};
   /// Message sizes per plane cell: f-halo carries 5 crossing directions
-  /// per component, the density halo one scalar per component, migration
-  /// the full per-cell state (19 + 1 + 3 doubles per component).
+  /// per component, the density halo one scalar per component. Migration
+  /// models the paper's per-component record (19 + 1 + 3 doubles per
+  /// component), not the real runner's plane record, which also carries
+  /// the 4 mixture doubles; the paper figures are calibrated on this.
   double f_halo_bytes_per_cell = 2 * 5 * 8.0;
   double density_halo_bytes_per_cell = 2 * 8.0;
   double migration_bytes_per_cell = 2 * 23 * 8.0;

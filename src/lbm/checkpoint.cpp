@@ -8,7 +8,9 @@ namespace slipflow::lbm {
 namespace {
 
 constexpr std::uint64_t kMagic = 0x534C4950434B5054ull;  // "SLIPCKPT"
-constexpr std::uint64_t kVersion = 1;
+/// 2: the plane record carries the mixture total density and velocity.
+/// Version 1 files are refused, not read.
+constexpr std::uint64_t kVersion = 2;
 
 struct Header {
   std::uint64_t magic = kMagic;

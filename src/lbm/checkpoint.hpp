@@ -5,8 +5,9 @@
 /// The paper's production runs take days to weeks ("even a parallel
 /// computation of fluid slip can take days or weeks"), so restartability
 /// is a practical necessity. The on-disk format reuses the migration
-/// plane layout (Slab::pack_plane): a fixed header followed by one
-/// packed record per global yz-plane in x order. Because planes are
+/// plane record (Slab::pack_owned_plane, mixture fields included): a
+/// fixed header (format version 2) followed by one packed record per
+/// global yz-plane in x order. Because planes are
 /// self-contained, a checkpoint written by any decomposition can be
 /// restored by any other — including a different rank count — each rank
 /// simply reads the plane range it owns.

@@ -47,6 +47,9 @@ void compute_density(Slab& slab);
 /// + driving body force), the per-component equilibrium velocities
 /// ueq = u' + tau F / rho, and the mixture observables (total density and
 /// force-corrected macroscopic velocity). Requires density halos filled.
+/// The oracle's force pass (lbm::prime, lbm::reference_phase); the runner
+/// primes with compute_forces_and_velocity_plan and steps with its split
+/// pieces.
 void compute_forces_and_velocity(Slab& slab);
 
 /// Total mass of a component over the owned planes (sum of n times

@@ -3,9 +3,9 @@
 /// The test and bench oracle: Figure 2's kernel sequence on the original
 /// per-cell-branching kernels, for a slab that covers the whole
 /// x-periodic domain, with the two communication points served by a
-/// periodic self-exchange. No production path steps with it: every run,
-/// sequential or parallel, steps through sim::ParallelLbm's overlapped
-/// schedule on the fused kernels, which is pinned to this oracle.
+/// periodic self-exchange. No production path runs it: every run,
+/// sequential or parallel, primes and steps through sim::ParallelLbm on
+/// the fused kernels, which are pinned to this oracle.
 
 #include "lbm/kernels.hpp"
 #include "lbm/slab.hpp"

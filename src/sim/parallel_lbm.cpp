@@ -187,9 +187,10 @@ void ParallelLbm::initialize_uniform() {
 }
 
 void ParallelLbm::prime() {
+  ensure_plan();
   halo_->post_density(*slab_);
   halo_->finish_density(*slab_);
-  lbm::compute_forces_and_velocity(*slab_);
+  lbm::compute_forces_and_velocity_plan(*slab_);
   phases_done_ = 0;
   initialized_ = true;
 }
@@ -214,14 +215,12 @@ void ParallelLbm::run(int phases) {
   // predictor come from the same (possibly deterministic) source the
   // trace records.
   ensure_plan();
-  bool last_phase_moved = false;
   for (int p = 1; p <= phases; ++p) {
     prof_->begin_phase(++phases_done_);
     comm_.note_progress(phases_done_);
     step_phase();
 
     // --- lattice point remapping --- (lines 20-32)
-    last_phase_moved = false;
     if (cfg_.policy != "none" && phases_done_ % cfg_.remap_interval == 0) {
       const long long moved_before =
           stats_.planes_sent + stats_.planes_received;
@@ -238,9 +237,7 @@ void ParallelLbm::run(int phases) {
       // under the "plan" span so the cost is visible but never mixed
       // into the remap numbers.
       const double rebuilt = ensure_plan();
-      last_phase_moved =
-          stats_.planes_sent + stats_.planes_received != moved_before;
-      if (last_phase_moved) {
+      if (stats_.planes_sent + stats_.planes_received != moved_before) {
         // What the cost gate charges the next proposal: this migration's
         // plane transfers plus the plan rebuild they forced — not
         // the rest of the remap span, whose wait for the neighbors to
@@ -255,14 +252,6 @@ void ParallelLbm::run(int phases) {
     if (cfg_.output.checkpoint_every > 0 || cfg_.output.vtk_every > 0)
       write_outputs();
   }
-  // A migration in the final phase leaves the moved slabs' mixture
-  // fields zeroed; rebuild them so callers read real observables. Every
-  // rank knows whether the last phase was a remap check, so the
-  // agreement collective runs on all ranks or on none.
-  if (phases > 0 && cfg_.policy != "none" &&
-      phases_done_ % cfg_.remap_interval == 0 &&
-      comm_.allreduce_max(last_phase_moved ? 1.0 : 0.0) > 0.0)
-    refresh_observables();
   stats_.planes = slab_->nx_local();
   prof_->set("planes_end", static_cast<double>(slab_->nx_local()));
   prof_->set("phases_done", static_cast<double>(phases_done_));
@@ -671,18 +660,6 @@ std::vector<double> ParallelLbm::gather_profile(
   return {};
 }
 
-void ParallelLbm::refresh_observables() {
-  SLIPFLOW_REQUIRE_MSG(initialized_, "call initialize() before refresh");
-  // Same exchange + kernel the stepper runs, so on an unmigrated slab
-  // every ueq / total-density / velocity value is recomputed to the
-  // exact bytes it already holds; on a freshly migrated (or restored)
-  // slab the zeroed mixture fields are rebuilt from the migrated state.
-  ensure_plan();
-  halo_->post_density(*slab_);
-  halo_->finish_density(*slab_);
-  lbm::compute_forces_and_velocity_plan(*slab_);
-}
-
 std::vector<double> ParallelLbm::gather_velocity_profile_y(
     lbm::index_t gx, lbm::index_t z, std::span<const int> owners) {
   return gather_profile(owners, gx, [&] {
@@ -741,9 +718,6 @@ long long ParallelLbm::load_checkpoint(const std::string& path) {
   const long long phase = lbm::load_checkpoint_planes(*slab_, path);
   comm_.barrier();
   initialized_ = true;
-  // The restored slab's mixture fields start zeroed; rebuild them so a
-  // resume that steps no phases still reports real observables.
-  refresh_observables();
   // Adopt the stored phase: subsequent run() calls continue the absolute
   // numbering, so heartbeat phases and periodic-output file names stay
   // consistent across a resume — which is what lets the campaign

@@ -156,7 +156,9 @@ class ParallelLbm {
   void save_checkpoint(const std::string& path, long long phase = 0);
 
   /// Collective restore: every rank loads the planes of its current
-  /// extent. Counts as initialization. Returns the stored phase count.
+  /// extent. The plane records carry the mixture observables too, so a
+  /// restore reports the saved run's fields before it steps again.
+  /// Counts as initialization. Returns the stored phase count.
   long long load_checkpoint(const std::string& path);
 
  private:
@@ -182,8 +184,9 @@ class ParallelLbm {
   /// (plus "slowdown" when injected).
   void step_phase();
 
-  /// Density-halo exchange + the reference force/velocity kernel: the
-  /// priming pass after initialize() (no streaming plan needed yet).
+  /// The priming pass after initialize(): build the plan (ensure_plan),
+  /// exchange the density halos and run the fused force/velocity kernel,
+  /// so the first collision has equilibrium velocities to read.
   void prime();
 
   /// Periodic checkpoint/VTK hook, run after the remap block of an
@@ -191,17 +194,6 @@ class ParallelLbm {
   /// never inside a timed stage, so the intervals the load balancer
   /// measures are the same with output on or off.
   void write_outputs();
-
-  /// Recompute the mixture observables (total density + macroscopic
-  /// velocity) from the migrated state: density-halo exchange + the
-  /// force/velocity kernel. Collective. Plane migration moves f, n and
-  /// ueq but reallocates the slab, so the u_macro field a migration (or
-  /// a restore) leaves behind is zeroed; run() calls this when its final
-  /// phase moved planes and load_checkpoint() after every restore. The
-  /// recompute is a per-cell function of state that IS migration-
-  /// invariant, and on an unmigrated slab it is byte-idempotent (same
-  /// inputs, same kernel, same order).
-  void refresh_observables();
 
   /// One remapping check: this rank's messages around the balance::
   /// decision steps (DESIGN.md "Key algorithms"). Returns the time this

@@ -67,8 +67,8 @@ class Simulation {
     run_->save_checkpoint(path, run_->phase_count());
   }
 
-  /// Replace the state from a restart file (domain must match), rebuild
-  /// the mixture observables, and resume the phase counter from it.
+  /// Replace the state from a restart file (domain must match), mixture
+  /// observables included, and resume the phase counter from it.
   /// Counts as initialization.
   void restore_checkpoint(const std::string& path) {
     run_->load_checkpoint(path);

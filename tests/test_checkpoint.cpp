@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <filesystem>
@@ -140,6 +141,26 @@ TEST(Checkpoint, GarbageFileRejected) {
   }
   Simulation sim(kGrid, fluid());
   EXPECT_THROW(sim.restore_checkpoint(g.path), slipflow::contract_error);
+
+  // A well-formed file of format version 1 (plane records without the
+  // mixture fields) is refused, and the error names its version.
+  PathGuard v1(temp_path("ckpt_v1.bin"));
+  Simulation saved(kGrid, fluid());
+  saved.initialize_uniform();
+  saved.save_checkpoint(v1.path);
+  {
+    std::fstream f(v1.path, std::ios::binary | std::ios::in | std::ios::out);
+    const std::uint64_t version = 1;
+    f.seekp(sizeof(std::uint64_t));  // the field after the magic
+    f.write(reinterpret_cast<const char*>(&version), sizeof(version));
+  }
+  try {
+    sim.restore_checkpoint(v1.path);
+    ADD_FAILURE() << "a version 1 checkpoint was restored";
+  } catch (const slipflow::contract_error& e) {
+    EXPECT_NE(std::string(e.what()).find("version 1"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Checkpoint, MissingFileRejected) {

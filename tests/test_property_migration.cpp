@@ -29,14 +29,31 @@ double pattern(std::size_t c, index_t gx, index_t gy, index_t gz) {
          0.00019 * static_cast<double>(gz);
 }
 
-/// A chain of slabs covering the domain.
+/// The mixture fields' pattern: slot 0 is the total density, slots 1-3
+/// the velocity components.
+double mixture(std::size_t slot, index_t gx, index_t gy, index_t gz) {
+  return pattern(slot, gx, gy, gz) - 0.25;
+}
+
+/// A chain of slabs covering the domain, mixture fields included.
 std::vector<Slab> make_chain(const std::vector<index_t>& widths) {
   std::vector<Slab> chain;
   index_t begin = 0;
   for (index_t w : widths) {
     chain.emplace_back(geom(), FluidParams::microchannel_defaults(), begin,
                        w);
-    chain.back().initialize(pattern);
+    Slab& s = chain.back();
+    s.initialize(pattern);
+    const Extents& st = s.storage();
+    for (index_t gx = s.x_begin(); gx < s.x_end(); ++gx)
+      for (index_t y = 0; y < st.ny; ++y)
+        for (index_t z = 0; z < st.nz; ++z) {
+          const index_t cell = st.idx(s.local_x(gx), y, z);
+          s.total_density()[cell] = mixture(0, gx, y, z);
+          s.velocity().set(cell, Vec3{mixture(1, gx, y, z),
+                                      mixture(2, gx, y, z),
+                                      mixture(3, gx, y, z)});
+        }
     begin += w;
   }
   return chain;
@@ -58,21 +75,28 @@ void transfer(std::vector<Slab>& chain, std::size_t b, index_t k) {
   }
 }
 
-/// Every cell of every slab still matches the global pattern.
+/// Every cell of every slab still matches the global pattern, and its
+/// mixture fields survived every detach/attach byte for byte.
 void expect_pattern_intact(const std::vector<Slab>& chain) {
   index_t covered = 0;
   for (const Slab& s : chain) {
     EXPECT_EQ(s.x_begin(), covered);
     covered = s.x_end();
     const Extents& st = s.storage();
-    for (std::size_t c = 0; c < s.num_components(); ++c)
-      for (index_t gx = s.x_begin(); gx < s.x_end(); ++gx)
-        for (index_t y = 0; y < st.ny; ++y)
-          for (index_t z = 0; z < st.nz; ++z) {
-            ASSERT_DOUBLE_EQ(s.density(c)[st.idx(s.local_x(gx), y, z)],
-                             pattern(c, gx, y, z))
+    for (index_t gx = s.x_begin(); gx < s.x_end(); ++gx)
+      for (index_t y = 0; y < st.ny; ++y)
+        for (index_t z = 0; z < st.nz; ++z) {
+          const index_t cell = st.idx(s.local_x(gx), y, z);
+          for (std::size_t c = 0; c < s.num_components(); ++c)
+            ASSERT_DOUBLE_EQ(s.density(c)[cell], pattern(c, gx, y, z))
                 << "c=" << c << " gx=" << gx;
-          }
+          ASSERT_EQ(s.total_density()[cell], mixture(0, gx, y, z))
+              << "gx=" << gx;
+          const Vec3 u = s.velocity().at(cell);
+          ASSERT_EQ(u.x, mixture(1, gx, y, z)) << "gx=" << gx;
+          ASSERT_EQ(u.y, mixture(2, gx, y, z)) << "gx=" << gx;
+          ASSERT_EQ(u.z, mixture(3, gx, y, z)) << "gx=" << gx;
+        }
   }
   EXPECT_EQ(covered, kNx);
 }
@@ -151,14 +175,31 @@ TEST(MigrationProperty, PackUnpackIsExactInverseForRandomState) {
         for (index_t i = 0; i < st.plane_cells(); ++i)
           s.f(c).dir_plane(d, lx)[static_cast<std::size_t>(i)] =
               rng.uniform(0.0, 0.4);
+  const auto mixture_plane = [&] {
+    std::vector<double> m;
+    for (auto* f : {&s.total_density(), &s.velocity().x(), &s.velocity().y(),
+                    &s.velocity().z()})
+      for (double v : f->plane(s.local_x(5))) m.push_back(v);
+    return m;
+  };
+  for (index_t i = 0; i < st.plane_cells(); ++i) {
+    const std::size_t j = static_cast<std::size_t>(i);
+    s.total_density().plane(s.local_x(5))[j] = rng.uniform(0.5, 2.0);
+    s.velocity().x().plane(s.local_x(5))[j] = rng.uniform(-0.1, 0.1);
+  }
+  const std::vector<double> mixture_before = mixture_plane();
 
   std::vector<double> rec(static_cast<std::size_t>(s.migration_doubles(1)));
   s.pack_owned_plane(5, rec);
   // copy the state, mutate the plane, then restore from the record
   std::vector<double> before = rec;
-  for (index_t i = 0; i < st.plane_cells(); ++i)
+  for (index_t i = 0; i < st.plane_cells(); ++i) {
     s.density(0).plane(s.local_x(5))[static_cast<std::size_t>(i)] = -1.0;
+    s.total_density().plane(s.local_x(5))[static_cast<std::size_t>(i)] = -1.0;
+    s.velocity().x().plane(s.local_x(5))[static_cast<std::size_t>(i)] = -1.0;
+  }
   s.unpack_owned_plane(5, before);
+  EXPECT_EQ(mixture_plane(), mixture_before);
   std::vector<double> after(static_cast<std::size_t>(s.migration_doubles(1)));
   s.pack_owned_plane(5, after);
   for (std::size_t i = 0; i < before.size(); ++i)

@@ -18,6 +18,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -26,6 +27,7 @@
 #include <thread>
 #include <vector>
 
+#include "lbm/checkpoint.hpp"
 #include "serve/client.hpp"
 #include "serve/job_spec.hpp"
 #include "serve/protocol.hpp"
@@ -243,6 +245,21 @@ TEST(Serve, WarmCacheHashAndRejection) {
   std::ofstream(junk, std::ios::binary) << "not a checkpoint";
   EXPECT_FALSE(cache.promote("some-key", 10, junk));
   EXPECT_EQ(cache.lookup("some-key", 10), "");
+
+  // Nor does a complete entry of checkpoint format version 1: the same
+  // file hits until its version field says 1.
+  const std::string entry =
+      dir + "/warm/warm_" + serve::WarmCache::hash_key("v1-key") + ".ckpt";
+  // two components: (23 x 2 + 4) doubles per cell, 6 cells per plane
+  lbm::begin_checkpoint(lbm::Extents{4, 3, 2}, 2, 10, 50 * 6, entry);
+  EXPECT_EQ(cache.lookup("v1-key", 10), entry);
+  {
+    std::fstream f(entry, std::ios::binary | std::ios::in | std::ios::out);
+    const std::uint64_t version = 1;
+    f.seekp(sizeof(std::uint64_t));  // the field after the magic
+    f.write(reinterpret_cast<const char*>(&version), sizeof(version));
+  }
+  EXPECT_EQ(cache.lookup("v1-key", 10), "");
 }
 
 // ------------------------------------------------------------- admission --

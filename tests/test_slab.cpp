@@ -216,8 +216,9 @@ TEST(Migration, BufferSizeChecked) {
 TEST(Migration, SingleComponentPayloadSize) {
   auto g = make_geom();
   Slab s(g, FluidParams::single_component(), 0, 5);
-  // (19 + 1 + 3) doubles per cell per component, 12 cells per plane
-  EXPECT_EQ(s.migration_doubles(1), 23 * 12);
+  // (19 + 1 + 3) doubles per cell per component, then the mixture's
+  // total density and velocity (1 + 3); 12 cells per plane
+  EXPECT_EQ(s.migration_doubles(1), 27 * 12);
   EXPECT_EQ(s.f_halo_doubles(), 5 * 12);
   EXPECT_EQ(s.density_halo_doubles(), 12);
 }
