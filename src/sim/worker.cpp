@@ -114,14 +114,14 @@ int worker_main(int argc, const char* const* argv) {
   // --- transport ---
   const int rank = static_cast<int>(opts.get("rank", 0LL));
   const int nranks = static_cast<int>(opts.get("ranks", 1LL));
-  transport::SocketCommConfig sc;
-  sc.rank = rank;
-  sc.nranks = nranks;
-  sc.dir = opts.get("socket-dir", std::string{});
-  sc.connect_timeout = opts.get("connect-timeout", 10.0);
-  sc.comm.recv_timeout = opts.get("recv-timeout", 30.0);
-  sc.heartbeat_path = opts.get("heartbeat-sock", std::string{});
-  sc.heartbeat_interval = opts.get("heartbeat-interval", 0.25);
+  transport::PeerCommConfig pc;
+  pc.rank = rank;
+  pc.nranks = nranks;
+  pc.dir = opts.get("socket-dir", std::string{});
+  pc.connect_timeout = opts.get("connect-timeout", 10.0);
+  pc.comm.recv_timeout = opts.get("recv-timeout", 30.0);
+  pc.heartbeat_path = opts.get("heartbeat-sock", std::string{});
+  pc.heartbeat_interval = opts.get("heartbeat-interval", 0.25);
   // socket = Unix-domain sockets (default), shm = mmap'd rings,
   // auto = shm when the socket dir can host mmap'd segments.
   const std::string transport = opts.get("transport", std::string("socket"));
@@ -134,13 +134,13 @@ int worker_main(int argc, const char* const* argv) {
   }
 
   // --- fault injection ---
-  sc.fault.kill_at_phase = opts.get("fault-kill-phase", -1LL);
-  sc.fault.stop_at_phase = opts.get("fault-stop-phase", -1LL);
-  sc.fault.drop_dest = static_cast<int>(opts.get("fault-drop-dest", -2LL));
-  sc.fault.drop_tag = static_cast<int>(opts.get("fault-drop-tag", -1LL));
-  sc.fault.drop_count = static_cast<int>(opts.get("fault-drop-count", 1LL));
-  sc.fault.send_delay = opts.get("fault-send-delay", 0.0);
-  sc.fault.throttle_bytes_per_sec = opts.get("fault-throttle-bps", 0.0);
+  pc.fault.kill_at_phase = opts.get("fault-kill-phase", -1LL);
+  pc.fault.stop_at_phase = opts.get("fault-stop-phase", -1LL);
+  pc.fault.drop_dest = static_cast<int>(opts.get("fault-drop-dest", -2LL));
+  pc.fault.drop_tag = static_cast<int>(opts.get("fault-drop-tag", -1LL));
+  pc.fault.drop_count = static_cast<int>(opts.get("fault-drop-count", 1LL));
+  pc.fault.send_delay = opts.get("fault-send-delay", 0.0);
+  pc.fault.throttle_bytes_per_sec = opts.get("fault-throttle-bps", 0.0);
 
   // --- problem ---
   RunnerConfig cfg;
@@ -275,32 +275,17 @@ int worker_main(int argc, const char* const* argv) {
     // choice is identical across the launch without any coordination.
     std::string chosen = transport;
     if (chosen == "auto")
-      chosen = transport::shm_dir_usable(sc.dir) ? "shm" : "socket";
-    std::unique_ptr<transport::Communicator> comm;
-    transport::SocketComm* socket_comm = nullptr;
-    transport::ShmComm* shm_comm = nullptr;
+      chosen = transport::shm_dir_usable(pc.dir) ? "shm" : "socket";
+    pc.metrics = &reg;
+    std::unique_ptr<transport::PeerComm> comm;
     if (chosen == "shm") {
-      transport::ShmCommConfig hc;
-      hc.rank = rank;
-      hc.nranks = nranks;
-      hc.dir = sc.dir;
-      hc.comm = sc.comm;
-      hc.connect_timeout = sc.connect_timeout;
+      transport::ShmCommConfig hc{pc};
       if (shm_ring_bytes > 0)
         hc.ring_bytes = static_cast<std::size_t>(shm_ring_bytes);
       hc.session = static_cast<std::uint64_t>(shm_session);
-      hc.heartbeat_path = sc.heartbeat_path;
-      hc.heartbeat_interval = sc.heartbeat_interval;
-      hc.fault = sc.fault;
-      hc.metrics = &reg;
-      auto c = std::make_unique<transport::ShmComm>(hc);
-      shm_comm = c.get();
-      comm = std::move(c);
+      comm = std::make_unique<transport::ShmComm>(hc);
     } else {
-      sc.metrics = &reg;
-      auto c = std::make_unique<transport::SocketComm>(sc);
-      socket_comm = c.get();
-      comm = std::move(c);
+      comm = std::make_unique<transport::SocketComm>(pc);
     }
 
     ParallelLbm run(cfg, *comm);
@@ -337,8 +322,7 @@ int worker_main(int argc, const char* const* argv) {
       write_stream_fragment(run, *comm, at, stream_dir, trace_cursor);
     const std::string observables =
         collect_observables(run, *comm, cfg.global, obs_set);
-    if (socket_comm != nullptr) socket_comm->publish_stats();
-    if (shm_comm != nullptr) shm_comm->publish_stats();
+    comm->publish_stats();
 
     if (!observables_out.empty() && comm->rank() == 0) {
       std::ofstream f(observables_out, std::ios::binary | std::ios::trunc);

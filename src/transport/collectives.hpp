@@ -9,8 +9,11 @@
 /// both process transports delegate here, their collective results are
 /// byte-identical to each other by construction, not by coincidence.
 
+#include <algorithm>
+#include <cmath>
 #include <map>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "transport/communicator.hpp"
@@ -20,6 +23,48 @@ namespace slipflow::transport {
 /// Reserved tags of the collective trees; user tags are non-negative.
 inline constexpr int kTagGatherTree = -101;
 inline constexpr int kTagBcastTree = -102;
+
+/// Unpack the gather-tree frame `peer` sent, which must carry the
+/// contributions of exactly ranks peer .. peer+k-1, into `parts`. The
+/// frame is the peer's bytes: unless every count and rank is a finite
+/// integer in range and the length is exact, throw comm_error naming
+/// the peer and the tree tag.
+inline void decode_gather_frame(std::span<const double> msg, int peer, int k,
+                                std::map<int, std::vector<double>>& parts) {
+  const auto bad = [&](const std::string& what) {
+    return comm_error("allgather: malformed gather-tree frame (tag " +
+                      std::to_string(kTagGatherTree) + ") from rank " +
+                      std::to_string(peer) + ": " + what);
+  };
+  const auto is = [](double v, double want) {
+    return std::isfinite(v) && v == want;
+  };
+  if (msg.empty() || !is(msg[0], k))
+    throw bad(msg.empty() ? "empty"
+                          : "count " + std::to_string(msg[0]) + ", expected " +
+                                std::to_string(k));
+  std::size_t off = 1 + 2 * static_cast<std::size_t>(k);
+  if (msg.size() < off)
+    throw bad(std::to_string(msg.size()) + " doubles, shorter than its " +
+              std::to_string(off) + "-double index");
+  for (int i = 0; i < k; ++i) {
+    const double r = msg[1 + 2 * static_cast<std::size_t>(i)];
+    const double cnt = msg[2 + 2 * static_cast<std::size_t>(i)];
+    if (!is(r, peer + i))
+      throw bad("entry " + std::to_string(i) + " names rank " +
+                std::to_string(r) + ", expected " + std::to_string(peer + i));
+    if (!std::isfinite(cnt) || cnt < 0.0 || cnt != std::floor(cnt) ||
+        cnt > static_cast<double>(msg.size() - off))
+      throw bad("rank " + std::to_string(peer + i) + "'s count " +
+                std::to_string(cnt) + " runs past the frame");
+    const auto n = static_cast<std::size_t>(cnt);
+    parts[peer + i].assign(msg.begin() + static_cast<std::ptrdiff_t>(off),
+                           msg.begin() + static_cast<std::ptrdiff_t>(off + n));
+    off += n;
+  }
+  if (off != msg.size())
+    throw bad(std::to_string(msg.size() - off) + " trailing doubles");
+}
 
 /// Rank-ordered allgather over `comm`'s point-to-point primitives.
 /// Handles ragged per-rank contribution sizes exactly.
@@ -53,26 +98,18 @@ inline std::vector<double> binomial_allgather(Communicator& comm,
       break;
     }
     if (me + step < n) {
-      const std::vector<double> msg = comm.recv(me + step, kTagGatherTree);
-      SLIPFLOW_REQUIRE(!msg.empty());
-      const auto k = static_cast<std::size_t>(msg[0]);
-      std::size_t off = 1 + 2 * k;
-      for (std::size_t i = 0; i < k; ++i) {
-        const int r = static_cast<int>(msg[1 + 2 * i]);
-        const auto cnt = static_cast<std::size_t>(msg[2 + 2 * i]);
-        SLIPFLOW_REQUIRE(r >= 0 && r < n && off + cnt <= msg.size());
-        parts[r].assign(msg.begin() + static_cast<std::ptrdiff_t>(off),
-                        msg.begin() + static_cast<std::ptrdiff_t>(off + cnt));
-        off += cnt;
-      }
+      // The sender has gathered ranks peer .. peer+step-1, clipped at n.
+      const int peer = me + step;
+      decode_gather_frame(comm.recv(peer, kTagGatherTree), peer,
+                          std::min(step, n - peer), parts);
     }
   }
 
-  // Rank 0 concatenates in rank order, then a binomial broadcast.
+  // Rank 0 concatenates in rank order (every rank's contribution is
+  // there: each frame was checked to cover its sender's whole range),
+  // then a binomial broadcast.
   std::vector<double> result;
   if (me == 0) {
-    SLIPFLOW_REQUIRE_MSG(static_cast<int>(parts.size()) == n,
-                         "allgather: missing contributions");
     for (int r = 0; r < n; ++r) {
       const auto& v = parts.at(r);
       result.insert(result.end(), v.begin(), v.end());

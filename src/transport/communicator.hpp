@@ -3,7 +3,7 @@
 /// MPI-flavored message passing abstraction.
 ///
 /// The paper's code is plain MPI on a Linux cluster. The library programs
-/// against this narrow interface instead; three backends implement it
+/// against this narrow interface instead; four backends implement it
 /// with the same semantics the parallel LBM needs — point-to-point tagged
 /// messages of doubles, barrier, allgather and sum/max reductions:
 ///
@@ -11,6 +11,12 @@
 ///   ThreadComm  — threads-as-ranks in one process (thread_comm.hpp)
 ///   SocketComm  — real processes over Unix-domain sockets with
 ///                 length-prefixed frames (socket_comm.hpp)
+///   ShmComm     — real processes on one host over mmap'd rings of the
+///                 same frames (shm_comm.hpp)
+///
+/// The two process transports share one endpoint core (peer_comm.hpp)
+/// and differ only in their wire. Negative tags are reserved for the
+/// collective trees (collectives.hpp); the runner's tags are its own.
 ///
 /// Sends are buffered (they never block on the receiver), so the
 /// neighbor-exchange pattern "send left, send right, recv left, recv
@@ -29,19 +35,6 @@
 #include "util/require.hpp"
 
 namespace slipflow::transport {
-
-/// Message tags used by the parallel LBM runner; user code may use any
-/// other non-negative values. Negative tags are reserved for transport
-/// internals (SocketComm's collective trees).
-enum Tag : int {
-  kTagFHalo = 1,
-  kTagDensityHalo = 2,
-  kTagLoadIndex = 3,
-  kTagMigrationMeta = 4,
-  kTagMigrationData = 5,
-  kTagGather = 6,
-  kTagUser = 100,
-};
 
 /// A transport-layer failure: a peer died, a connection broke, a frame
 /// was malformed. Distinct from contract_error (caller bugs).
@@ -149,8 +142,9 @@ class Communicator {
   }
 
   /// Progress note for external monitors: the application's current
-  /// phase. SocketComm forwards it on its heartbeat channel (and applies
-  /// phase-triggered fault injection); other backends ignore it.
+  /// phase. The process transports forward it on their heartbeat channel
+  /// (and apply phase-triggered fault injection); other backends ignore
+  /// it.
   virtual void note_progress(long long phase) { (void)phase; }
 };
 

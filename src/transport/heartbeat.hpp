@@ -1,11 +1,11 @@
 #pragma once
 /// \file heartbeat.hpp
 /// HeartbeatSender — the worker-side half of the launcher's liveness
-/// protocol, shared by SocketComm and ShmComm. Connects to the monitor
-/// socket and sends kHeartbeat frames carrying {last reported phase,
-/// sequence number} at a fixed interval from its own thread, so a rank
-/// wedged inside a blocking recv (or connection setup) is still visible
-/// to the monitor.
+/// protocol, run by the process transports' endpoint core (PeerComm).
+/// Connects to the monitor socket and sends kHeartbeat frames carrying
+/// {last reported phase, sequence number} at a fixed interval from its
+/// own thread, so a rank wedged inside a blocking recv (or connection
+/// setup) is still visible to the monitor.
 
 #include <signal.h>
 #include <sys/socket.h>

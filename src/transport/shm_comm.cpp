@@ -1,7 +1,6 @@
 #include "transport/shm_comm.hpp"
 
 #include <fcntl.h>
-#include <signal.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -18,15 +17,11 @@
 #include <climits>
 #include <cstring>
 #include <ctime>
-#include <filesystem>
-#include <limits>
 #include <thread>
 
-#include "transport/collectives.hpp"
 #include "transport/fdio.hpp"
 #include "transport/fork_harness.hpp"
 #include "transport/frame.hpp"
-#include "transport/heartbeat.hpp"
 #include "transport/tempdir.hpp"
 
 namespace slipflow::transport {
@@ -81,6 +76,12 @@ std::atomic_ref<std::uint32_t> a32(std::byte* base, std::size_t off) {
       *reinterpret_cast<std::uint32_t*>(base + off));
 }
 
+std::uint64_t checked_ring_bytes(std::size_t bytes) {
+  SLIPFLOW_REQUIRE_MSG(bytes >= 4096,
+                       "ShmComm ring_bytes must be at least 4096");
+  return (bytes + 7u) & ~std::uint64_t{7};
+}
+
 std::string ring_path(const std::string& dir, int src, int dst) {
   return dir + "/ring_" + std::to_string(src) + "to" + std::to_string(dst) +
          ".shm";
@@ -108,15 +109,10 @@ long futex_call(std::uint32_t* word, int op, std::uint32_t val,
 
 }  // namespace
 
-ShmComm::ShmComm(ShmCommConfig cfg) : cfg_(std::move(cfg)) {
-  SLIPFLOW_REQUIRE(cfg_.nranks >= 1);
-  SLIPFLOW_REQUIRE(cfg_.rank >= 0 && cfg_.rank < cfg_.nranks);
-  SLIPFLOW_REQUIRE_MSG(cfg_.nranks == 1 || !cfg_.dir.empty(),
-                       "ShmComm needs a segment directory for > 1 rank");
-  SLIPFLOW_REQUIRE_MSG(cfg_.ring_bytes >= 4096,
-                       "ShmComm ring_bytes must be at least 4096");
-  cfg_.ring_bytes = (cfg_.ring_bytes + 7u) & ~std::size_t{7};
-  drop_remaining_ = cfg_.fault.drop_dest == -2 ? 0 : cfg_.fault.drop_count;
+ShmComm::ShmComm(const ShmCommConfig& cfg)
+    : PeerComm(cfg, "shm"),
+      ring_bytes_(checked_ring_bytes(cfg.ring_bytes)),
+      session_(cfg.session) {
   // On an oversubscribed host (more ranks than cores) each yield donates
   // the core to the peer we are waiting on, so stay in the yield loop
   // much longer before conceding a real sleep — the 200us sleep cliff
@@ -125,19 +121,10 @@ ShmComm::ShmComm(ShmCommConfig cfg) : cfg_(std::move(cfg)) {
       cfg_.nranks <= static_cast<int>(std::thread::hardware_concurrency())
           ? 256
           : 16384;
-  throttle_last_ = mono_now();
-  // 0.1 s of burst allowance; see FaultInjection::throttle_bytes_per_sec.
-  throttle_tokens_ = 0.1 * cfg_.fault.throttle_bytes_per_sec;
   in_.resize(static_cast<std::size_t>(cfg_.nranks));
   out_.resize(static_cast<std::size_t>(cfg_.nranks));
   partial_.resize(static_cast<std::size_t>(cfg_.nranks));
   outbox_.resize(static_cast<std::size_t>(cfg_.nranks));
-  // Heartbeats start before ring discovery so a rank stuck waiting for a
-  // peer's segment is already visible to the launcher's monitor.
-  if (!cfg_.heartbeat_path.empty())
-    hb_ = std::make_unique<HeartbeatSender>(cfg_.rank, cfg_.heartbeat_path,
-                                            cfg_.heartbeat_interval,
-                                            cfg_.connect_timeout);
   if (cfg_.nranks > 1) {
     create_inbound_rings();
     open_outbound_rings();
@@ -168,7 +155,7 @@ void ShmComm::wait_producers_attached() {
 }
 
 void ShmComm::create_inbound_rings() {
-  const std::size_t len = kRingDataOffset + cfg_.ring_bytes;
+  const std::size_t len = kRingDataOffset + ring_bytes_;
   for (int src = 0; src < cfg_.nranks; ++src) {
     if (src == cfg_.rank) continue;
     Ring& r = in_[static_cast<std::size_t>(src)];
@@ -196,19 +183,19 @@ void ShmComm::create_inbound_rings() {
     }
     r.base = static_cast<std::byte*>(base);
     r.map_len = len;
-    r.cap = cfg_.ring_bytes;
+    r.cap = ring_bytes_;
     r.pos = 0;
     // Fresh pages are zero; publish session/capacity before the magic so
     // a producer that observes the magic (acquire) sees a complete header.
-    a64(r.base, kOffSession).store(cfg_.session, std::memory_order_relaxed);
+    a64(r.base, kOffSession).store(session_, std::memory_order_relaxed);
     a64(r.base, kOffCapacity)
-        .store(cfg_.ring_bytes, std::memory_order_relaxed);
+        .store(ring_bytes_, std::memory_order_relaxed);
     a64(r.base, kOffMagic).store(kShmMagic, std::memory_order_release);
   }
 }
 
 void ShmComm::open_outbound_rings() {
-  const std::size_t len = kRingDataOffset + cfg_.ring_bytes;
+  const std::size_t len = kRingDataOffset + ring_bytes_;
   const double deadline = mono_now() + cfg_.connect_timeout;
   for (int dst = 0; dst < cfg_.nranks; ++dst) {
     if (dst == cfg_.rank) continue;
@@ -228,12 +215,12 @@ void ShmComm::open_outbound_rings() {
           std::byte* b = static_cast<std::byte*>(base);
           if (a64(b, kOffMagic).load(std::memory_order_acquire) == kShmMagic &&
               a64(b, kOffSession).load(std::memory_order_relaxed) ==
-                  cfg_.session &&
+                  session_ &&
               a64(b, kOffCapacity).load(std::memory_order_relaxed) ==
-                  cfg_.ring_bytes) {
+                  ring_bytes_) {
             r.base = b;
             r.map_len = len;
-            r.cap = cfg_.ring_bytes;
+            r.cap = ring_bytes_;
             r.pos = 0;
             a32(b, kOffProducerAttached).store(1, std::memory_order_release);
             break;
@@ -252,7 +239,7 @@ void ShmComm::open_outbound_rings() {
 }
 
 ShmComm::~ShmComm() {
-  hb_.reset();
+  stop_heartbeat();
   // Best-effort drain of spilled sends so a rank that finishes early
   // does not strand messages its peers still want (eager-send
   // contract); bounded so teardown can never hang.
@@ -294,23 +281,6 @@ ShmComm::~ShmComm() {
       ::unlink(i.path.c_str());
     }
   }
-}
-
-void ShmComm::throttle(std::size_t bytes) {
-  const double bps = cfg_.fault.throttle_bytes_per_sec;
-  if (bps <= 0.0) return;
-  const double now = mono_now();
-  throttle_tokens_ = std::min(0.1 * bps,
-                              throttle_tokens_ + (now - throttle_last_) * bps);
-  throttle_last_ = now;
-  const double need = static_cast<double>(bytes);
-  if (need > throttle_tokens_) {
-    const double wait = (need - throttle_tokens_) / bps;
-    stats_.throttle_wait_seconds += wait;
-    std::this_thread::sleep_for(std::chrono::duration<double>(wait));
-    throttle_last_ = mono_now();
-  }
-  throttle_tokens_ -= need;
 }
 
 std::byte* ShmComm::ring_reserve(Ring& r, std::uint64_t frame_bytes,
@@ -388,7 +358,7 @@ bool ShmComm::try_append_raw(int dest, std::span<const std::byte> frame) {
   return true;
 }
 
-void ShmComm::enqueue_data(int dest, int tag, std::span<const double> data) {
+void ShmComm::append(int dest, int tag, std::span<const double> data) {
   Ring& r = out_[static_cast<std::size_t>(dest)];
   if (a32(r.base, kOffConsumerClosed).load(std::memory_order_acquire) != 0)
     throw comm_error("rank " + std::to_string(cfg_.rank) + ": send to rank " +
@@ -421,33 +391,12 @@ void ShmComm::enqueue_data(int dest, int tag, std::span<const double> data) {
       if (!frag.empty())
         std::memcpy(bytes.data() + hb.size(), frag.data(),
                     frag.size() * sizeof(double));
-      ++stats_.spilled_frames;
-      stats_.spilled_bytes += static_cast<long long>(bytes.size());
+      ++spilled_frames_;
+      spilled_bytes_ += static_cast<long long>(bytes.size());
       spill.push_back(std::move(bytes));
     }
     off += n;
   } while (off < data.size());
-}
-
-void ShmComm::send(int dest, int tag, std::span<const double> data) {
-  SLIPFLOW_REQUIRE(dest >= 0 && dest < cfg_.nranks);
-  if (drop_remaining_ > 0 &&
-      (cfg_.fault.drop_dest == -1 || cfg_.fault.drop_dest == dest) &&
-      (cfg_.fault.drop_tag == -1 || cfg_.fault.drop_tag == tag)) {
-    --drop_remaining_;
-    ++stats_.frames_dropped;
-    return;
-  }
-  if (cfg_.fault.send_delay > 0.0)
-    std::this_thread::sleep_for(
-        std::chrono::duration<double>(cfg_.fault.send_delay));
-  ++stats_.messages_sent;
-  if (dest == cfg_.rank) {
-    mail_[{cfg_.rank, tag}].emplace_back(data.begin(), data.end());
-    ++stats_.messages_received;
-    return;
-  }
-  enqueue_data(dest, tag, data);
 }
 
 bool ShmComm::drain_outbox(int dest) {
@@ -471,10 +420,21 @@ bool ShmComm::drain_outbox(int dest) {
 bool ShmComm::drain_ring(int src) {
   Ring& r = in_[static_cast<std::size_t>(src)];
   if (r.base == nullptr) return false;
-  if (view_src_ == src) return false;  // hold position for the active view
   const std::uint64_t h =
       a64(r.base, kOffHead).load(std::memory_order_acquire);
   std::uint64_t t = r.pos;
+  // The ring's bytes are the producer's to write, so its head and frame
+  // lengths are untrusted: nothing may be read past what it committed
+  // or past the ring's end (frames never wrap, see ring_reserve).
+  const auto malformed = [&](const std::string& what) {
+    return comm_error("rank " + std::to_string(cfg_.rank) +
+                      ": malformed shm ring from rank " + std::to_string(src) +
+                      ": " + what);
+  };
+  if (h - t > r.cap)
+    throw malformed("head " + std::to_string(h) + " is more than the ring's " +
+                    std::to_string(r.cap) + " bytes past tail " +
+                    std::to_string(t));
   bool moved = false;
   while (h - t >= kFrameHeaderBytes) {
     const std::uint64_t end = r.cap - (t % r.cap);
@@ -486,6 +446,11 @@ bool ShmComm::drain_ring(int src) {
     std::memcpy(hb.data(), r.base + kRingDataOffset + (t % r.cap), hb.size());
     const FrameHeader fh = decode_frame_header(hb);
     const std::uint64_t S = kFrameHeaderBytes + fh.count * sizeof(double);
+    if (S > h - t || S > end)
+      throw malformed("frame of " + std::to_string(S) + " bytes at offset " +
+                      std::to_string(t % r.cap) + " exceeds the " +
+                      std::to_string(std::min(h - t, end)) +
+                      " bytes committed before the ring's end");
     if (fh.kind == FrameKind::kPad) {
       t += S;
       continue;
@@ -515,13 +480,11 @@ bool ShmComm::drain_ring(int src) {
                          ": interleaved fragments from rank " +
                          std::to_string(src));
       pa.data.insert(pa.data.end(), payload, payload + fh.count);
-      mail_[{src, fh.tag}].push_back(std::move(pa.data));
+      deliver(src, fh.tag, std::move(pa.data));
       pa.active = false;
       pa.data = {};
-      ++stats_.messages_received;
     } else {
-      mail_[{src, fh.tag}].emplace_back(payload, payload + fh.count);
-      ++stats_.messages_received;
+      deliver(src, fh.tag, {payload, payload + fh.count});
     }
     t += S;
     moved = true;
@@ -532,68 +495,6 @@ bool ShmComm::drain_ring(int src) {
     a64(r.base, kOffTail).store(t, std::memory_order_release);
   }
   return moved;
-}
-
-std::optional<std::span<const double>> ShmComm::try_recv_view(int src,
-                                                              int tag) {
-  SLIPFLOW_REQUIRE(src >= 0 && src < cfg_.nranks && src != cfg_.rank);
-  SLIPFLOW_REQUIRE_MSG(view_src_ == -1,
-                       "ShmComm: only one zero-copy view may be active");
-  const auto it = mail_.find({src, tag});
-  if (it != mail_.end() && !it->second.empty()) return std::nullopt;
-  Ring& r = in_[static_cast<std::size_t>(src)];
-  if (r.base == nullptr) return std::nullopt;
-  const std::uint64_t h =
-      a64(r.base, kOffHead).load(std::memory_order_acquire);
-  std::uint64_t t = r.pos;
-  // Consume leading pads/skips — they carry nothing.
-  for (;;) {
-    if (h - t < kFrameHeaderBytes) break;
-    const std::uint64_t end = r.cap - (t % r.cap);
-    if (end < kFrameHeaderBytes) {
-      t += end;
-      continue;
-    }
-    std::array<std::byte, kFrameHeaderBytes> hb;
-    std::memcpy(hb.data(), r.base + kRingDataOffset + (t % r.cap), hb.size());
-    const FrameHeader fh = decode_frame_header(hb);
-    const std::uint64_t S = kFrameHeaderBytes + fh.count * sizeof(double);
-    if (fh.kind == FrameKind::kPad) {
-      t += S;
-      continue;
-    }
-    if (t != r.pos) {
-      stats_.bytes_received += static_cast<long long>(t - r.pos);
-      r.pos = t;
-      a64(r.base, kOffTail).store(t, std::memory_order_release);
-    }
-    if (fh.kind != FrameKind::kData || fh.src != src ||
-        fh.tag != tag || (fh.flags & kFrameFlagMoreFragments) != 0 ||
-        partial_[static_cast<std::size_t>(src)].active)
-      return std::nullopt;  // not viewable — leave it for drain_ring
-    view_src_ = src;
-    view_advance_ = S;
-    const double* payload = reinterpret_cast<const double*>(
-        r.base + kRingDataOffset + (t % r.cap) + kFrameHeaderBytes);
-    return std::span<const double>(payload, fh.count);
-  }
-  if (t != r.pos) {
-    stats_.bytes_received += static_cast<long long>(t - r.pos);
-    r.pos = t;
-    a64(r.base, kOffTail).store(t, std::memory_order_release);
-  }
-  return std::nullopt;
-}
-
-void ShmComm::release_view() {
-  if (view_src_ < 0) return;
-  Ring& r = in_[static_cast<std::size_t>(view_src_)];
-  r.pos += view_advance_;
-  a64(r.base, kOffTail).store(r.pos, std::memory_order_release);
-  stats_.bytes_received += static_cast<long long>(view_advance_);
-  ++stats_.messages_received;
-  view_src_ = -1;
-  view_advance_ = 0;
 }
 
 /// Arm the consumer_waiting flag on the inbound ring from `src` and
@@ -620,7 +521,7 @@ bool ShmComm::futex_wait_ring(int src, double max_wait_seconds) {
   const double bound = std::min(max_wait_seconds, 0.05);
   struct timespec ts{};
   ts.tv_nsec = static_cast<long>(std::max(bound, 0.0) * 1e9);
-  ++stats_.futex_waits;
+  ++futex_waits_;
   // Expected value = the head low word we just verified; a commit that
   // slips in before the kernel's own recheck makes this return EAGAIN.
   futex_call(head_futex_word(r.base), FUTEX_WAIT,
@@ -658,8 +559,7 @@ void ShmComm::progress(double max_wait_seconds, int src_hint) {
   const double start = mono_now();
   const double deadline = start + max_wait_seconds;
   const double yield_deadline = start + 0.002;
-  const bool hinted =
-      src_hint >= 0 && src_hint != cfg_.rank && view_src_ == -1;
+  const bool hinted = src_hint >= 0 && src_hint != cfg_.rank;
   int spins = 0;
   for (;;) {
     if (pass()) return;
@@ -681,7 +581,7 @@ void ShmComm::progress(double max_wait_seconds, int src_hint) {
   }
 }
 
-bool ShmComm::peer_gone(int src) const {
+bool ShmComm::peer_closed(int src) const {
   const Ring& r = in_[static_cast<std::size_t>(src)];
   if (r.base == nullptr) return false;
   if (a32(r.base, kOffProducerClosed).load(std::memory_order_acquire) == 0)
@@ -690,147 +590,21 @@ bool ShmComm::peer_gone(int src) const {
   return a64(r.base, kOffHead).load(std::memory_order_acquire) == r.pos;
 }
 
-void ShmComm::throw_closed(int src, int tag) const {
-  throw comm_error("rank " + std::to_string(cfg_.rank) +
-                   ": connection to rank " + std::to_string(src) +
-                   " closed while waiting for (src=" + std::to_string(src) +
-                   ", tag=" + std::to_string(tag) + ")");
-}
-
-bool ShmComm::try_pop(int src, int tag, std::vector<double>& out) {
-  const auto it = mail_.find({src, tag});
-  if (it == mail_.end() || it->second.empty()) return false;
-  out = std::move(it->second.front());
-  it->second.pop_front();
-  return true;
-}
-
-std::vector<double> ShmComm::recv(int src, int tag) {
-  SLIPFLOW_REQUIRE(src >= 0 && src < cfg_.nranks);
-  const double t0 = mono_now();
-  const double timeout = cfg_.comm.recv_timeout;
-  const double deadline =
-      timeout > 0.0 ? t0 + timeout : std::numeric_limits<double>::infinity();
-  for (;;) {
-    std::vector<double> out;
-    if (try_pop(src, tag, out)) {
-      stats_.recv_wait_seconds += mono_now() - t0;
-      return out;
-    }
-    if (src == cfg_.rank)
-      throw comm_error("rank " + std::to_string(cfg_.rank) +
-                       ": blocking self-recv with empty mailbox would "
-                       "deadlock (tag " + std::to_string(tag) + ")");
-    if (peer_gone(src)) throw_closed(src, tag);
-    const double now = mono_now();
-    if (now >= deadline)
-      throw comm_timeout(
-          "rank " + std::to_string(cfg_.rank) + ": recv timeout after " +
-          std::to_string(timeout) + "s waiting for (src=" +
-          std::to_string(src) + ", tag=" + std::to_string(tag) + ")");
-    progress(std::min(0.1, deadline - now), src);
-  }
-}
-
-/// Completion = the matching frame has been drained into the mailbox.
-/// test() makes one nonblocking progress pass before giving up, so a
-/// rank that only ever calls test() between compute chunks still
-/// retries its spilled sends and drains arrivals. A cleanly departed
-/// peer surfaces from test() as the same named comm_error a blocking
-/// recv would throw; a pending self-receive just stays incomplete (the
-/// matching self-send may come later from this same thread).
-class ShmComm::Handle final : public RecvHandle {
- public:
-  Handle(ShmComm& comm, int src, int tag)
-      : comm_(comm), src_(src), tag_(tag) {}
-
-  bool test() override {
-    if (done_) return true;
-    if (comm_.try_pop(src_, tag_, payload_)) return done_ = true;
-    if (src_ != comm_.cfg_.rank) {
-      comm_.progress(0.0);
-      if (comm_.try_pop(src_, tag_, payload_)) return done_ = true;
-      if (comm_.peer_gone(src_)) comm_.throw_closed(src_, tag_);
-    }
-    return false;
-  }
-
-  std::vector<double> wait() override {
-    if (!done_) {
-      payload_ = comm_.recv(src_, tag_);
-      done_ = true;
-    }
-    return std::move(payload_);
-  }
-
- private:
-  ShmComm& comm_;
-  const int src_, tag_;
-  bool done_ = false;
-  std::vector<double> payload_;
-};
-
-RecvHandlePtr ShmComm::irecv(int src, int tag) {
-  SLIPFLOW_REQUIRE(src >= 0 && src < cfg_.nranks);
-  return std::make_unique<Handle>(*this, src, tag);
-}
-
-// det-lint: rank-ordered — delegates to binomial_allgather, which
-// concatenates contributions by rank index (collectives.hpp).
-std::vector<double> ShmComm::allgather(std::span<const double> mine) {
-  return binomial_allgather(*this, mine);
-}
-
-void ShmComm::barrier() { (void)allgather({}); }
-
-// det-lint: rank-ordered — folds the rank-ordered allgather result
-// left to right in rank index order.
-double ShmComm::allreduce_sum(double x) {
-  const std::vector<double> all = allgather(std::span<const double>(&x, 1));
-  double s = 0.0;
-  for (double v : all) s += v;
-  return s;
-}
-
-// det-lint: rank-ordered — max over the rank-ordered allgather.
-double ShmComm::allreduce_max(double x) {
-  const std::vector<double> all = allgather(std::span<const double>(&x, 1));
-  double m = all.front();
-  for (double v : all) m = v > m ? v : m;
-  return m;
-}
-
-void ShmComm::note_progress(long long phase) {
-  if (hb_) hb_->note_phase(phase);
-  if (cfg_.fault.kill_at_phase >= 0 && phase >= cfg_.fault.kill_at_phase)
-    ::raise(SIGKILL);
-  if (cfg_.fault.stop_at_phase >= 0 && phase >= cfg_.fault.stop_at_phase)
-    ::raise(SIGSTOP);
-}
-
 ShmStats ShmComm::stats() const {
-  ShmStats s = stats_;
-  s.heartbeats_sent = hb_ ? hb_->count() : 0;
+  ShmStats s;
+  static_cast<PeerStats&>(s) = PeerComm::stats();
+  s.spilled_frames = spilled_frames_;
+  s.spilled_bytes = spilled_bytes_;
+  s.futex_waits = futex_waits_;
   return s;
 }
 
 void ShmComm::publish_stats() {
+  PeerComm::publish_stats();
   if (cfg_.metrics == nullptr) return;
-  const ShmStats s = stats();
-  obs::MetricsRegistry& reg = *cfg_.metrics;
-  const int r = cfg_.rank;
-  reg.add(r, "shm/bytes_sent", static_cast<double>(s.bytes_sent));
-  reg.add(r, "shm/bytes_received", static_cast<double>(s.bytes_received));
-  reg.add(r, "shm/messages_sent", static_cast<double>(s.messages_sent));
-  reg.add(r, "shm/messages_received",
-          static_cast<double>(s.messages_received));
-  reg.add(r, "shm/heartbeats", static_cast<double>(s.heartbeats_sent));
-  reg.add(r, "shm/frames_dropped", static_cast<double>(s.frames_dropped));
-  reg.add(r, "shm/spilled_frames", static_cast<double>(s.spilled_frames));
-  reg.add(r, "shm/spilled_bytes", static_cast<double>(s.spilled_bytes));
-  reg.add(r, "shm/recv_wait_seconds", s.recv_wait_seconds);
-  reg.add(r, "shm/throttle_wait_seconds", s.throttle_wait_seconds);
-  reg.add(r, "shm/futex_waits", static_cast<double>(s.futex_waits));
+  publish("spilled_frames", static_cast<double>(spilled_frames_));
+  publish("spilled_bytes", static_cast<double>(spilled_bytes_));
+  publish("futex_waits", static_cast<double>(futex_waits_));
 }
 
 // ---------------------------------------------------------------------------
@@ -870,19 +644,10 @@ std::uint64_t fresh_session() {
          counter.fetch_add(1, std::memory_order_relaxed);
 }
 
-ShmCommConfig harness_config(int rank, int nranks, const std::string& dir,
-                             std::uint64_t session,
-                             const ShmRunOptions& opts) {
-  ShmCommConfig cfg;
-  cfg.rank = rank;
-  cfg.nranks = nranks;
-  cfg.dir = dir;
-  cfg.comm = opts.comm;
-  cfg.connect_timeout = opts.connect_timeout;
-  cfg.ring_bytes = opts.ring_bytes;
-  cfg.session = session;
-  if (opts.faults) cfg.fault = opts.faults(rank);
-  return cfg;
+ShmCommConfig shm_harness_config(int rank, int nranks, const std::string& dir,
+                                 std::uint64_t session,
+                                 const ShmRunOptions& opts) {
+  return {harness_config(rank, nranks, dir, opts), opts.ring_bytes, session};
 }
 
 }  // namespace
@@ -891,14 +656,7 @@ void run_ranks_shm(int nranks, const std::function<void(Communicator&)>& fn,
                    const ShmRunOptions& opts) {
   SLIPFLOW_REQUIRE(nranks >= 1);
   SLIPFLOW_REQUIRE(fn != nullptr);
-  namespace fs = std::filesystem;
-
-  std::string dir = opts.dir;
-  bool own_dir = false;
-  if (dir.empty() && nranks > 1) {
-    dir = make_socket_temp_dir();
-    own_dir = true;
-  }
+  const HarnessDir dir(opts.dir, nranks);
   const std::uint64_t session = fresh_session();
 
   std::vector<std::exception_ptr> errors(static_cast<std::size_t>(nranks));
@@ -907,7 +665,8 @@ void run_ranks_shm(int nranks, const std::function<void(Communicator&)>& fn,
   for (int r = 0; r < nranks; ++r) {
     threads.emplace_back([&, r] {
       try {
-        const ShmCommConfig cfg = harness_config(r, nranks, dir, session, opts);
+        const ShmCommConfig cfg =
+            shm_harness_config(r, nranks, dir.path(), session, opts);
         SLIPFLOW_REQUIRE_MSG(
             cfg.fault.kill_at_phase < 0 && cfg.fault.stop_at_phase < 0,
             "run_ranks_shm: kill/stop faults need run_ranks_shm_forked");
@@ -919,10 +678,6 @@ void run_ranks_shm(int nranks, const std::function<void(Communicator&)>& fn,
     });
   }
   for (std::thread& t : threads) t.join();
-  if (own_dir) {
-    std::error_code ec;
-    fs::remove_all(dir, ec);
-  }
   for (const std::exception_ptr& e : errors)
     if (e) std::rethrow_exception(e);
 }
@@ -931,38 +686,18 @@ void run_ranks_shm_forked(int nranks,
                           const std::function<void(Communicator&)>& fn,
                           const ShmRunOptions& opts) {
   SLIPFLOW_REQUIRE(fn != nullptr);
-  namespace fs = std::filesystem;
-
-  std::string dir = opts.dir;
-  bool own_dir = false;
-  if (dir.empty() && nranks > 1) {
-    dir = make_socket_temp_dir();
-    own_dir = true;
-  }
+  const HarnessDir dir(opts.dir, nranks);
   const std::uint64_t session = fresh_session();
-
   ForkRunOptions fopts;
   fopts.wall_timeout = opts.wall_timeout;
   fopts.who = "run_ranks_shm_forked";
-  try {
-    run_ranks_forked(
-        nranks,
-        [&](int r) {
-          ShmComm comm(harness_config(r, nranks, dir, session, opts));
-          fn(comm);
-        },
-        fopts);
-  } catch (...) {
-    if (own_dir) {
-      std::error_code ec;
-      fs::remove_all(dir, ec);
-    }
-    throw;
-  }
-  if (own_dir) {
-    std::error_code ec;
-    fs::remove_all(dir, ec);
-  }
+  run_ranks_forked(
+      nranks,
+      [&](int r) {
+        ShmComm comm(shm_harness_config(r, nranks, dir.path(), session, opts));
+        fn(comm);
+      },
+      fopts);
 }
 
 }  // namespace slipflow::transport

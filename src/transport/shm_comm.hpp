@@ -1,8 +1,8 @@
 #pragma once
 /// \file shm_comm.hpp
 /// ShmComm — same-host Communicator over mmap'd single-producer/
-/// single-consumer ring buffers, the zero-copy fast path for the
-/// launcher's workers when every rank shares a machine.
+/// single-consumer ring buffers, the launcher's fast path for workers
+/// when every rank shares a machine.
 ///
 /// Topology: one ring file per *directed* peer pair
 /// (`DIR/ring_<src>to<dst>.shm`). The consumer rank creates and owns
@@ -14,20 +14,15 @@
 /// monotonic `tail` counter (bytes consumed, advanced with release
 /// stores by the consumer). `send` serializes its tagged frame directly
 /// into the mapped ring — no intermediate buffer, no kernel copy — and
-/// the consumer parses frames in place; `try_recv_view` goes further
-/// and hands out a span pointing into the mapped payload itself.
+/// the consumer parses frames in place into the mailbox.
 ///
-/// Semantics match SocketComm exactly (same frame codec, same mailbox
-/// demultiplexing, same eager-send contract — a full ring spills to a
-/// local outbox instead of blocking, so the halo pattern stays
-/// deadlock-free), and collectives delegate to the shared binomial
-/// trees in collectives.hpp, so results are byte-identical to both
-/// SocketComm and ThreadComm. Failure surfaces are also identical: a
-/// bounded recv throws comm_timeout naming the pending (src, tag), a
-/// peer that tore down cleanly flips the ring's closed flag and
-/// surfaces as the same named comm_error, heartbeats report to the
-/// launcher's monitor socket, and the deterministic fault-injection
-/// layer (kill/stop at phase K, drop, delay, throttle) is shared.
+/// Semantics match SocketComm exactly (same frame codec, same eager-send
+/// contract — a full ring spills to a local outbox instead of blocking,
+/// so the halo pattern stays deadlock-free), because everything above
+/// the wire is the shared endpoint core (peer_comm.hpp): the mailbox,
+/// recv and its named errors, the binomial collectives, heartbeats and
+/// fault injection. A peer that tore down cleanly flips the ring's
+/// closed flag and surfaces as the same named comm_error.
 ///
 /// Frames larger than half a ring are split into fragments
 /// (kFrameFlagMoreFragments) so any message fits; waits are
@@ -41,116 +36,50 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
-#include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "obs/metrics.hpp"
-#include "transport/communicator.hpp"
-#include "transport/fault.hpp"
+#include "transport/peer_comm.hpp"
 
 namespace slipflow::transport {
 
-class HeartbeatSender;  // heartbeat.hpp
-
-/// Transport-level counters of one endpoint (published as `shm/*`).
-struct ShmStats {
-  long long bytes_sent = 0;      ///< ring bytes produced (headers incl.)
-  long long bytes_received = 0;  ///< ring bytes consumed
-  long long messages_sent = 0;
-  long long messages_received = 0;
-  long long heartbeats_sent = 0;
-  long long frames_dropped = 0;  ///< by fault injection
+/// The shared counters (published as `shm/*`) plus the ring's own.
+struct ShmStats : PeerStats {
   /// Frames that found the ring full and took the local-outbox detour
   /// (the only path that copies); nonzero means the ring is undersized
   /// for the traffic pattern.
   long long spilled_frames = 0;
   long long spilled_bytes = 0;
-  double recv_wait_seconds = 0.0;
-  double throttle_wait_seconds = 0.0;
   /// Times a blocking wait exhausted its yield budget and parked in
   /// futex(2) on a ring's head word (zero on hosts without futex).
   long long futex_waits = 0;
 };
 
-struct ShmCommConfig {
-  int rank = 0;
-  int nranks = 1;
-  /// Directory holding the ring segments; all ranks must agree. May be
-  /// empty only for nranks == 1.
-  std::string dir;
-  CommOptions comm;
-  /// Bound on waiting for peers' ring segments to appear (seconds).
-  double connect_timeout = 10.0;
+struct ShmCommConfig : PeerCommConfig {
   /// Data capacity of each directed ring in bytes (rounded up to 8).
   std::size_t ring_bytes = std::size_t{1} << 20;
   /// Launch-wide session tag; a producer only accepts a ring whose
   /// header carries this exact tag. All ranks must agree (the launcher
   /// passes one via --shm-session).
   std::uint64_t session = 0;
-  /// Launcher monitor socket; empty = no heartbeat thread.
-  std::string heartbeat_path;
-  double heartbeat_interval = 0.25;
-  FaultInjection fault;
-  /// When set, publish_stats() writes the endpoint's counters into this
-  /// registry's shard `rank` under `shm/<name>`.
-  obs::MetricsRegistry* metrics = nullptr;
 };
 
-class ShmComm final : public Communicator {
+class ShmComm final : public PeerComm {
  public:
   /// Creates this rank's inbound rings, opens every peer's (blocking,
-  /// bounded by connect_timeout), and starts the heartbeat thread when
-  /// configured.
-  explicit ShmComm(ShmCommConfig cfg);
-  /// Drains pending spilled sends (best effort, bounded), marks every
-  /// ring closed, unmaps, and unlinks the inbound segments. Never
-  /// throws.
+  /// bounded by connect_timeout), after the core has started the
+  /// heartbeat thread when configured.
+  explicit ShmComm(const ShmCommConfig& cfg);
+  /// Stops the heartbeat thread, drains pending spilled sends (best
+  /// effort, bounded), marks every ring closed, unmaps, and unlinks the
+  /// inbound segments. Never throws.
   ~ShmComm() override;
 
-  ShmComm(const ShmComm&) = delete;
-  ShmComm& operator=(const ShmComm&) = delete;
-
-  int rank() const override { return cfg_.rank; }
-  int size() const override { return cfg_.nranks; }
-
-  void send(int dest, int tag, std::span<const double> data) override;
-  std::vector<double> recv(int src, int tag) override;
-  /// test() drives one nonblocking progress pass (drain inbound rings,
-  /// retry spilled sends); wait() delegates to recv() and inherits its
-  /// timeout/closed diagnostics.
-  RecvHandlePtr irecv(int src, int tag) override;
-  void barrier() override;
-  std::vector<double> allgather(std::span<const double> mine) override;
-  using Communicator::allreduce_sum;  // the vector overload
-  double allreduce_sum(double x) override;
-  double allreduce_max(double x) override;
-  void note_progress(long long phase) override;
-
-  /// True zero-copy receive: if the oldest unconsumed frame on the ring
-  /// from `src` matches `tag` (and nothing for that channel is already
-  /// buffered in the mailbox), returns a span pointing directly into
-  /// the mapped ring payload. The ring position is held until
-  /// release_view(); exactly one view may be active at a time. Returns
-  /// nullopt when no matching frame is at the front — fall back to
-  /// recv()/irecv().
-  std::optional<std::span<const double>> try_recv_view(int src, int tag);
-  /// Consume the frame behind the active view (no-op without one).
-  void release_view();
-
-  /// Counter snapshot (heartbeat count folded in from its thread).
+  /// Counter snapshot, the ring's own counters included.
   ShmStats stats() const;
-  /// Write the snapshot into cfg.metrics (shard = rank) as `shm/*`
-  /// counters; no-op without a registry. Call once, after the run.
-  void publish_stats();
-
-  const std::string& dir() const { return cfg_.dir; }
+  void publish_stats() override;
 
  private:
-  class Handle;  // RecvHandle over the mailbox + progress engine
-
   struct Ring {
     std::byte* base = nullptr;  ///< mmap base (header + data)
     std::size_t map_len = 0;
@@ -186,48 +115,43 @@ class ShmComm final : public Communicator {
   bool try_append(int dest, std::uint16_t flags, int tag,
                   std::span<const double> data);
   bool try_append_raw(int dest, std::span<const std::byte> frame);
-  /// Fragment + append or spill one logical message (fault-free path).
-  void enqueue_data(int dest, int tag, std::span<const double> data);
+  /// Fragment + append or spill one logical message.
+  void append(int dest, int tag, std::span<const double> data) override;
   /// Retry spilled frames for one peer in FIFO order; true if any moved.
   bool drain_outbox(int dest);
   /// Parse every complete frame off the inbound ring from `src` into
-  /// the mailbox (honoring an active zero-copy view); true if any moved.
+  /// the mailbox; true if any moved. A frame that claims more bytes
+  /// than the producer committed, or than remain to the ring's end, is
+  /// a comm_error naming the producer.
   bool drain_ring(int src);
-  /// One bounded step of the progress engine: drain all inbound rings
-  /// and retry every spilled outbox; waits (spin-then-futex) when
-  /// nothing moved and max_wait_seconds > 0. `src_hint` names the ring
-  /// the caller is blocked on — the only ring worth a futex sleep; -1
-  /// (no hint, or spilled sends still pending) keeps the waiter in the
-  /// polling loop so outbox retries are never delayed by a sleep.
-  void progress(double max_wait_seconds, int src_hint = -1);
+  /// Drain all inbound rings and retry every spilled outbox; waits
+  /// (spin-then-futex) when nothing moved and max_wait_seconds > 0.
+  /// `src_hint` names the ring the caller is blocked on — the only ring
+  /// worth a futex sleep; -1 (no hint, or spilled sends still pending)
+  /// keeps the waiter in the polling loop so outbox retries are never
+  /// delayed by a sleep.
+  void progress(double max_wait_seconds, int src_hint) override;
   /// Park in futex(2) on the inbound ring from `src` until its producer
   /// commits (or `max_wait_seconds` passes); false when the host has no
   /// futex and the caller should fall back to a timed sleep.
   bool futex_wait_ring(int src, double max_wait_seconds);
-  bool try_pop(int src, int tag, std::vector<double>& out);
-  void throttle(std::size_t bytes);
-  bool peer_gone(int src) const;  ///< producer of inbound ring closed?
-  [[noreturn]] void throw_closed(int src, int tag) const;
+  /// Producer of the inbound ring closed, and the ring fully drained?
+  bool peer_closed(int src) const override;
 
-  ShmCommConfig cfg_;
+  const std::uint64_t ring_bytes_;
+  const std::uint64_t session_;
   std::vector<Ring> in_;   ///< inbound ring from each rank (self unused)
   std::vector<Ring> out_;  ///< outbound ring to each rank (self unused)
   std::vector<Partial> partial_;  ///< per-src fragment reassembly
   std::vector<std::deque<std::vector<std::byte>>> outbox_;  ///< spill, per dest
-  std::map<std::pair<int, int>, std::deque<std::vector<double>>> mail_;
-  ShmStats stats_;
   /// Yields burned in progress() before conceding a sleep; raised on an
   /// oversubscribed host (ranks > cores), where each yield donates the
   /// core to the peer being waited on and the sleep cliff costs more
   /// than the halo round-trip.
   int spin_limit_ = 256;
-  double throttle_tokens_ = 0.0;
-  double throttle_last_ = 0.0;
-  int drop_remaining_ = 0;
-  int view_src_ = -1;               ///< rank of the active view, -1 = none
-  std::uint64_t view_advance_ = 0;  ///< tail advance owed on release
-
-  std::unique_ptr<HeartbeatSender> hb_;
+  long long spilled_frames_ = 0;
+  long long spilled_bytes_ = 0;
+  long long futex_waits_ = 0;
 };
 
 /// Can `dir` host mmap'd ring segments? (Probe: create, map shared,
@@ -242,18 +166,11 @@ bool shm_dir_usable(const std::string& dir);
 /// after). A rank that throws tears its endpoint down, which unblocks
 /// peers with named closed-ring errors; the first failure by rank is
 /// rethrown. Thread-based on purpose: it runs under ThreadSanitizer,
-/// which cannot follow forked children.
-struct ShmRunOptions {
-  CommOptions comm;
-  double connect_timeout = 10.0;
-  /// Wall-clock bound for the forked variant (seconds).
-  double wall_timeout = 60.0;
-  std::string dir;
+/// which cannot follow forked children. The threaded harness forbids
+/// kill/stop faults (they would take down the whole process); use
+/// run_ranks_shm_forked for those.
+struct ShmRunOptions : PeerRunOptions {
   std::size_t ring_bytes = std::size_t{1} << 20;
-  /// Optional per-rank fault injection. The threaded harness forbids
-  /// kill/stop faults (they would take down the whole process); use
-  /// run_ranks_shm_forked for those.
-  std::function<FaultInjection(int rank)> faults;
 };
 
 void run_ranks_shm(int nranks, const std::function<void(Communicator&)>& fn,

@@ -1,7 +1,6 @@
 #include "transport/socket_comm.hpp"
 
 #include <poll.h>
-#include <signal.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -9,15 +8,11 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <filesystem>
-#include <limits>
 #include <thread>
 
-#include "transport/collectives.hpp"
 #include "transport/fdio.hpp"
 #include "transport/fork_harness.hpp"
 #include "transport/frame.hpp"
-#include "transport/heartbeat.hpp"
 #include "transport/tempdir.hpp"
 
 namespace slipflow::transport {
@@ -41,22 +36,8 @@ std::string ctl_sock_path(const std::string& dir) { return dir + "/ctl.sock"; }
 
 }  // namespace
 
-SocketComm::SocketComm(SocketCommConfig cfg) : cfg_(std::move(cfg)) {
-  SLIPFLOW_REQUIRE(cfg_.nranks >= 1);
-  SLIPFLOW_REQUIRE(cfg_.rank >= 0 && cfg_.rank < cfg_.nranks);
-  SLIPFLOW_REQUIRE_MSG(cfg_.nranks == 1 || !cfg_.dir.empty(),
-                       "SocketComm needs a socket directory for > 1 rank");
-  drop_remaining_ = cfg_.fault.drop_dest == -2 ? 0 : cfg_.fault.drop_count;
-  throttle_last_ = mono_now();
-  // 0.1 s of burst allowance; see FaultInjection::throttle_bytes_per_sec.
-  throttle_tokens_ = 0.1 * cfg_.fault.throttle_bytes_per_sec;
+SocketComm::SocketComm(const PeerCommConfig& cfg) : PeerComm(cfg, "socket") {
   peers_.resize(static_cast<std::size_t>(cfg_.nranks));
-  // Heartbeats start before the rendezvous so a rank stuck in connection
-  // setup is already visible to the launcher's monitor.
-  if (!cfg_.heartbeat_path.empty())
-    hb_ = std::make_unique<HeartbeatSender>(cfg_.rank, cfg_.heartbeat_path,
-                                            cfg_.heartbeat_interval,
-                                            cfg_.connect_timeout);
   if (cfg_.nranks > 1) setup_mesh();
 }
 
@@ -156,7 +137,7 @@ void SocketComm::setup_mesh() {
 }
 
 SocketComm::~SocketComm() {
-  hb_.reset();
+  stop_heartbeat();
   // Best-effort flush so a rank that finishes early does not strand
   // messages its peers still want (eager-send contract); bounded so
   // teardown can never hang.
@@ -171,7 +152,7 @@ SocketComm::~SocketComm() {
         if (!p.outbox.empty() && !p.closed) pending = true;
       }
       if (!pending || mono_now() >= deadline) break;
-      progress(0.01);
+      progress(0.01, -1);
     }
   } catch (...) {
     // teardown must not throw
@@ -180,24 +161,7 @@ SocketComm::~SocketComm() {
     if (p.fd >= 0) ::close(p.fd);
 }
 
-void SocketComm::throttle(std::size_t bytes) {
-  const double bps = cfg_.fault.throttle_bytes_per_sec;
-  if (bps <= 0.0) return;
-  const double now = mono_now();
-  throttle_tokens_ = std::min(0.1 * bps,
-                              throttle_tokens_ + (now - throttle_last_) * bps);
-  throttle_last_ = now;
-  const double need = static_cast<double>(bytes);
-  if (need > throttle_tokens_) {
-    const double wait = (need - throttle_tokens_) / bps;
-    stats_.throttle_wait_seconds += wait;
-    std::this_thread::sleep_for(std::chrono::duration<double>(wait));
-    throttle_last_ = mono_now();
-  }
-  throttle_tokens_ -= need;
-}
-
-void SocketComm::enqueue_data(int dest, int tag, std::span<const double> data) {
+void SocketComm::append(int dest, int tag, std::span<const double> data) {
   FrameHeader h;
   h.kind = FrameKind::kData;
   h.src = cfg_.rank;
@@ -217,27 +181,6 @@ void SocketComm::enqueue_data(int dest, int tag, std::span<const double> data) {
                      std::to_string(dest) + " failed: connection closed");
   p.outbox.push_back(std::move(frame));
   flush_peer(dest);  // opportunistic; leftovers drain in progress()
-}
-
-void SocketComm::send(int dest, int tag, std::span<const double> data) {
-  SLIPFLOW_REQUIRE(dest >= 0 && dest < cfg_.nranks);
-  if (drop_remaining_ > 0 &&
-      (cfg_.fault.drop_dest == -1 || cfg_.fault.drop_dest == dest) &&
-      (cfg_.fault.drop_tag == -1 || cfg_.fault.drop_tag == tag)) {
-    --drop_remaining_;
-    ++stats_.frames_dropped;
-    return;
-  }
-  if (cfg_.fault.send_delay > 0.0)
-    std::this_thread::sleep_for(
-        std::chrono::duration<double>(cfg_.fault.send_delay));
-  ++stats_.messages_sent;
-  if (dest == cfg_.rank) {
-    mail_[{cfg_.rank, tag}].emplace_back(data.begin(), data.end());
-    ++stats_.messages_received;
-    return;
-  }
-  enqueue_data(dest, tag, data);
 }
 
 void SocketComm::flush_peer(int peer) {
@@ -299,8 +242,7 @@ void SocketComm::drain_peer(int src) {
     if (h.count > 0)
       std::memcpy(payload.data(), p.inbuf.data() + p.in_off + kFrameHeaderBytes,
                   payload.size() * sizeof(double));
-    mail_[{src, h.tag}].push_back(std::move(payload));
-    ++stats_.messages_received;
+    deliver(src, h.tag, std::move(payload));
     stats_.bytes_received += static_cast<long long>(need);
     p.in_off += need;
   }
@@ -311,7 +253,7 @@ void SocketComm::drain_peer(int src) {
   }
 }
 
-void SocketComm::progress(double max_wait_seconds) {
+void SocketComm::progress(double max_wait_seconds, int /*src_hint*/) {
   std::vector<pollfd> pfds;
   std::vector<int> ranks;
   for (int s = 0; s < cfg_.nranks; ++s) {
@@ -345,145 +287,8 @@ void SocketComm::progress(double max_wait_seconds) {
   }
 }
 
-void SocketComm::throw_closed(int src, int tag) const {
-  throw comm_error("rank " + std::to_string(cfg_.rank) +
-                   ": connection to rank " + std::to_string(src) +
-                   " closed while waiting for (src=" + std::to_string(src) +
-                   ", tag=" + std::to_string(tag) + ")");
-}
-
-bool SocketComm::try_pop(int src, int tag, std::vector<double>& out) {
-  const auto it = mail_.find({src, tag});
-  if (it == mail_.end() || it->second.empty()) return false;
-  out = std::move(it->second.front());
-  it->second.pop_front();
-  return true;
-}
-
-std::vector<double> SocketComm::recv(int src, int tag) {
-  SLIPFLOW_REQUIRE(src >= 0 && src < cfg_.nranks);
-  const double t0 = mono_now();
-  const double timeout = cfg_.comm.recv_timeout;
-  const double deadline =
-      timeout > 0.0 ? t0 + timeout : std::numeric_limits<double>::infinity();
-  for (;;) {
-    std::vector<double> out;
-    if (try_pop(src, tag, out)) {
-      stats_.recv_wait_seconds += mono_now() - t0;
-      return out;
-    }
-    if (src == cfg_.rank)
-      throw comm_error("rank " + std::to_string(cfg_.rank) +
-                       ": blocking self-recv with empty mailbox would "
-                       "deadlock (tag " + std::to_string(tag) + ")");
-    if (peers_[static_cast<std::size_t>(src)].closed) throw_closed(src, tag);
-    const double now = mono_now();
-    if (now >= deadline)
-      throw comm_timeout(
-          "rank " + std::to_string(cfg_.rank) + ": recv timeout after " +
-          std::to_string(timeout) + "s waiting for (src=" +
-          std::to_string(src) + ", tag=" + std::to_string(tag) + ")");
-    progress(std::min(0.1, deadline - now));
-  }
-}
-
-/// Completion = the matching frame has been drained into the mailbox.
-/// test() makes progress (one zero-timeout poll pass) before giving up,
-/// so a rank that only ever calls test() between compute chunks still
-/// flushes its outboxes and drains arrivals. A dead peer surfaces from
-/// test() as the same named comm_error a blocking recv would throw; a
-/// pending self-receive just stays incomplete (the matching self-send
-/// may come later from this same thread).
-class SocketComm::Handle final : public RecvHandle {
- public:
-  Handle(SocketComm& comm, int src, int tag)
-      : comm_(comm), src_(src), tag_(tag) {}
-
-  bool test() override {
-    if (done_) return true;
-    if (comm_.try_pop(src_, tag_, payload_)) return done_ = true;
-    if (src_ != comm_.cfg_.rank) {
-      comm_.progress(0.0);
-      if (comm_.try_pop(src_, tag_, payload_)) return done_ = true;
-      if (comm_.peers_[static_cast<std::size_t>(src_)].closed)
-        comm_.throw_closed(src_, tag_);
-    }
-    return false;
-  }
-
-  std::vector<double> wait() override {
-    if (!done_) {
-      payload_ = comm_.recv(src_, tag_);
-      done_ = true;
-    }
-    return std::move(payload_);
-  }
-
- private:
-  SocketComm& comm_;
-  const int src_, tag_;
-  bool done_ = false;
-  std::vector<double> payload_;
-};
-
-RecvHandlePtr SocketComm::irecv(int src, int tag) {
-  SLIPFLOW_REQUIRE(src >= 0 && src < cfg_.nranks);
-  return std::make_unique<Handle>(*this, src, tag);
-}
-
-// det-lint: rank-ordered — delegates to binomial_allgather, which
-// concatenates contributions by rank index (collectives.hpp).
-std::vector<double> SocketComm::allgather(std::span<const double> mine) {
-  return binomial_allgather(*this, mine);
-}
-
-void SocketComm::barrier() { (void)allgather({}); }
-
-// det-lint: rank-ordered — folds the rank-ordered allgather result
-// left to right in rank index order.
-double SocketComm::allreduce_sum(double x) {
-  const std::vector<double> all = allgather(std::span<const double>(&x, 1));
-  double s = 0.0;
-  for (double v : all) s += v;
-  return s;
-}
-
-// det-lint: rank-ordered — max over the rank-ordered allgather.
-double SocketComm::allreduce_max(double x) {
-  const std::vector<double> all = allgather(std::span<const double>(&x, 1));
-  double m = all.front();
-  for (double v : all) m = v > m ? v : m;
-  return m;
-}
-
-void SocketComm::note_progress(long long phase) {
-  if (hb_) hb_->note_phase(phase);
-  if (cfg_.fault.kill_at_phase >= 0 && phase >= cfg_.fault.kill_at_phase)
-    ::raise(SIGKILL);
-  if (cfg_.fault.stop_at_phase >= 0 && phase >= cfg_.fault.stop_at_phase)
-    ::raise(SIGSTOP);
-}
-
-SocketStats SocketComm::stats() const {
-  SocketStats s = stats_;
-  s.heartbeats_sent = hb_ ? hb_->count() : 0;
-  return s;
-}
-
-void SocketComm::publish_stats() {
-  if (cfg_.metrics == nullptr) return;
-  const SocketStats s = stats();
-  obs::MetricsRegistry& reg = *cfg_.metrics;
-  const int r = cfg_.rank;
-  reg.add(r, "socket/bytes_sent", static_cast<double>(s.bytes_sent));
-  reg.add(r, "socket/bytes_received", static_cast<double>(s.bytes_received));
-  reg.add(r, "socket/messages_sent", static_cast<double>(s.messages_sent));
-  reg.add(r, "socket/messages_received",
-          static_cast<double>(s.messages_received));
-  reg.add(r, "socket/heartbeats", static_cast<double>(s.heartbeats_sent));
-  reg.add(r, "socket/frames_dropped", static_cast<double>(s.frames_dropped));
-  reg.add(r, "socket/recv_wait_seconds", s.recv_wait_seconds);
-  reg.add(r, "socket/throttle_wait_seconds", s.throttle_wait_seconds);
+bool SocketComm::peer_closed(int src) const {
+  return peers_[static_cast<std::size_t>(src)].closed;
 }
 
 // ---------------------------------------------------------------------------
@@ -491,46 +296,19 @@ void SocketComm::publish_stats() {
 
 void run_ranks_sockets(int nranks,
                        const std::function<void(Communicator&)>& fn,
-                       const SocketRunOptions& opts) {
+                       const PeerRunOptions& opts) {
   SLIPFLOW_REQUIRE(fn != nullptr);
-  namespace fs = std::filesystem;
-
-  std::string dir = opts.dir;
-  bool own_dir = false;
-  if (dir.empty() && nranks > 1) {
-    dir = make_socket_temp_dir();
-    own_dir = true;
-  }
-
+  const HarnessDir dir(opts.dir, nranks);
   ForkRunOptions fopts;
   fopts.wall_timeout = opts.wall_timeout;
   fopts.who = "run_ranks_sockets";
-  try {
-    run_ranks_forked(
-        nranks,
-        [&](int r) {
-          SocketCommConfig cfg;
-          cfg.rank = r;
-          cfg.nranks = nranks;
-          cfg.dir = dir;
-          cfg.comm = opts.comm;
-          cfg.connect_timeout = opts.connect_timeout;
-          if (opts.faults) cfg.fault = opts.faults(r);
-          SocketComm comm(cfg);
-          fn(comm);
-        },
-        fopts);
-  } catch (...) {
-    if (own_dir) {
-      std::error_code ec;
-      fs::remove_all(dir, ec);
-    }
-    throw;
-  }
-  if (own_dir) {
-    std::error_code ec;
-    fs::remove_all(dir, ec);
-  }
+  run_ranks_forked(
+      nranks,
+      [&](int r) {
+        SocketComm comm(harness_config(r, nranks, dir.path(), opts));
+        fn(comm);
+      },
+      fopts);
 }
 
 }  // namespace slipflow::transport

@@ -15,103 +15,32 @@
 ///     deadlock-free even when payloads exceed the kernel socket buffer;
 ///   - messages are FIFO per (src, dst, tag) — frames on one stream
 ///     cannot overtake;
-///   - allgather runs as a deterministic binomial gather tree to rank 0
-///     followed by a binomial broadcast, concatenating contributions in
-///     rank order; reductions fold the gathered vector in rank order.
-///     Results are therefore byte-identical to ThreadComm's.
+///   - the mailbox, recv, collectives, heartbeats and fault injection
+///     are the shared endpoint core's (peer_comm.hpp), so results are
+///     byte-identical to ThreadComm's and failures read the same.
 ///
-/// Failures are named, never silent: a bounded recv throws comm_timeout
-/// with the pending (src, tag); a dead peer surfaces as comm_error the
-/// moment its stream hits EOF. An optional heartbeat thread reports
-/// (rank, phase) beats to the launcher's monitor socket, and a
-/// deterministic fault-injection layer (kill/stop at phase K, drop,
-/// delay, token-bucket throttling) drives the robustness tests and the
-/// real-process remapping benchmarks.
+/// A dead peer surfaces as the named closed-connection comm_error the
+/// moment its stream hits EOF.
 
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <map>
-#include <memory>
-#include <string>
 #include <vector>
 
-#include "obs/metrics.hpp"
-#include "transport/communicator.hpp"
-#include "transport/fault.hpp"
+#include "transport/peer_comm.hpp"
 
 namespace slipflow::transport {
 
-class HeartbeatSender;  // heartbeat.hpp
-
-/// Transport-level counters of one endpoint (see also the `socket/*`
-/// metrics published by publish_stats()).
-struct SocketStats {
-  long long bytes_sent = 0;      ///< framed bytes enqueued (headers incl.)
-  long long bytes_received = 0;  ///< framed bytes parsed
-  long long messages_sent = 0;
-  long long messages_received = 0;
-  long long heartbeats_sent = 0;
-  long long frames_dropped = 0;  ///< by fault injection
-  double recv_wait_seconds = 0.0;
-  double throttle_wait_seconds = 0.0;
-};
-
-struct SocketCommConfig {
-  int rank = 0;
-  int nranks = 1;
-  /// Directory holding the rendezvous + per-rank listener sockets; all
-  /// ranks must agree. May be empty only for nranks == 1.
-  std::string dir;
-  CommOptions comm;
-  /// Bound on rendezvous / mesh-dial / setup reads (seconds).
-  double connect_timeout = 10.0;
-  /// Launcher monitor socket; empty = no heartbeat thread.
-  std::string heartbeat_path;
-  double heartbeat_interval = 0.25;
-  FaultInjection fault;
-  /// When set, publish_stats() writes the endpoint's counters into this
-  /// registry's shard `rank` under `socket/<name>`.
-  obs::MetricsRegistry* metrics = nullptr;
-};
-
-class SocketComm final : public Communicator {
+class SocketComm final : public PeerComm {
  public:
-  /// Connects the full mesh (blocking, bounded by connect_timeout) and
-  /// starts the heartbeat thread when configured.
-  explicit SocketComm(SocketCommConfig cfg);
-  /// Flushes pending sends (best effort, bounded), stops the heartbeat
-  /// thread, closes every connection. Never throws.
+  /// Connects the full mesh (blocking, bounded by connect_timeout) after
+  /// the core has started the heartbeat thread, when configured.
+  explicit SocketComm(const PeerCommConfig& cfg);
+  /// Stops the heartbeat thread, flushes pending sends (best effort,
+  /// bounded), closes every connection. Never throws.
   ~SocketComm() override;
 
-  SocketComm(const SocketComm&) = delete;
-  SocketComm& operator=(const SocketComm&) = delete;
-
-  int rank() const override { return cfg_.rank; }
-  int size() const override { return cfg_.nranks; }
-
-  void send(int dest, int tag, std::span<const double> data) override;
-  std::vector<double> recv(int src, int tag) override;
-  /// test() drives one zero-timeout pass of the poll() progress engine,
-  /// so posted receives complete while the caller computes; wait()
-  /// delegates to recv() and inherits its timeout/closed diagnostics.
-  RecvHandlePtr irecv(int src, int tag) override;
-  void barrier() override;
-  std::vector<double> allgather(std::span<const double> mine) override;
-  using Communicator::allreduce_sum;  // the vector overload
-  double allreduce_sum(double x) override;
-  double allreduce_max(double x) override;
-  void note_progress(long long phase) override;
-
-  /// Counter snapshot (heartbeat count folded in from its thread).
-  SocketStats stats() const;
-  /// Write the snapshot into cfg.metrics (shard = rank) as `socket/*`
-  /// counters; no-op without a registry. Call once, after the run.
-  void publish_stats();
-
  private:
-  class Handle;  // RecvHandle over the mailbox + progress engine
-
   struct Peer {
     int fd = -1;
     bool closed = false;
@@ -122,29 +51,18 @@ class SocketComm final : public Communicator {
   };
 
   void setup_mesh();
-  void enqueue_data(int dest, int tag, std::span<const double> data);
+  /// Frame the message into the peer's outbox and flush opportunistically.
+  void append(int dest, int tag, std::span<const double> data) override;
   /// Flush as much of the peer's outbox as the kernel accepts right now.
   void flush_peer(int peer);
   /// Drain readable bytes and dispatch complete frames into mailboxes.
   void drain_peer(int src);
-  /// One bounded step of the progress engine: poll all live peers for
-  /// readability (and writability where an outbox is pending).
-  /// max_wait_seconds <= 0 is a pure nonblocking pass (poll timeout 0).
-  void progress(double max_wait_seconds);
-  /// Claim the oldest queued (src, tag) message, if any. No progress.
-  bool try_pop(int src, int tag, std::vector<double>& out);
-  void throttle(std::size_t bytes);
-  [[noreturn]] void throw_closed(int src, int tag) const;
+  /// Poll all live peers for readability (and writability where an
+  /// outbox is pending); the src hint is not needed.
+  void progress(double max_wait_seconds, int src_hint) override;
+  bool peer_closed(int src) const override;
 
-  SocketCommConfig cfg_;
   std::vector<Peer> peers_;  ///< indexed by rank; self entry unused
-  std::map<std::pair<int, int>, std::deque<std::vector<double>>> mail_;
-  SocketStats stats_;
-  double throttle_tokens_ = 0.0;
-  double throttle_last_ = 0.0;
-  int drop_remaining_ = 0;
-
-  std::unique_ptr<HeartbeatSender> hb_;
 };
 
 /// In-process harness mirroring run_ranks() for the socket backend:
@@ -154,19 +72,8 @@ class SocketComm final : public Communicator {
 /// failure or on timeout with the collected per-rank diagnostics.
 /// For true fresh-address-space workers use transport::launch_workers
 /// with the slipflow_worker binary instead.
-struct SocketRunOptions {
-  CommOptions comm;
-  double connect_timeout = 10.0;
-  double wall_timeout = 60.0;
-  /// Socket directory; empty = a fresh mkdtemp under $TMPDIR (falling
-  /// back to /tmp), removed after.
-  std::string dir;
-  /// Optional per-rank fault injection.
-  std::function<FaultInjection(int rank)> faults;
-};
-
 void run_ranks_sockets(int nranks,
                        const std::function<void(Communicator&)>& fn,
-                       const SocketRunOptions& opts = {});
+                       const PeerRunOptions& opts = {});
 
 }  // namespace slipflow::transport

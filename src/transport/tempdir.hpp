@@ -9,7 +9,10 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <string>
+#include <system_error>
+#include <utility>
 #include <vector>
 
 #include "transport/communicator.hpp"
@@ -28,5 +31,30 @@ inline std::string make_socket_temp_dir() {
     throw comm_error("mkdtemp(" + tmpl + "): " + std::strerror(errno));
   return std::string(buf.data());
 }
+
+/// A rank harness's rendezvous directory: `dir` when given, else (for
+/// more than one rank) a fresh make_socket_temp_dir(), removed when the
+/// harness returns or throws.
+class HarnessDir {
+ public:
+  HarnessDir(std::string dir, int nranks) : path_(std::move(dir)) {
+    if (path_.empty() && nranks > 1) {
+      path_ = make_socket_temp_dir();
+      own_ = true;
+    }
+  }
+  ~HarnessDir() {
+    std::error_code ec;
+    if (own_) std::filesystem::remove_all(path_, ec);
+  }
+  HarnessDir(const HarnessDir&) = delete;
+  HarnessDir& operator=(const HarnessDir&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+  bool own_ = false;
+};
 
 }  // namespace slipflow::transport

@@ -1,29 +1,34 @@
 // ShmComm-specific behaviors beyond the cross-backend contract matrix
 // (which test_transport.cpp / test_property_transport.cpp already run
 // over the Shm backend): ring wrap-around, fragmentation of messages
-// larger than the ring, spill-based backpressure, zero-copy views,
-// stale-segment replacement and cleanup, $TMPDIR-honoring segment
-// paths, named closed-peer/drop diagnostics, stats publication, and the
+// larger than the ring, spill-based backpressure, stale-segment
+// replacement and cleanup, $TMPDIR-honoring segment paths, named
+// closed-peer/drop/hostile-frame diagnostics, stats publication, and the
 // forked kill-rank fault. Fork-suffixed suites fork real processes and
 // are excluded from TSan runs (TSan cannot follow forks); everything
 // else is threaded via run_ranks_shm.
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/mman.h>
 #include <sys/stat.h>
+#include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <optional>
 #include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "transport/frame.hpp"
 #include "transport/shm_comm.hpp"
 #include "transport/tempdir.hpp"
 
@@ -120,30 +125,53 @@ TEST(ShmComm, BackpressureSpillsInsteadOfBlockingTheSender) {
       small_ring(4096));
 }
 
-TEST(ShmComm, ZeroCopyViewDeliversInPlace) {
-  run_ranks_shm(2, [](Communicator& c) {
-    if (c.rank() == 0) {
-      c.send(1, 4, std::vector<double>{1.0, 2.0, 3.0});
-      c.send(1, 4, std::vector<double>{9.0});
-      c.barrier();
-      return;
-    }
-    auto& shm = dynamic_cast<ShmComm&>(c);
-    // Poll until the first frame is on the ring, then view it in place.
-    std::optional<std::span<const double>> view;
-    while (!(view = shm.try_recv_view(0, 4)))
-      std::this_thread::yield();
-    ASSERT_EQ(view->size(), 3u);
-    EXPECT_EQ((*view)[0], 1.0);
-    EXPECT_EQ((*view)[2], 3.0);
-    // Only one view may be active at a time — the second request is a
-    // caller bug, not a transport error.
-    EXPECT_THROW((void)shm.try_recv_view(0, 4), contract_error);
-    shm.release_view();
-    // The channel keeps working through the ordinary path afterwards.
-    EXPECT_EQ(c.recv(0, 4), std::vector<double>{9.0});
-    c.barrier();
-  });
+TEST(ShmComm, OversizedRingFrameIsNamedCommError) {
+  // A ring's bytes are its producer's to write. Rank 0 maps its outbound
+  // ring behind its endpoint's back and commits one header whose count
+  // is larger than the whole ring: rank 1 must reject the frame by
+  // name, not copy it out of the mapping.
+  run_ranks_shm(
+      2,
+      [](Communicator& c) {
+        auto& shm = dynamic_cast<ShmComm&>(c);
+        if (c.rank() == 0) {
+          const std::string path = shm.dir() + "/ring_0to1.shm";
+          const int fd = ::open(path.c_str(), O_RDWR);
+          ASSERT_GE(fd, 0) << path;
+          struct stat st{};
+          ASSERT_EQ(::fstat(fd, &st), 0);
+          const auto len = static_cast<std::size_t>(st.st_size);
+          void* map =
+              ::mmap(nullptr, len, PROT_READ | PROT_WRITE, MAP_SHARED, fd, 0);
+          ::close(fd);
+          ASSERT_NE(map, MAP_FAILED);
+          auto* base = static_cast<std::byte*>(map);
+          FrameHeader h;
+          h.src = 0;
+          h.tag = 3;
+          h.count = len / sizeof(double);
+          const auto header = encode_frame_header(h);
+          std::memcpy(base + 256, header.data(), header.size());  // data[0]
+          std::atomic_ref<std::uint64_t>(
+              *reinterpret_cast<std::uint64_t*>(base + 64))  // head
+              .store(kFrameHeaderBytes, std::memory_order_release);
+          // Keep the ring up until rank 1 has judged the frame.
+          EXPECT_EQ(c.recv(1, 4), std::vector<double>{1.0});
+          ::munmap(map, len);
+          return;
+        }
+        try {
+          c.recv(0, 3);
+          ADD_FAILURE() << "the oversized frame must be rejected";
+        } catch (const comm_error& e) {
+          const std::string msg = e.what();
+          EXPECT_NE(msg.find("malformed shm ring from rank 0"),
+                    std::string::npos)
+              << msg;
+        }
+        c.send(0, 4, std::vector<double>{1.0});
+      },
+      small_ring(4096));
 }
 
 TEST(ShmComm, SegmentsHonorTmpdir) {

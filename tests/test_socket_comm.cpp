@@ -123,7 +123,7 @@ TEST(SocketComm, BidirectionalFloodDoesNotDeadlock) {
 // --- fault injection ---
 
 TEST(SocketComm, DroppedFrameYieldsNamedTimeoutNotHang) {
-  SocketRunOptions opts;
+  PeerRunOptions opts;
   opts.comm.recv_timeout = 0.5;
   opts.faults = [](int rank) {
     FaultInjection f;
@@ -158,7 +158,7 @@ TEST(SocketComm, DroppedFrameYieldsNamedTimeoutNotHang) {
 }
 
 TEST(SocketComm, DelayFaultStillDelivers) {
-  SocketRunOptions opts;
+  PeerRunOptions opts;
   opts.faults = [](int rank) {
     FaultInjection f;
     if (rank == 0) f.send_delay = 0.2;
@@ -181,7 +181,7 @@ TEST(SocketComm, DelayFaultStillDelivers) {
 }
 
 TEST(SocketComm, ThrottleFaultSlowsButDelivers) {
-  SocketRunOptions opts;
+  PeerRunOptions opts;
   opts.faults = [](int rank) {
     FaultInjection f;
     if (rank == 0) f.throttle_bytes_per_sec = 1e6;  // burst allowance 100 KB
@@ -209,7 +209,7 @@ TEST(SocketComm, ThrottleFaultSlowsButDelivers) {
 }
 
 TEST(SocketComm, KillRankFaultFailsRunWithNamedRank) {
-  SocketRunOptions opts;
+  PeerRunOptions opts;
   opts.comm.recv_timeout = 5.0;
   opts.wall_timeout = 30.0;
   opts.faults = [](int rank) {
@@ -236,7 +236,7 @@ TEST(SocketComm, KillRankFaultFailsRunWithNamedRank) {
 }
 
 TEST(SocketComm, PeerCleanExitSurfacesAsNamedError) {
-  SocketRunOptions opts;
+  PeerRunOptions opts;
   opts.comm.recv_timeout = 10.0;
   try {
     run_ranks_sockets(
@@ -275,7 +275,7 @@ TEST(SocketComm, StatsCountMessagesAndBytes) {
     for (int i = 0; i < 10; ++i)
       ASSERT_EQ(c.recv(peer, 3)[0], static_cast<double>(i));
     c.barrier();
-    const SocketStats s = as_socket(c).stats();
+    const PeerStats s = as_socket(c).stats();
     EXPECT_GE(s.messages_sent, 10);
     EXPECT_GE(s.messages_received, 10);
     // 10 data frames of 1 double: 10 * (24 + 8) bytes, plus collectives

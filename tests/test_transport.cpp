@@ -11,9 +11,13 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <numeric>
+#include <string>
 #include <thread>
+#include <vector>
 
+#include "transport/collectives.hpp"
 #include "transport_backends.hpp"
 
 using namespace slipflow::transport;
@@ -388,6 +392,37 @@ TEST(ThreadComm, ExceptionInOneRankPropagates) {
                   c.recv((c.rank() + 1) % 3, 99);
                 }),
       std::exception);
+}
+
+TEST(GatherTree, ForgedFramesAreNamedPeerErrors) {
+  // A gather-tree frame is the sending peer's bytes: an empty frame, a
+  // count beyond the frame, a rank out of range or a NaN count must be
+  // reported as that peer's comm_error, never read past the frame or
+  // fail a contract check.
+  const std::vector<std::vector<double>> forged = {
+      {},
+      {2.0, 0.0},
+      {1.0, 7.0, 0.0},
+      {std::numeric_limits<double>::quiet_NaN()}};
+  run_ranks(2, [&forged](Communicator& c) {
+    if (c.rank() == 1) {
+      for (const std::vector<double>& f : forged)
+        c.send(0, kTagGatherTree, f);
+      return;
+    }
+    const double mine = 0.0;
+    for (std::size_t i = 0; i < forged.size(); ++i) {
+      try {
+        (void)binomial_allgather(c, std::span<const double>(&mine, 1));
+        ADD_FAILURE() << "forged frame " << i << " was accepted";
+      } catch (const comm_error& e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("from rank 1"), std::string::npos) << msg;
+        EXPECT_NE(msg.find(std::to_string(kTagGatherTree)), std::string::npos)
+            << msg;
+      }
+    }
+  });
 }
 
 TEST(ThreadComm, InvalidDestinationRejected) {

@@ -58,7 +58,7 @@ inline void run_backend(Backend b, int nranks,
       run_ranks(nranks, fn, opts);
       return;
     case Backend::kSocket: {
-      SocketRunOptions ro;
+      PeerRunOptions ro;
       ro.comm = guard();
       ro.wall_timeout = 90.0;
       run_ranks_sockets(
