@@ -62,7 +62,7 @@ double wall_seconds() {
 
 /// The in-process reference: identical problem + policy to the worker
 /// flags below, timed end to end including thread spawn/join so the
-/// comparison against fork+exec+rendezvous is symmetric. `efficiency_out`
+/// comparison against spawn+rendezvous is symmetric. `efficiency_out`
 /// (optional) receives rank 0's overlap_efficiency gauge.
 double time_over_threads(const lbm::Extents& global, int ranks, int phases,
                          int threads = 1, double* efficiency_out = nullptr) {
@@ -136,7 +136,7 @@ int run_overlap_sweep(const util::Options& opts) {
 }
 
 /// The same run as real processes through the launcher; elapsed time
-/// includes fork+exec, the rendezvous and teardown. `transport` is
+/// includes the process spawn, the rendezvous and teardown. `transport` is
 /// "socket" or "shm".
 double time_over_processes(const lbm::Extents& global, int ranks, int phases,
                            const std::string& transport = "socket") {
@@ -219,10 +219,10 @@ int run_shm_mode(const util::Options& opts) {
   summary.add_table("transport", table);
   summary.write(opts);
 
-  std::cout << "shm_speedup = socket / shm wall time (same forked workers, "
+  std::cout << "shm_speedup = socket / shm wall time (same spawned workers, "
                "same physics — see test_multiprocess for the byte-identity "
-               "proof); both carry fork+exec and rendezvous, so the ratio "
-               "isolates the transport itself.\n";
+               "proof); both carry process spawn and rendezvous, so the "
+               "ratio isolates the transport itself.\n";
   if (require > 0.0) {
     if (top_speedup < require) {
       std::cerr << "FAIL: shm speedup over socket at " << max_ranks
@@ -264,7 +264,7 @@ int run_socket_mode(const util::Options& opts) {
   summary.add_table("overhead", table);
   summary.write(opts);
 
-  std::cout << "process runs carry fork+exec, Unix-socket rendezvous and "
+  std::cout << "process runs carry process spawn, Unix-socket rendezvous and "
                "frame encode/decode on top of the shared-memory thread "
                "backend; physics is byte-identical (see test_multiprocess).\n";
   return 0;

@@ -1,4 +1,4 @@
-/// The parallel program as REAL processes: the launcher forks+execs
+/// The parallel program as REAL processes: the launcher spawns
 /// `slipflow_worker` ranks wired over Unix-domain sockets, supervises
 /// them with heartbeats, and (optionally) injects a kill-rank fault to
 /// demonstrate the named-rank diagnostic instead of a hang.

@@ -38,13 +38,28 @@ std::vector<long long> RemapPolicy::decide_global(
   return {};
 }
 
-std::unique_ptr<RemapPolicy> RemapPolicy::create(const std::string& name) {
+namespace {
+
+/// The one list of policy names; nullptr for a name not on it.
+std::unique_ptr<RemapPolicy> make_policy(const std::string& name) {
   if (name == "none") return std::make_unique<NoRemapPolicy>();
   if (name == "conservative") return std::make_unique<ConservativePolicy>();
   if (name == "filtered") return std::make_unique<FilteredPolicy>();
   if (name == "global") return std::make_unique<GlobalPolicy>();
-  SLIPFLOW_REQUIRE_MSG(false, "unknown remap policy '" << name << "'");
-  return nullptr;  // unreachable
+  return nullptr;
+}
+
+}  // namespace
+
+bool RemapPolicy::known(const std::string& name) {
+  return make_policy(name) != nullptr;
+}
+
+std::unique_ptr<RemapPolicy> RemapPolicy::create(const std::string& name) {
+  std::unique_ptr<RemapPolicy> policy = make_policy(name);
+  SLIPFLOW_REQUIRE_MSG(policy != nullptr,
+                       "unknown remap policy '" << name << "'");
+  return policy;
 }
 
 namespace {

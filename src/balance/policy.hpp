@@ -127,6 +127,8 @@ class RemapPolicy {
 
   /// Factory by name: "none", "conservative", "filtered", "global".
   static std::unique_ptr<RemapPolicy> create(const std::string& name);
+  /// Would create(name) succeed? Admission checks names with this.
+  static bool known(const std::string& name);
 };
 
 /// Never moves anything — the paper's "No-remapping" baseline.

@@ -3,6 +3,7 @@
 #include <set>
 #include <string>
 
+#include "balance/policy.hpp"
 #include "serve/protocol.hpp"
 
 namespace slipflow::serve {
@@ -94,6 +95,10 @@ JobSpec JobSpec::from_json(const JsonValue& v) {
   require(s.checkpoint_every >= 0, "checkpoint_every must be >= 0");
   require(s.threads >= 1, "threads must be >= 1");
   require(s.remap_interval >= 1, "remap_interval must be >= 1");
+  require(balance::RemapPolicy::known(s.policy),
+          "policy \"" + s.policy + "\" is not a known remap policy");
+  require(s.window >= 1, "window must be >= 1");
+  require(s.min_transfer >= 1, "min_transfer must be >= 1");
   require(s.heartbeat_interval > 0.0, "heartbeat_interval must be > 0");
   require(s.wall_clock_budget > 0.0, "wall_clock_budget must be > 0");
   return s;

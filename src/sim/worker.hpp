@@ -1,7 +1,7 @@
 #pragma once
 /// \file worker.hpp
 /// The `slipflow_worker` process: one rank of the parallel LBM over the
-/// socket transport. The launcher (transport/launcher.hpp) forks+execs N
+/// socket transport. The launcher (transport/launcher.hpp) spawns N
 /// of these; each connects the SocketComm mesh, runs ParallelLbm, and
 /// optionally writes observables (rank 0) and per-rank metrics.
 ///

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <cstring>
 #include <span>
+#include <string>
 
 #include "transport/communicator.hpp"
 
@@ -90,6 +91,20 @@ inline FrameHeader decode_frame_header(std::span<const std::byte> bytes) {
     throw comm_error("frame decode: implausible payload length " +
                      std::to_string(h.count) + " doubles");
   return h;
+}
+
+/// decode_frame_header for a receiver that knows where the bytes came
+/// from: a decode failure is rethrown prefixed with `where()` — the
+/// receiving rank and the peer — so a desynchronized or hostile peer is
+/// named. `where` is only called on failure, off the hot path.
+template <class Where>
+FrameHeader decode_frame_header(std::span<const std::byte> bytes,
+                                Where&& where) {
+  try {
+    return decode_frame_header(bytes);
+  } catch (const comm_error& e) {
+    throw comm_error(where() + ": " + e.what());
+  }
 }
 
 }  // namespace slipflow::transport

@@ -1,8 +1,10 @@
 #pragma once
 /// \file launcher.hpp
-/// Process launcher for the socket transport: forks and execs N worker
-/// processes (normally the `slipflow_worker` binary), wires them to a
-/// shared socket directory, and supervises the run.
+/// Process launcher for the process transports: starts N worker
+/// processes with posix_spawn (normally the `slipflow_worker` binary),
+/// wires them to a shared socket/ring directory, and supervises the run.
+/// A worker whose exec fails is reported as exec's failure would exit:
+/// "rank R exited with code 127", with the reason in its stderr.
 ///
 /// Supervision turns the three silent failure modes of a real cluster
 /// run into named, bounded diagnostics:
@@ -80,7 +82,7 @@ struct LaunchResult {
 
 /// Run the workers to completion (all exit 0) or to the first failure.
 /// Does not throw on worker failure — that is the result — only on
-/// launcher-side setup errors (fork/socket failures).
+/// launcher-side setup errors (pipe/socket failures).
 LaunchResult launch_workers(const LaunchConfig& cfg);
 
 }  // namespace slipflow::transport

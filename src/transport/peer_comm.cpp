@@ -15,7 +15,7 @@ namespace slipflow::transport {
 using fdio::mono_now;
 
 PeerComm::PeerComm(const PeerCommConfig& cfg, std::string prefix)
-    : cfg_(cfg), prefix_(std::move(prefix)) {
+    : cfg_(cfg), prefix_(std::move(prefix)), created_at_(mono_now()) {
   SLIPFLOW_REQUIRE(cfg_.nranks >= 1);
   SLIPFLOW_REQUIRE(cfg_.rank >= 0 && cfg_.rank < cfg_.nranks);
   SLIPFLOW_REQUIRE_MSG(cfg_.nranks == 1 || !cfg_.dir.empty(),
@@ -33,6 +33,10 @@ PeerComm::PeerComm(const PeerCommConfig& cfg, std::string prefix)
 PeerComm::~PeerComm() = default;
 
 void PeerComm::stop_heartbeat() { hb_.reset(); }
+
+void PeerComm::mesh_ready() {
+  stats_.connect_seconds = mono_now() - created_at_;
+}
 
 void PeerComm::throttle(std::size_t bytes) {
   const double bps = cfg_.fault.throttle_bytes_per_sec;
@@ -215,6 +219,10 @@ void PeerComm::publish_stats() {
   publish("frames_dropped", static_cast<double>(s.frames_dropped));
   publish("recv_wait_seconds", s.recv_wait_seconds);
   publish("throttle_wait_seconds", s.throttle_wait_seconds);
+  // A gauge, not a trace span: a span before the first phase would
+  // stretch the traced extent that per-phase timings divide.
+  cfg_.metrics->set(cfg_.rank, prefix_ + "/connect_seconds",
+                    s.connect_seconds);
 }
 
 PeerCommConfig harness_config(int rank, int nranks, const std::string& dir,

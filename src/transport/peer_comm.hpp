@@ -69,6 +69,9 @@ struct PeerStats {
   long long frames_dropped = 0;  ///< by fault injection
   double recv_wait_seconds = 0.0;
   double throttle_wait_seconds = 0.0;
+  /// Endpoint construction to mesh ready: heartbeat connect, rendezvous
+  /// and mesh dial or ring attach (seconds; 0 until the mesh is up).
+  double connect_seconds = 0.0;
 };
 
 class PeerComm : public Communicator {
@@ -97,9 +100,10 @@ class PeerComm : public Communicator {
 
   /// Counter snapshot (heartbeat count folded in from its thread).
   PeerStats stats() const;
-  /// Write the counters into cfg.metrics (shard = rank) under the
-  /// transport's prefix; no-op without a registry. Call once, after the
-  /// run. A transport with counters of its own adds them here.
+  /// Write the counters, and the connect_seconds gauge, into cfg.metrics
+  /// (shard = rank) under the transport's prefix; no-op without a
+  /// registry. Call once, after the run. A transport with counters of its
+  /// own adds them here.
   virtual void publish_stats();
 
  protected:
@@ -121,6 +125,9 @@ class PeerComm : public Communicator {
   /// Has `src` gone away with nothing more to deliver?
   virtual bool peer_closed(int src) const = 0;
 
+  /// The transport's constructor calls this once its mesh is up; it
+  /// stamps PeerStats::connect_seconds.
+  void mesh_ready();
   /// Hand one received message to the mailbox.
   void deliver(int src, int tag, std::vector<double> payload);
   /// Charge `bytes` against the throttle's token bucket (sleeps when
@@ -142,6 +149,7 @@ class PeerComm : public Communicator {
   [[noreturn]] void throw_closed(int src, int tag) const;
 
   const std::string prefix_;
+  const double created_at_;
   std::map<std::pair<int, int>, std::deque<std::vector<double>>> mail_;
   double throttle_tokens_ = 0.0;
   double throttle_last_ = 0.0;

@@ -39,6 +39,7 @@ std::string ctl_sock_path(const std::string& dir) { return dir + "/ctl.sock"; }
 SocketComm::SocketComm(const PeerCommConfig& cfg) : PeerComm(cfg, "socket") {
   peers_.resize(static_cast<std::size_t>(cfg_.nranks));
   if (cfg_.nranks > 1) setup_mesh();
+  mesh_ready();
 }
 
 void SocketComm::setup_mesh() {
@@ -231,7 +232,10 @@ void SocketComm::drain_peer(int src) {
   // Parse complete frames off the accumulated buffer.
   while (p.inbuf.size() - p.in_off >= kFrameHeaderBytes) {
     const FrameHeader h = decode_frame_header(
-        std::span<const std::byte>(p.inbuf).subspan(p.in_off));
+        std::span<const std::byte>(p.inbuf).subspan(p.in_off), [&] {
+          return "rank " + std::to_string(cfg_.rank) + ": frame from rank " +
+                 std::to_string(src);
+        });
     const std::size_t need =
         kFrameHeaderBytes + static_cast<std::size_t>(h.count) * sizeof(double);
     if (p.inbuf.size() - p.in_off < need) break;

@@ -1,4 +1,4 @@
-// End-to-end multi-process runs: the launcher forks+execs real
+// End-to-end multi-process runs: the launcher spawns real
 // slipflow_worker binaries (SLIPFLOW_WORKER_EXE, injected by CMake) over
 // Unix-domain sockets, and the physics they produce must be byte-
 // identical to the same configuration over in-process ThreadComm.

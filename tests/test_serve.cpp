@@ -25,6 +25,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "lbm/checkpoint.hpp"
@@ -140,6 +141,27 @@ TEST(Serve, JobSpecValidatesValues) {
   EXPECT_THROW(JobSpec::from_json(
                    util::json_parse(R"({"phases":10,"warm_phases":11})")),
                serve::serve_error);
+}
+
+TEST(Serve, JobSpecRejectsBadBalancerKnobs) {
+  // Each of these once passed admission and then killed every rank on
+  // an anonymous contract error; the rejection must name the field.
+  const std::pair<const char*, const char*> cases[] = {
+      {R"({"window":0})", "window"},
+      {R"({"policy":"bogus"})", "policy"},
+      {R"({"min_transfer":-5})", "min_transfer"},
+      {R"({"min_transfer":0})", "min_transfer"}};
+  for (const auto& [spec, field] : cases) {
+    try {
+      JobSpec::from_json(util::json_parse(spec));
+      ADD_FAILURE() << spec << " was admitted";
+    } catch (const serve::serve_error& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << spec << ": " << e.what();
+    }
+  }
+  EXPECT_NO_THROW(JobSpec::from_json(util::json_parse(
+      R"({"policy":"global","window":1,"min_transfer":1})")));
 }
 
 TEST(Serve, WarmKeyIgnoresSchedulingFields) {

@@ -15,13 +15,16 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <span>
 #include <string>
 #include <thread>
@@ -125,14 +128,19 @@ TEST(ShmComm, BackpressureSpillsInsteadOfBlockingTheSender) {
       small_ring(4096));
 }
 
-TEST(ShmComm, OversizedRingFrameIsNamedCommError) {
-  // A ring's bytes are its producer's to write. Rank 0 maps its outbound
-  // ring behind its endpoint's back and commits one header whose count
-  // is larger than the whole ring: rank 1 must reject the frame by
-  // name, not copy it out of the mapping.
+namespace {
+
+/// A ring's bytes are its producer's to write. Rank 0 maps its outbound
+/// ring behind its endpoint's back and commits the one header `forge`
+/// makes for the ring's length; rank 1's recv must reject it with a
+/// comm_error containing every string in `expected`.
+void expect_forged_header_rejected(
+    const std::function<std::array<std::byte, kFrameHeaderBytes>(
+        std::size_t ring_len)>& forge,
+    const std::vector<std::string>& expected) {
   run_ranks_shm(
       2,
-      [](Communicator& c) {
+      [&](Communicator& c) {
         auto& shm = dynamic_cast<ShmComm&>(c);
         if (c.rank() == 0) {
           const std::string path = shm.dir() + "/ring_0to1.shm";
@@ -146,11 +154,7 @@ TEST(ShmComm, OversizedRingFrameIsNamedCommError) {
           ::close(fd);
           ASSERT_NE(map, MAP_FAILED);
           auto* base = static_cast<std::byte*>(map);
-          FrameHeader h;
-          h.src = 0;
-          h.tag = 3;
-          h.count = len / sizeof(double);
-          const auto header = encode_frame_header(h);
+          const auto header = forge(len);
           std::memcpy(base + 256, header.data(), header.size());  // data[0]
           std::atomic_ref<std::uint64_t>(
               *reinterpret_cast<std::uint64_t*>(base + 64))  // head
@@ -162,16 +166,46 @@ TEST(ShmComm, OversizedRingFrameIsNamedCommError) {
         }
         try {
           c.recv(0, 3);
-          ADD_FAILURE() << "the oversized frame must be rejected";
+          ADD_FAILURE() << "the forged frame must be rejected";
         } catch (const comm_error& e) {
           const std::string msg = e.what();
-          EXPECT_NE(msg.find("malformed shm ring from rank 0"),
-                    std::string::npos)
-              << msg;
+          for (const std::string& want : expected)
+            EXPECT_NE(msg.find(want), std::string::npos) << msg;
         }
         c.send(0, 4, std::vector<double>{1.0});
       },
       small_ring(4096));
+}
+
+}  // namespace
+
+TEST(ShmComm, OversizedRingFrameIsNamedCommError) {
+  // One header whose count is larger than the whole ring: rank 1 must
+  // reject the frame by name, not copy it out of the mapping.
+  expect_forged_header_rejected(
+      [](std::size_t len) {
+        FrameHeader h;
+        h.src = 0;
+        h.tag = 3;
+        h.count = len / sizeof(double);
+        return encode_frame_header(h);
+      },
+      {"malformed shm ring from rank 0"});
+}
+
+TEST(ShmComm, CorruptRingHeaderNamesRankAndPeer) {
+  // A header with a bad magic word fails the frame codec itself; the
+  // error must still say which rank read it and which peer wrote it.
+  expect_forged_header_rejected(
+      [](std::size_t) {
+        FrameHeader h;
+        h.src = 0;
+        h.tag = 3;
+        auto bytes = encode_frame_header(h);
+        bytes[0] = std::byte{0x00};
+        return bytes;
+      },
+      {"rank 1: malformed shm ring from rank 0", "bad magic word"});
 }
 
 TEST(ShmComm, SegmentsHonorTmpdir) {
@@ -324,6 +358,35 @@ TEST(ShmComm, StatsCountTrafficAndPublishToMetrics) {
   EXPECT_GT(reg.counter_total("shm/messages_sent"), 0.0);
   EXPECT_GT(reg.counter_total("shm/bytes_received"), 0.0);
   EXPECT_GE(reg.counter(1, "shm/messages_received"), 1.0);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ShmComm, ConnectSecondsGaugeIsPublished) {
+  // Each rank publishes how long its endpoint took from construction
+  // to a ready mesh, as a gauge in its own shard.
+  const std::string dir = make_socket_temp_dir();
+  obs::MetricsRegistry reg(2);
+  auto endpoint = [&](int rank) {
+    ShmCommConfig cfg;
+    cfg.rank = rank;
+    cfg.nranks = 2;
+    cfg.dir = dir;
+    cfg.comm.recv_timeout = 20.0;
+    cfg.session = 43;
+    cfg.metrics = &reg;
+    ShmComm c(cfg);
+    c.barrier();
+    c.publish_stats();
+  };
+  std::thread t1([&] { endpoint(1); });
+  endpoint(0);
+  t1.join();
+  for (int rank = 0; rank < 2; ++rank) {
+    ASSERT_TRUE(reg.has_gauge(rank, "shm/connect_seconds")) << rank;
+    const double v = reg.gauge(rank, "shm/connect_seconds");
+    EXPECT_TRUE(std::isfinite(v)) << rank;
+    EXPECT_GE(v, 0.0) << rank;
+  }
   std::filesystem::remove_all(dir);
 }
 
