@@ -32,7 +32,7 @@
 /// shared-memory rings, best of --reps launches per point (written to
 /// BENCH_fig08_shm.json). --require-shm-speedup=R exits nonzero when
 /// shm fails to beat socket by factor R at the top rank count — the CI
-/// guard that keeps the zero-copy path actually worth having.
+/// guard that keeps the shared-memory rings actually worth having.
 ///
 ///   usage: fig08_speedup_efficiency --transport=shm [--phases=150]
 ///            [--max-ranks=4] [--reps=3] [--require-shm-speedup=1.0]
@@ -178,8 +178,8 @@ std::pair<double, double> best_process_pair(const lbm::Extents& global,
 }
 
 /// Socket vs shared-memory rings, same worker binary, same problem: the
-/// zero-copy transport must not be slower where it matters (>= 4 ranks
-/// on one machine is exactly its target deployment).
+/// ring transport must not be slower where it matters (>= 4 ranks on
+/// one machine is exactly its target deployment).
 int run_shm_mode(const util::Options& opts) {
   const int phases = static_cast<int>(opts.get("phases", 150LL));
   const int max_ranks = static_cast<int>(opts.get("max-ranks", 4LL));

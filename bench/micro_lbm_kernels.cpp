@@ -274,7 +274,7 @@ BENCHMARK(BM_PlaneMigration);
 // the bench's own loop. Only run() is timed (manual time, max over ranks
 // via the closing barrier); setup, the streaming plan build (one untimed
 // warm-up phase, as warm_simulation does) and teardown stay
-// outside. The Overlap_T* variants ride ThreadComm's in-process mailboxes
+// outside. The Overlap_T* variants ride ThreadComm's in-process inboxes
 // with 1, 2 and 4 interior-sweep threads per rank; Shm rides ShmComm's
 // shared-memory rings at one thread — the cost of the real wire format
 // (frames, rings, spin-then-yield waits) with zero process-launch

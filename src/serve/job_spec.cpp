@@ -1,7 +1,9 @@
 #include "serve/job_spec.hpp"
 
+#include <limits>
 #include <set>
 #include <string>
+#include <string_view>
 
 #include "balance/policy.hpp"
 #include "serve/protocol.hpp"
@@ -26,6 +28,16 @@ void check_keys(const JsonValue& obj, const char* where,
 
 void require(bool ok, const std::string& what) {
   if (!ok) throw serve_error("invalid job spec: " + what);
+}
+
+/// An int member, range-checked before it is narrowed: 4294967298 ranks
+/// must fail admission by name, not wrap to 2.
+int int_member(const JsonValue& obj, std::string_view key, int fallback) {
+  const long long v = obj.int_or(key, fallback);
+  require(v >= std::numeric_limits<int>::min() &&
+              v <= std::numeric_limits<int>::max(),
+          std::string(key) + " " + std::to_string(v) + " is out of range");
+  return static_cast<int>(v);
 }
 
 }  // namespace
@@ -57,12 +69,12 @@ JobSpec JobSpec::from_json(const JsonValue& v) {
     s.coupling_g = p->number_or("coupling_g", s.coupling_g);
     s.gravity = p->number_or("gravity", s.gravity);
   }
-  s.ranks = static_cast<int>(v.int_or("ranks", s.ranks));
+  s.ranks = int_member(v, "ranks", s.ranks);
   s.policy = v.string_or("policy", s.policy);
-  s.remap_interval = static_cast<int>(v.int_or("remap_interval", s.remap_interval));
-  s.window = static_cast<int>(v.int_or("window", s.window));
+  s.remap_interval = int_member(v, "remap_interval", s.remap_interval);
+  s.window = int_member(v, "window", s.window);
   s.min_transfer = v.int_or("min_transfer", s.min_transfer);
-  s.threads = static_cast<int>(v.int_or("threads", s.threads));
+  s.threads = int_member(v, "threads", s.threads);
   s.transport = v.string_or("transport", s.transport);
   s.shm_ring_bytes = v.int_or("shm_ring_bytes", s.shm_ring_bytes);
   s.warm_phases = v.int_or("warm_phases", s.warm_phases);
@@ -74,7 +86,7 @@ JobSpec JobSpec::from_json(const JsonValue& v) {
   s.observables = v.string_or("observables", s.observables);
   if (const JsonValue* f = v.find("fault")) {
     check_keys(*f, "fault", {"kill_rank", "kill_phase"});
-    s.fault_kill_rank = static_cast<int>(f->int_or("kill_rank", -1));
+    s.fault_kill_rank = int_member(*f, "kill_rank", -1);
     s.fault_kill_phase = f->int_or("kill_phase", -1);
   }
 

@@ -1,6 +1,7 @@
 #include "serve/server.hpp"
 
 #include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cctype>
@@ -166,6 +167,7 @@ void CampaignServer::stop() {
   for (std::thread& t : conn_threads_)
     if (t.joinable()) t.join();
   listener_.reset();
+  if (!cfg_.socket_path.empty()) ::unlink(cfg_.socket_path.c_str());
 }
 
 bool CampaignServer::shutdown_requested() const {

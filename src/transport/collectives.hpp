@@ -1,13 +1,14 @@
 #pragma once
 /// \file collectives.hpp
 /// Deterministic collectives built from point-to-point send/recv,
-/// shared by the real-process transports (SocketComm, ShmComm).
+/// shared by every multi-rank transport through the endpoint core
+/// (peer_comm.hpp): ThreadComm, SocketComm and ShmComm.
 ///
 /// allgather runs as a binomial gather tree to rank 0 followed by a
 /// binomial broadcast, concatenating contributions in rank order — the
-/// exact layout ThreadComm's shared-memory allgather produces. Because
-/// both process transports delegate here, their collective results are
-/// byte-identical to each other by construction, not by coincidence.
+/// layout SerialComm's identity allgather has at one rank. Because every
+/// transport delegates here, their collective results are byte-identical
+/// to each other by construction, not by coincidence.
 
 #include <algorithm>
 #include <cmath>

@@ -8,15 +8,18 @@
 /// messages of doubles, barrier, allgather and sum/max reductions:
 ///
 ///   SerialComm  — one rank, collectives are identities (serial_comm.hpp)
-///   ThreadComm  — threads-as-ranks in one process (thread_comm.hpp)
+///   ThreadComm  — threads-as-ranks in one process over per-rank
+///                 inboxes (thread_comm.hpp)
 ///   SocketComm  — real processes over Unix-domain sockets with
 ///                 length-prefixed frames (socket_comm.hpp)
 ///   ShmComm     — real processes on one host over mmap'd rings of the
 ///                 same frames (shm_comm.hpp)
 ///
-/// The two process transports share one endpoint core (peer_comm.hpp)
-/// and differ only in their wire. Negative tags are reserved for the
-/// collective trees (collectives.hpp); the runner's tags are its own.
+/// The three multi-rank transports share one endpoint core
+/// (peer_comm.hpp) — mailbox, recv, irecv, collectives and the named
+/// closed/timeout errors — and differ only in their wire. Negative tags
+/// are reserved for the collective trees (collectives.hpp); the runner's
+/// tags are its own.
 ///
 /// Sends are buffered (they never block on the receiver), so the
 /// neighbor-exchange pattern "send left, send right, recv left, recv
@@ -142,9 +145,9 @@ class Communicator {
   }
 
   /// Progress note for external monitors: the application's current
-  /// phase. The process transports forward it on their heartbeat channel
-  /// (and apply phase-triggered fault injection); other backends ignore
-  /// it.
+  /// phase. The endpoint core forwards it on its heartbeat channel and
+  /// applies phase-triggered fault injection, when configured (the
+  /// launched workers); otherwise it is ignored.
   virtual void note_progress(long long phase) { (void)phase; }
 };
 

@@ -18,8 +18,6 @@ PeerComm::PeerComm(const PeerCommConfig& cfg, std::string prefix)
     : cfg_(cfg), prefix_(std::move(prefix)), created_at_(mono_now()) {
   SLIPFLOW_REQUIRE(cfg_.nranks >= 1);
   SLIPFLOW_REQUIRE(cfg_.rank >= 0 && cfg_.rank < cfg_.nranks);
-  SLIPFLOW_REQUIRE_MSG(cfg_.nranks == 1 || !cfg_.dir.empty(),
-                       prefix_ + " endpoint needs a directory for > 1 rank");
   drop_remaining_ = cfg_.fault.drop_dest == -2 ? 0 : cfg_.fault.drop_count;
   throttle_last_ = mono_now();
   // 0.1 s of burst allowance; see FaultInjection::throttle_bytes_per_sec.

@@ -1,8 +1,9 @@
 #pragma once
 /// \file peer_comm.hpp
-/// PeerComm — the endpoint core of the real-process transports
-/// (SocketComm over Unix-domain sockets, ShmComm over shared-memory
-/// rings). Everything the two do the same way lives here once:
+/// PeerComm — the endpoint core of every multi-rank transport
+/// (ThreadComm over in-process inboxes, SocketComm over Unix-domain
+/// sockets, ShmComm over shared-memory rings). Everything they do the
+/// same way lives here once:
 ///
 ///   - the per-(src, tag) mailbox the wire drains frames into;
 ///   - send, with the drop/delay fault hooks and the self-send path;
@@ -38,13 +39,14 @@ namespace slipflow::transport {
 
 class HeartbeatSender;  // heartbeat.hpp
 
-/// Configuration shared by every process-transport endpoint.
+/// Configuration shared by every multi-rank endpoint.
 struct PeerCommConfig {
   int rank = 0;
   int nranks = 1;
   /// Directory holding the transport's rendezvous files (listener
-  /// sockets or ring segments); all ranks must agree. May be empty only
-  /// for nranks == 1.
+  /// sockets or ring segments); all ranks must agree. SocketComm and
+  /// ShmComm need one for more than one rank; ThreadComm has no use for
+  /// it.
   std::string dir;
   CommOptions comm;
   /// Bound on connection setup: rendezvous, mesh dial, ring discovery
@@ -59,7 +61,7 @@ struct PeerCommConfig {
   obs::MetricsRegistry* metrics = nullptr;
 };
 
-/// Transport-level counters every process endpoint keeps.
+/// Transport-level counters every endpoint keeps.
 struct PeerStats {
   long long bytes_sent = 0;      ///< framed bytes sent (headers incl.)
   long long bytes_received = 0;  ///< framed bytes received
@@ -110,7 +112,7 @@ class PeerComm : public Communicator {
   /// Validates the config and starts the heartbeat thread when one is
   /// configured, so a rank stuck in the transport's own setup is
   /// already visible to the launcher's monitor. `prefix` names the
-  /// metrics ("socket", "shm").
+  /// metrics ("thread", "socket", "shm").
   PeerComm(const PeerCommConfig& cfg, std::string prefix);
 
   // --- the wire ---

@@ -17,12 +17,14 @@
 #include <climits>
 #include <cstring>
 #include <ctime>
+#include <memory>
 #include <thread>
 
 #include "transport/fdio.hpp"
 #include "transport/fork_harness.hpp"
 #include "transport/frame.hpp"
 #include "transport/tempdir.hpp"
+#include "transport/thread_comm.hpp"
 
 namespace slipflow::transport {
 
@@ -117,6 +119,8 @@ ShmComm::ShmComm(const ShmCommConfig& cfg)
     : PeerComm(cfg, "shm"),
       ring_bytes_(checked_ring_bytes(cfg.ring_bytes)),
       session_(cfg.session) {
+  SLIPFLOW_REQUIRE_MSG(cfg_.nranks == 1 || !cfg_.dir.empty(),
+                       "shm endpoint needs a directory for > 1 rank");
   // On an oversubscribed host (more ranks than cores) each yield donates
   // the core to the peer we are waiting on, so stay in the yield loop
   // much longer before conceding a real sleep — the 200us sleep cliff
@@ -662,32 +666,19 @@ ShmCommConfig shm_harness_config(int rank, int nranks, const std::string& dir,
 
 void run_ranks_shm(int nranks, const std::function<void(Communicator&)>& fn,
                    const ShmRunOptions& opts) {
-  SLIPFLOW_REQUIRE(nranks >= 1);
-  SLIPFLOW_REQUIRE(fn != nullptr);
   const HarnessDir dir(opts.dir, nranks);
   const std::uint64_t session = fresh_session();
-
-  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(nranks));
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(nranks));
-  for (int r = 0; r < nranks; ++r) {
-    threads.emplace_back([&, r] {
-      try {
+  run_rank_threads(
+      nranks,
+      [&](int r) {
         const ShmCommConfig cfg =
             shm_harness_config(r, nranks, dir.path(), session, opts);
         SLIPFLOW_REQUIRE_MSG(
             cfg.fault.kill_at_phase < 0 && cfg.fault.stop_at_phase < 0,
             "run_ranks_shm: kill/stop faults need run_ranks_shm_forked");
-        ShmComm comm(cfg);
-        fn(comm);
-      } catch (...) {
-        errors[static_cast<std::size_t>(r)] = std::current_exception();
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  for (const std::exception_ptr& e : errors)
-    if (e) std::rethrow_exception(e);
+        return std::make_unique<ShmComm>(cfg);
+      },
+      fn);
 }
 
 void run_ranks_shm_forked(int nranks,

@@ -163,9 +163,9 @@ bool shm_dir_usable(const std::string& dir);
 /// In-process harness mirroring run_ranks() for the shm backend: runs
 /// `fn` on `nranks` threads, each with its own ShmComm endpoint over a
 /// shared ring directory (a fresh mkdtemp when `dir` is empty, removed
-/// after). A rank that throws tears its endpoint down, which unblocks
-/// peers with named closed-ring errors; the first failure by rank is
-/// rethrown. Thread-based on purpose: it runs under ThreadSanitizer,
+/// after), started and joined by run_rank_threads (thread_comm.hpp). A
+/// rank that throws tears its endpoint down, which unblocks peers with
+/// named closed-ring errors; the first failure recorded is rethrown. Thread-based on purpose: it runs under ThreadSanitizer,
 /// which cannot follow forked children. The threaded harness forbids
 /// kill/stop faults (they would take down the whole process); use
 /// run_ranks_shm_forked for those.

@@ -37,6 +37,8 @@ std::string ctl_sock_path(const std::string& dir) { return dir + "/ctl.sock"; }
 }  // namespace
 
 SocketComm::SocketComm(const PeerCommConfig& cfg) : PeerComm(cfg, "socket") {
+  SLIPFLOW_REQUIRE_MSG(cfg_.nranks == 1 || !cfg_.dir.empty(),
+                       "socket endpoint needs a directory for > 1 rank");
   peers_.resize(static_cast<std::size_t>(cfg_.nranks));
   if (cfg_.nranks > 1) setup_mesh();
   mesh_ready();

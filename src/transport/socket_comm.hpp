@@ -8,7 +8,7 @@
 /// their own listener, checks in with rank 0, and dials the mesh only
 /// after rank 0 releases — so no dial can race a missing listener).
 ///
-/// Semantics match ThreadComm exactly:
+/// Semantics match ThreadComm and ShmComm exactly:
 ///   - sends are eager/buffered: a send appends to a per-peer outbox and
 ///     flushes opportunistically without ever blocking on the receiver,
 ///     so the halo pattern "send left, send right, recv, recv" stays
@@ -17,7 +17,8 @@
 ///     cannot overtake;
 ///   - the mailbox, recv, collectives, heartbeats and fault injection
 ///     are the shared endpoint core's (peer_comm.hpp), so results are
-///     byte-identical to ThreadComm's and failures read the same.
+///     byte-identical to the other transports' and failures read the
+///     same.
 ///
 /// A dead peer surfaces as the named closed-connection comm_error the
 /// moment its stream hits EOF.

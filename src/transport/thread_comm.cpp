@@ -4,216 +4,120 @@
 #include <condition_variable>
 #include <deque>
 #include <exception>
-#include <map>
 #include <mutex>
 #include <thread>
-#include <tuple>
 
-#include "util/require.hpp"
+#include "transport/peer_comm.hpp"
 
 namespace slipflow::transport {
 
-namespace detail {
-
-/// Shared state of one run_ranks invocation.
-struct ThreadCommShared {
-  ThreadCommShared(int n, CommOptions o)
-      : nranks(n), opts(o), contributions(static_cast<std::size_t>(n)) {}
-
-  const int nranks;
-  const CommOptions opts;
-
-  std::mutex mu;
-  std::condition_variable cv;
-
-  /// Mailboxes keyed by (dst, src, tag); FIFO per key, matching MPI's
-  /// non-overtaking guarantee for identical (src, dst, tag).
-  std::map<std::tuple<int, int, int>, std::deque<std::vector<double>>> mail;
-
-  /// Generation barrier / collective state.
-  long generation = 0;
-  int arrived = 0;
-  std::vector<std::vector<double>> contributions;
-  std::shared_ptr<const std::vector<double>> collective_result;
-
-  /// Set when a rank died with an exception; wakes all waiters.
-  bool poisoned = false;
-  std::exception_ptr first_error;
-
-  void poison(std::exception_ptr e) {
-    std::lock_guard<std::mutex> lk(mu);
-    if (!first_error) first_error = e;
-    poisoned = true;
-    cv.notify_all();
-  }
-
-  void check_poison_locked() const {
-    if (poisoned)
-      throw contract_error("transport poisoned: another rank failed");
-  }
-};
-
 namespace {
 
-/// Pop the oldest message for (dst=rank, src, tag) if one is queued.
-/// Caller holds sh.mu.
-bool try_pop_locked(ThreadCommShared& sh, int rank, int src, int tag,
-                    std::vector<double>& out) {
-  const auto it = sh.mail.find({rank, src, tag});
-  if (it == sh.mail.end() || it->second.empty()) return false;
-  out = std::move(it->second.front());
-  it->second.pop_front();
-  return true;
-}
-
-/// The blocking receive shared by Endpoint::recv and RecvHandle::wait:
-/// condition-variable wait bounded by opts.recv_timeout, poison-aware,
-/// timeout diagnostic naming the pending (src, tag).
-std::vector<double> blocking_recv(ThreadCommShared& sh, int rank, int src,
-                                  int tag) {
-  std::unique_lock<std::mutex> lk(sh.mu);
-  std::vector<double> out;
-  const auto ready = [&] {
-    return sh.poisoned || try_pop_locked(sh, rank, src, tag, out);
-  };
-  const double timeout = sh.opts.recv_timeout;
-  if (timeout > 0.0) {
-    // det-lint: allow(wall-clock): recv-timeout deadline — failure
-    // diagnostics only, never feeds observables.
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::duration_cast<
-                              std::chrono::steady_clock::duration>(
-                              std::chrono::duration<double>(timeout));
-    if (!sh.cv.wait_until(lk, deadline, ready))
-      throw comm_timeout(
-          "rank " + std::to_string(rank) + ": recv timeout after " +
-          std::to_string(timeout) + "s waiting for (src=" +
-          std::to_string(src) + ", tag=" + std::to_string(tag) + ")");
-  } else {
-    sh.cv.wait(lk, ready);
-  }
-  sh.check_poison_locked();
-  return out;
-}
-
-/// Completion = the matching message reached this rank's mailbox; test()
-/// claims it under the shared mutex, wait() falls back to blocking_recv
-/// so the timeout/poison diagnostics are the blocking ones verbatim.
-class ThreadRecvHandle final : public RecvHandle {
- public:
-  ThreadRecvHandle(ThreadCommShared& sh, int rank, int src, int tag)
-      : sh_(sh), rank_(rank), src_(src), tag_(tag) {}
-
-  bool test() override {
-    if (done_) return true;
-    std::lock_guard<std::mutex> lk(sh_.mu);
-    sh_.check_poison_locked();
-    if (!try_pop_locked(sh_, rank_, src_, tag_, payload_)) return false;
-    done_ = true;
-    return true;
-  }
-
-  std::vector<double> wait() override {
-    if (!done_) {
-      payload_ = blocking_recv(sh_, rank_, src_, tag_);
-      done_ = true;
-    }
-    return std::move(payload_);
-  }
-
- private:
-  ThreadCommShared& sh_;
-  const int rank_, src_, tag_;
-  bool done_ = false;
-  std::vector<double> payload_;
+/// One message on the in-process wire; `closes` marks the sender's end
+/// of stream (no tag or payload).
+struct Letter {
+  int src = 0;
+  int tag = 0;
+  std::vector<double> payload;
+  bool closes = false;
 };
 
-class Endpoint final : public Communicator {
+/// A rank's inbox: every peer pushes, only the owning rank drains.
+struct Inbox {
+  std::mutex mu;
+  std::condition_variable cv;
+  std::deque<Letter> queue;
+
+  void push(Letter letter) {
+    std::lock_guard<std::mutex> lk(mu);
+    queue.push_back(std::move(letter));
+    cv.notify_one();
+  }
+};
+
+/// The threads-as-ranks wire under the shared endpoint core: append
+/// pushes onto the destination's inbox, progress drains this rank's own
+/// into the mailbox, and destruction sends every peer an end-of-stream
+/// marker. Per-sender FIFO order means a peer drains all of a rank's
+/// messages before its close.
+class ThreadComm final : public PeerComm {
  public:
-  Endpoint(ThreadCommShared& sh, int rank) : sh_(sh), rank_(rank) {}
+  ThreadComm(const PeerCommConfig& cfg, std::vector<Inbox>& inboxes)
+      : PeerComm(cfg, "thread"),
+        inboxes_(inboxes),
+        closed_(static_cast<std::size_t>(cfg.nranks), false) {}
 
-  int rank() const override { return rank_; }
-  int size() const override { return sh_.nranks; }
-
-  void send(int dest, int tag, std::span<const double> data) override {
-    SLIPFLOW_REQUIRE(dest >= 0 && dest < sh_.nranks);
-    std::lock_guard<std::mutex> lk(sh_.mu);
-    sh_.mail[{dest, rank_, tag}].emplace_back(data.begin(), data.end());
-    sh_.cv.notify_all();
-  }
-
-  std::vector<double> recv(int src, int tag) override {
-    SLIPFLOW_REQUIRE(src >= 0 && src < sh_.nranks);
-    return blocking_recv(sh_, rank_, src, tag);
-  }
-
-  RecvHandlePtr irecv(int src, int tag) override {
-    SLIPFLOW_REQUIRE(src >= 0 && src < sh_.nranks);
-    return std::make_unique<ThreadRecvHandle>(sh_, rank_, src, tag);
-  }
-
-  void barrier() override { collective({}, /*want_result=*/false); }
-
-  // det-lint: rank-ordered — collective() concatenates the shared
-  // mailbox contributions indexed by rank, not by arrival.
-  std::vector<double> allgather(std::span<const double> mine) override {
-    return collective(mine, /*want_result=*/true);
-  }
-
-  using Communicator::allreduce_sum;  // the vector overload
-
-  // det-lint: rank-ordered — folds the rank-ordered allgather result
-  // left to right in rank index order.
-  double allreduce_sum(double x) override {
-    const std::vector<double> all = allgather(std::span<const double>(&x, 1));
-    double s = 0.0;
-    for (double v : all) s += v;
-    return s;
-  }
-
-  // det-lint: rank-ordered — max over the rank-ordered allgather.
-  double allreduce_max(double x) override {
-    const std::vector<double> all = allgather(std::span<const double>(&x, 1));
-    double m = all.front();
-    for (double v : all) m = v > m ? v : m;
-    return m;
+  ~ThreadComm() override {
+    for (int p = 0; p < cfg_.nranks; ++p)
+      if (p != cfg_.rank)
+        inboxes_[static_cast<std::size_t>(p)].push(
+            {cfg_.rank, 0, {}, /*closes=*/true});
   }
 
  private:
-  /// Generation-counting barrier; the last arriver optionally assembles
-  /// the allgather result, which stays valid for readers of this
-  /// generation even after later collectives start (shared_ptr snapshot).
-  std::vector<double> collective(std::span<const double> mine,
-                                 bool want_result) {
-    std::unique_lock<std::mutex> lk(sh_.mu);
-    sh_.check_poison_locked();
-    sh_.contributions[static_cast<std::size_t>(rank_)].assign(mine.begin(),
-                                                              mine.end());
-    const long my_gen = sh_.generation;
-    if (++sh_.arrived == sh_.nranks) {
-      auto result = std::make_shared<std::vector<double>>();
-      if (want_result) {
-        for (const auto& c : sh_.contributions)
-          result->insert(result->end(), c.begin(), c.end());
-      }
-      sh_.collective_result = std::move(result);
-      sh_.arrived = 0;
-      ++sh_.generation;
-      sh_.cv.notify_all();
-    } else {
-      sh_.cv.wait(lk,
-                  [&] { return sh_.generation != my_gen || sh_.poisoned; });
-      sh_.check_poison_locked();
-    }
-    return want_result ? *sh_.collective_result : std::vector<double>{};
+  void append(int dest, int tag, std::span<const double> data) override {
+    inboxes_[static_cast<std::size_t>(dest)].push(
+        {cfg_.rank, tag, {data.begin(), data.end()}});
   }
 
-  ThreadCommShared& sh_;
-  const int rank_;
+  /// Waits (when max_wait_seconds > 0 and the inbox is empty) until a
+  /// letter arrives, then moves everything queued into the mailbox.
+  void progress(double max_wait_seconds, int /*src_hint*/) override {
+    Inbox& box = inboxes_[static_cast<std::size_t>(cfg_.rank)];
+    {
+      std::unique_lock<std::mutex> lk(box.mu);
+      if (max_wait_seconds > 0.0)
+        box.cv.wait_for(lk, std::chrono::duration<double>(max_wait_seconds),
+                        [&box] { return !box.queue.empty(); });
+      drained_.swap(box.queue);
+    }
+    for (Letter& l : drained_) {
+      if (l.closes)
+        closed_[static_cast<std::size_t>(l.src)] = true;
+      else
+        deliver(l.src, l.tag, std::move(l.payload));
+    }
+    drained_.clear();
+  }
+
+  bool peer_closed(int src) const override {
+    return closed_[static_cast<std::size_t>(src)];
+  }
+
+  std::vector<Inbox>& inboxes_;
+  std::vector<bool> closed_;  ///< end of stream drained, per peer
+  std::deque<Letter> drained_;  ///< reused swap buffer of progress()
 };
 
 }  // namespace
-}  // namespace detail
+
+void run_rank_threads(
+    int nranks,
+    const std::function<std::unique_ptr<Communicator>(int rank)>& make,
+    const std::function<void(Communicator&)>& fn) {
+  SLIPFLOW_REQUIRE(nranks >= 1);
+  SLIPFLOW_REQUIRE(fn != nullptr);
+  std::mutex mu;
+  std::exception_ptr first_error;
+  std::vector<std::thread> threads;
+  threads.reserve(static_cast<std::size_t>(nranks));
+  for (int r = 0; r < nranks; ++r) {
+    threads.emplace_back([&, r] {
+      std::unique_ptr<Communicator> comm;
+      try {
+        comm = make(r);
+        fn(*comm);
+      } catch (...) {
+        std::lock_guard<std::mutex> lk(mu);
+        if (!first_error) first_error = std::current_exception();
+      }
+      // Close only now: the peers' "closed" errors come after the cause.
+      comm.reset();
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  if (first_error) std::rethrow_exception(first_error);
+}
 
 void run_ranks(int nranks, const std::function<void(Communicator&)>& fn) {
   run_ranks(nranks, fn, CommOptions{});
@@ -222,22 +126,16 @@ void run_ranks(int nranks, const std::function<void(Communicator&)>& fn) {
 void run_ranks(int nranks, const std::function<void(Communicator&)>& fn,
                const CommOptions& opts) {
   SLIPFLOW_REQUIRE(nranks >= 1);
-  SLIPFLOW_REQUIRE(fn != nullptr);
-  detail::ThreadCommShared shared(nranks, opts);
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(nranks));
-  for (int r = 0; r < nranks; ++r) {
-    threads.emplace_back([&shared, &fn, r] {
-      detail::Endpoint ep(shared, r);
-      try {
-        fn(ep);
-      } catch (...) {
-        shared.poison(std::current_exception());
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  if (shared.first_error) std::rethrow_exception(shared.first_error);
+  std::vector<Inbox> inboxes(static_cast<std::size_t>(nranks));
+  PeerRunOptions ro;
+  ro.comm = opts;
+  run_rank_threads(
+      nranks,
+      [&](int r) {
+        return std::make_unique<ThreadComm>(
+            harness_config(r, nranks, /*dir=*/"", ro), inboxes);
+      },
+      fn);
 }
 
 }  // namespace slipflow::transport

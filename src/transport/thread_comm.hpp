@@ -1,12 +1,15 @@
 #pragma once
 /// \file thread_comm.hpp
 /// Threads-as-ranks transport: runs N ranks as N threads of this process,
-/// each handed a Communicator endpoint backed by shared mailboxes.
+/// each handed a Communicator endpoint whose wire is an in-process inbox.
 ///
 /// This is the substitution for the paper's MPI cluster (see DESIGN.md):
 /// the decomposition, message pattern, synchronization structure and the
 /// remapping logic run unchanged; only the wire is a mutex-protected
-/// queue instead of a Gigabit switch.
+/// queue instead of a Gigabit switch. Everything above the wire — the
+/// mailbox, recv and irecv, the binomial collectives and the named
+/// closed/timeout errors — is the endpoint core it shares with the
+/// process transports (peer_comm.hpp).
 
 #include <functional>
 #include <memory>
@@ -15,19 +18,16 @@
 
 namespace slipflow::transport {
 
-namespace detail {
-struct ThreadCommShared;
-}
-
 /// Runs `fn(comm)` on `nranks` concurrent threads, rank r getting a
 /// Communicator with rank()==r. Blocks until every rank returns.
 ///
-/// If any rank throws, the remaining ranks are allowed to finish or block
-/// forever is avoided by the caller's protocol — rank functions should
-/// only throw on programming errors. The first exception is rethrown to
-/// the caller after all threads are joined; to keep joins from hanging,
-/// an exception in one rank poisons the mailboxes so blocked receives in
-/// other ranks throw too.
+/// A rank's endpoint closes when `fn` returns or throws: every peer then
+/// sees that rank's messages, followed by an end of stream, as with a
+/// socket EOF. A peer blocked on a rank that is gone throws the named
+/// "connection to rank N closed" comm_error instead of hanging, and the
+/// failure cascades. After all threads are joined, the first exception
+/// recorded in time (the root cause, not a later "closed" error) is
+/// rethrown to the caller.
 void run_ranks(int nranks, const std::function<void(Communicator&)>& fn);
 
 /// As above, with shared options. With opts.recv_timeout > 0 a recv that
@@ -35,5 +35,15 @@ void run_ranks(int nranks, const std::function<void(Communicator&)>& fn);
 /// in-process deadlock fails diagnosably instead of hanging ctest.
 void run_ranks(int nranks, const std::function<void(Communicator&)>& fn,
                const CommOptions& opts);
+
+/// The start/join loop of the threaded harnesses (run_ranks,
+/// run_ranks_shm): rank r builds its endpoint with `make(r)` on its own
+/// thread and runs `fn` on it. An error, from `make` or `fn`, is recorded
+/// before the endpoint is destroyed, so the first one recorded is the
+/// root cause; it is rethrown once every thread has joined.
+void run_rank_threads(
+    int nranks,
+    const std::function<std::unique_ptr<Communicator>(int rank)>& make,
+    const std::function<void(Communicator&)>& fn);
 
 }  // namespace slipflow::transport

@@ -1,5 +1,7 @@
 #include "util/json.hpp"
 
+#include <cmath>
+
 namespace slipflow::util {
 
 namespace {
@@ -289,10 +291,14 @@ long long JsonValue::int_or(std::string_view key, long long fallback) const {
   if (!v->is_number())
     fail("member \"" + std::string(key) + "\" is not a number", 0);
   const double d = v->num_;
-  const long long i = static_cast<long long>(d);
-  if (static_cast<double>(i) != d)
+  if (d != std::trunc(d))
     fail("member \"" + std::string(key) + "\" is not an integer", 0);
-  return i;
+  // Range-check before the cast: a double outside long long's range
+  // (1e300, inf) would make the conversion undefined behaviour.
+  constexpr double kLimit = 9223372036854775808.0;  // 2^63
+  if (!(d >= -kLimit && d < kLimit))
+    fail("member \"" + std::string(key) + "\" is out of integer range", 0);
+  return static_cast<long long>(d);
 }
 
 bool JsonValue::bool_or(std::string_view key, bool fallback) const {

@@ -113,7 +113,8 @@ class JsonValue {
   const JsonValue* find(std::string_view key) const;
 
   /// Convenience getters with defaults for flat config objects. A
-  /// present member of the wrong kind throws json_error naming `key`.
+  /// present member of the wrong kind throws json_error naming `key`, as
+  /// does an int_or member that is fractional or beyond long long.
   double number_or(std::string_view key, double fallback) const;
   long long int_or(std::string_view key, long long fallback) const;
   bool bool_or(std::string_view key, bool fallback) const;

@@ -141,6 +141,25 @@ TEST(Serve, JobSpecValidatesValues) {
   EXPECT_THROW(JobSpec::from_json(
                    util::json_parse(R"({"phases":10,"warm_phases":11})")),
                serve::serve_error);
+  // Integers beyond their field's type are refused by name before any
+  // narrowing: 4294967298 ranks once ran as a 2-rank job, and 1e300
+  // phases was an undefined double-to-integer cast.
+  const std::pair<const char*, const char*> hostile[] = {
+      {R"({"ranks":4294967298})", "ranks"},
+      {R"({"remap_interval":4294967301})", "remap_interval"},
+      {R"({"window":-4294967295})", "window"},
+      {R"({"threads":4294967297})", "threads"},
+      {R"({"fault":{"kill_rank":4294967296}})", "kill_rank"},
+      {R"({"phases":1e300})", "\"phases\" is out of integer range"}};
+  for (const auto& [spec, field] : hostile) {
+    try {
+      JobSpec::from_json(util::json_parse(spec));
+      ADD_FAILURE() << spec << " was admitted";
+    } catch (const std::runtime_error& e) {  // serve_error or json_error
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << spec << ": " << e.what();
+    }
+  }
 }
 
 TEST(Serve, JobSpecRejectsBadBalancerKnobs) {
@@ -315,6 +334,19 @@ TEST(Serve, AdmissionRejects) {
   pool.ranks = 4;  // wider than the whole pool
   EXPECT_THROW(server2.submit("t", pool), serve::serve_error);
   server2.stop();
+}
+
+TEST(Serve, StopUnlinksControlSocket) {
+  // A stopped server leaves no control socket behind in the directory.
+  serve::CampaignServer::Config cfg;
+  cfg.socket_path = socket_path("stop");
+  cfg.work_dir = temp_dir("stop");
+  cfg.worker_exe = SLIPFLOW_WORKER_EXE;
+  serve::CampaignServer server(cfg);
+  server.start();
+  EXPECT_TRUE(std::filesystem::exists(cfg.socket_path));
+  server.stop();
+  EXPECT_FALSE(std::filesystem::exists(cfg.socket_path)) << cfg.socket_path;
 }
 
 TEST(Serve, AdmissionCapsThreadsAtHardwareConcurrency) {

@@ -4,8 +4,9 @@
 // ThreadComm (threads-as-ranks), SocketComm (forked processes over
 // Unix-domain sockets) and ShmComm (threaded endpoints over mmap'd
 // rings). Test bodies make all assertions in-rank so they hold under
-// fork. Thread-only behaviors (shared-memory visibility, poison
-// propagation) keep their own non-parameterized tests below.
+// fork. Thread-only behaviors (shared-memory visibility, failure
+// propagation through run_ranks) keep their own non-parameterized tests
+// below.
 
 #include <gtest/gtest.h>
 
@@ -368,7 +369,7 @@ TEST(SerialCommNonblocking, SelfIsendIrecvRoundTrip) {
   EXPECT_THROW(c.irecv(0, 6)->wait(), slipflow::contract_error);
 }
 
-// --- Thread-backend-only behaviors (shared-memory state, poison) ---
+// --- Thread-backend-only behaviors (shared-memory state, peer death) ---
 
 TEST(ThreadComm, BarrierSynchronizes) {
   std::atomic<int> before{0}, after{0};
@@ -383,15 +384,42 @@ TEST(ThreadComm, BarrierSynchronizes) {
 }
 
 TEST(ThreadComm, ExceptionInOneRankPropagates) {
-  EXPECT_THROW(
-      run_ranks(3,
-                [](Communicator& c) {
-                  if (c.rank() == 1) throw std::runtime_error("rank 1 died");
-                  // other ranks block on a message that never comes; the
-                  // poison must wake them instead of deadlocking the join
-                  c.recv((c.rank() + 1) % 3, 99);
-                }),
-      std::exception);
+  try {
+    run_ranks(3, [](Communicator& c) {
+      if (c.rank() == 1) throw std::runtime_error("rank 1 died");
+      // other ranks block on a message that never comes; rank 1's closed
+      // endpoint must wake them instead of deadlocking the join
+      c.recv((c.rank() + 1) % 3, 99);
+    });
+    ADD_FAILURE() << "rank 1's exception must propagate";
+  } catch (const std::exception& e) {
+    // the root cause wins over the "closed" errors it set off
+    EXPECT_STREQ(e.what(), "rank 1 died");
+  }
+}
+
+TEST(ThreadComm, ReturnedPeerSurfacesAsNamedClosedError) {
+  // Rank 1 returns without sending; rank 0's recv must fail at once with
+  // the core's named closed-connection error, not wait out the timeout.
+  CommOptions opts;
+  opts.recv_timeout = 5.0;
+  try {
+    run_ranks(
+        2,
+        [](Communicator& c) {
+          if (c.rank() == 1) return;
+          c.recv(1, 7);
+        },
+        opts);
+    ADD_FAILURE() << "recv from a departed peer must fail";
+  } catch (const comm_timeout& e) {
+    ADD_FAILURE() << "timed out instead of reporting the close: " << e.what();
+  } catch (const comm_error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("connection to rank 1 closed"), std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find("(src=1, tag=7)"), std::string::npos) << msg;
+  }
 }
 
 TEST(GatherTree, ForgedFramesAreNamedPeerErrors) {

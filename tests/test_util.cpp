@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <sstream>
+#include <string>
 
 #include "util/json.hpp"
 #include "util/options.hpp"
@@ -309,6 +311,33 @@ TEST(Json, ConvenienceGettersWithDefaults) {
   // returning the fallback.
   EXPECT_THROW((void)v.int_or("s", 0), u::json_error);
   EXPECT_THROW((void)v.string_or("n", ""), u::json_error);
+
+  // A number beyond long long is refused as out of range before any
+  // conversion (the cast itself would be undefined behaviour), and a
+  // fraction as not an integer; each error names the member.
+  const u::JsonValue w = u::json_parse(
+      R"({"huge":1e300,"edge":9223372036854775808,"low":-1e19,"inf":1e999,)"
+      R"("min":-9223372036854775808,"half":2.5})");
+  for (const char* key : {"huge", "edge", "low", "inf"}) {
+    try {
+      (void)w.int_or(key, 0);
+      ADD_FAILURE() << key << " was converted";
+    } catch (const u::json_error& e) {
+      const std::string msg = e.what();
+      const std::string want =
+          std::string("\"") + key + "\" is out of integer range";
+      EXPECT_NE(msg.find(want), std::string::npos) << msg;
+    }
+  }
+  EXPECT_EQ(w.int_or("min", 0), std::numeric_limits<long long>::min());
+  try {
+    (void)w.int_or("half", 0);
+    ADD_FAILURE() << "2.5 was converted";
+  } catch (const u::json_error& e) {
+    EXPECT_NE(std::string(e.what()).find("\"half\" is not an integer"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Json, MalformedInputsThrowWithOffset) {
