@@ -45,6 +45,7 @@
 #include "bench_common.hpp"
 #include "cluster/scenario.hpp"
 #include "obs/metrics.hpp"
+#include "serve/job_spec.hpp"
 #include "sim/parallel_lbm.hpp"
 #include "transport/launcher.hpp"
 #include "transport/thread_comm.hpp"
@@ -140,20 +141,17 @@ int run_overlap_sweep(const util::Options& opts) {
 /// "socket" or "shm".
 double time_over_processes(const lbm::Extents& global, int ranks, int phases,
                            const std::string& transport = "socket") {
-  transport::LaunchConfig lc;
-  lc.ranks = ranks;
-  lc.transport = transport;
-  lc.worker_command = {SLIPFLOW_WORKER_EXE,
-                       "--nx=" + std::to_string(global.nx),
-                       "--ny=" + std::to_string(global.ny),
-                       "--nz=" + std::to_string(global.nz),
-                       "--phases=" + std::to_string(phases),
-                       "--policy=filtered",
-                       "--remap-interval=5",
-                       "--window=3",
-                       "--min-transfer=24",
-                       "--recv-timeout=30"};
-  lc.wall_clock_timeout = 300.0;
+  serve::JobSpec spec;  // the default balancer: filtered, R=5, window 3
+  spec.nx = global.nx;
+  spec.ny = global.ny;
+  spec.nz = global.nz;
+  spec.phases = phases;
+  spec.ranks = ranks;
+  spec.transport = transport;
+  spec.wall_clock_budget = 300.0;
+  transport::LaunchConfig lc =
+      serve::make_launch_config(spec, SLIPFLOW_WORKER_EXE, {});
+  lc.worker_command.push_back("--recv-timeout=30");
   const transport::LaunchResult res = transport::launch_workers(lc);
   if (!res.ok) {
     std::cerr << transport << " run failed: " << res.diagnostic << "\n";

@@ -17,6 +17,7 @@
 #include <iostream>
 #include <string>
 
+#include "serve/job_spec.hpp"
 #include "transport/launcher.hpp"
 #include "util/options.hpp"
 
@@ -28,25 +29,29 @@ using namespace slipflow;
 
 int main(int argc, char** argv) {
   const auto opts = util::Options::parse(argc, argv);
-  const int ranks = static_cast<int>(opts.get("ranks", 4LL));
-  const int phases = static_cast<int>(opts.get("phases", 200LL));
-  const std::string policy = opts.get("policy", std::string("filtered"));
-  const long long nx = opts.get("nx", 32LL);
+  serve::JobSpec spec;
+  spec.ranks = static_cast<int>(opts.get("ranks", 4LL));
+  spec.phases = opts.get("phases", 200LL);
+  spec.policy = opts.get("policy", spec.policy);
+  spec.nx = opts.get("nx", 32LL);
+  spec.ny = 16;
+  spec.nz = 6;
+  spec.window = 4;
+  spec.min_transfer = 96;
+  spec.threads = static_cast<int>(opts.get("threads", 1LL));
   const int slow_rank = static_cast<int>(opts.get("slow-rank", 1LL));
   const double slow_factor = opts.get("slow-factor", 3.0);
-  const int kill_rank = static_cast<int>(opts.get("fault-kill-rank", -1LL));
-  const long long kill_phase = opts.get("fault-kill-phase", -1LL);
+  spec.fault_kill_rank = static_cast<int>(opts.get("fault-kill-rank", -1LL));
+  spec.fault_kill_phase = opts.get("fault-kill-phase", -1LL);
   const bool expect_failure = opts.get("expect-failure", false);
   // Supervision budgets (transport::LaunchConfig): all settable so sweep
   // scripts and the service smoke job can tighten or relax them per run.
-  const double wall_timeout = opts.get("wall-timeout", 120.0);
-  const double heartbeat_interval = opts.get("heartbeat-interval", 0.2);
-  const double heartbeat_grace = opts.get("heartbeat-grace", 10.0);
-  const long long threads = opts.get("threads", 1LL);
+  spec.wall_clock_budget = opts.get("wall-timeout", 120.0);
+  spec.heartbeat_interval = opts.get("heartbeat-interval", 0.2);
+  spec.heartbeat_grace = opts.get("heartbeat-grace", 10.0);
   // socket | shm | auto — forwarded to every worker (see sim/worker.cpp)
-  const std::string transport =
-      opts.get("transport", std::string("socket"));
-  const long long shm_ring_bytes = opts.get("shm-ring-bytes", 0LL);
+  spec.transport = opts.get("transport", spec.transport);
+  spec.shm_ring_bytes = opts.get("shm-ring-bytes", spec.shm_ring_bytes);
   const std::string worker =
       opts.get("worker", std::string(SLIPFLOW_WORKER_EXE));
   if (const std::string diag = opts.unknown_diagnostic(); !diag.empty()) {
@@ -54,38 +59,24 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  transport::LaunchConfig lc;
-  lc.ranks = ranks;
-  lc.worker_command = {worker,
-                       "--nx=" + std::to_string(nx),
-                       "--ny=16",
-                       "--nz=6",
-                       "--phases=" + std::to_string(phases),
-                       "--policy=" + policy,
-                       "--remap-interval=5",
-                       "--window=4",
-                       "--min-transfer=96",
-                       "--recv-timeout=20",
-                       "--threads=" + std::to_string(threads)};
-  if (slow_rank >= 0 && slow_rank < ranks) {
+  // The job-spec lowering the campaign server uses, plus the worker-only
+  // flags no job spec carries.
+  transport::LaunchConfig lc = serve::make_launch_config(spec, worker, {});
+  lc.worker_command.push_back("--recv-timeout=20");
+  if (slow_rank >= 0 && slow_rank < spec.ranks) {
     lc.worker_command.push_back("--slow-rank=" + std::to_string(slow_rank));
     lc.worker_command.push_back("--slow-factor=" +
                                 std::to_string(slow_factor));
   }
-  lc.heartbeat_interval = heartbeat_interval;
-  lc.heartbeat_grace = heartbeat_grace;
-  lc.wall_clock_timeout = wall_timeout;
-  lc.transport = transport;
-  lc.shm_ring_bytes = shm_ring_bytes;
-  if (kill_rank >= 0 && kill_phase >= 0)
-    lc.extra_args[kill_rank] = {"--fault-kill-phase=" +
-                                std::to_string(kill_phase)};
 
-  std::cout << "launching " << ranks << " slipflow_worker processes, " << nx
-            << "x16x6, " << phases << " phases, policy '" << policy << "'";
+  const int ranks = spec.ranks;
+  const int kill_rank = spec.fault_kill_rank;
+  std::cout << "launching " << ranks << " slipflow_worker processes, "
+            << spec.nx << "x16x6, " << spec.phases << " phases, policy '"
+            << spec.policy << "'";
   if (kill_rank >= 0)
     std::cout << " (injecting SIGKILL into rank " << kill_rank << " at phase "
-              << kill_phase << ")";
+              << spec.fault_kill_phase << ")";
   std::cout << "\n\n";
 
   const transport::LaunchResult res = transport::launch_workers(lc);

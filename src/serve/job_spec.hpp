@@ -18,10 +18,15 @@
 
 #include "transport/launcher.hpp"
 #include "util/json.hpp"
+#include "util/options.hpp"
 
 namespace slipflow::serve {
 
-/// One tenant job. Defaults match slipflow_worker's own defaults.
+/// One tenant job. Each knob is declared once, in job_spec.cpp's table
+/// (JSON path, worker flag, admissible values, warm-key membership),
+/// which every spec reader and writer walks, the worker's flag parse
+/// included. Defaults are the initializers below; a worker given no
+/// flags differs only in reporting "full" observables and one rank.
 struct JobSpec {
   // --- problem: geometry and component model ---
   long long nx = 16, ny = 6, nz = 4;
@@ -47,7 +52,7 @@ struct JobSpec {
   long long min_transfer = 24;
   int threads = 1;
   std::string transport = "socket";  ///< "socket" | "shm" | "auto"
-  long long shm_ring_bytes = 0;
+  long long shm_ring_bytes = 0;  ///< 0 = the worker's default ring
 
   // --- service options ---
   /// Equilibration prefix (phases) eligible for the warm-state cache;
@@ -74,20 +79,23 @@ struct JobSpec {
   /// values throw serve_error naming the field.
   static JobSpec from_json(const util::JsonValue& v);
 
+  /// The worker's side of make_launch_config: overlay the knob flags in
+  /// `opts` (absent ones keep this spec's value) and check every knob as
+  /// from_json does; throws serve_error naming the flag.
+  void read_worker_flags(const util::Options& opts);
+
   /// Re-serialize (canonical through JsonValue::dump()).
   util::JsonValue to_json() const;
 
-  /// Canonical warm-cache key material: geometry, component count,
-  /// physical parameters and the warm phase count — and nothing else.
-  /// Ranks, transport, policy and threads are deliberately
-  /// absent: the equilibrated state is invariant to all of them, so a
-  /// warm checkpoint produced by a 2-rank socket job seeds a 4-rank shm
-  /// job of the same physics.
+  /// Canonical warm-cache key material: the knobs the table marks warm
+  /// (geometry, component count, physical parameters, warm phase count).
+  /// Ranks, transport, policy and threads are deliberately absent: the
+  /// equilibrated state is invariant to them, so a warm checkpoint from
+  /// a 2-rank socket job seeds a 4-rank shm job of the same physics.
   std::string warm_key() const;
 };
 
-/// Filesystem outputs of one worker launch; empty members are omitted
-/// from the argv.
+/// Filesystem outputs of one worker launch; empty ones stay off the argv.
 struct JobPaths {
   std::string observables_out;
   std::string checkpoint_prefix;   ///< recovery checkpoints <prefix>.<P>.ckpt

@@ -6,11 +6,13 @@
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "lbm/kernels.hpp"
 #include "obs/clock.hpp"
 #include "obs/metrics.hpp"
+#include "serve/job_spec.hpp"
 #include "transport/shm_comm.hpp"
 #include "transport/socket_comm.hpp"
 #include "util/json.hpp"
@@ -110,31 +112,42 @@ std::string collect_observables(ParallelLbm& run,
 
 int worker_main(int argc, const char* const* argv) {
   const util::Options opts = util::Options::parse(argc, argv);
+  const int rank = static_cast<int>(opts.get("rank", 0LL));
+  // A bad flag is named on stderr and exits 2, before any rank connects.
+  const auto reject = [rank](const std::string& why) {
+    std::fprintf(stderr, "rank %d: %s\n", rank, why.c_str());
+    return 2;
+  };
+
+  // --- the job knobs: the spec table's flags, under admission's rules ---
+  serve::JobSpec spec;
+  // Standalone runs keep the ownership lines test_multiprocess compares.
+  spec.observables = "full";
+  // The launcher passes these; a standalone worker runs one rank.
+  spec.ranks = static_cast<int>(opts.get("ranks", 1LL));
+  spec.transport = opts.get("transport", spec.transport);
+  spec.shm_ring_bytes = opts.get("shm-ring-bytes", spec.shm_ring_bytes);
+  spec.heartbeat_interval =
+      opts.get("heartbeat-interval", spec.heartbeat_interval);
+  try {
+    spec.read_worker_flags(opts);
+  } catch (const std::exception& e) {
+    return reject(e.what());
+  }
 
   // --- transport ---
-  const int rank = static_cast<int>(opts.get("rank", 0LL));
-  const int nranks = static_cast<int>(opts.get("ranks", 1LL));
   transport::PeerCommConfig pc;
   pc.rank = rank;
-  pc.nranks = nranks;
+  pc.nranks = spec.ranks;
   pc.dir = opts.get("socket-dir", std::string{});
   pc.connect_timeout = opts.get("connect-timeout", 10.0);
   pc.comm.recv_timeout = opts.get("recv-timeout", 30.0);
   pc.heartbeat_path = opts.get("heartbeat-sock", std::string{});
-  pc.heartbeat_interval = opts.get("heartbeat-interval", 0.25);
-  // socket = Unix-domain sockets (default), shm = mmap'd rings,
-  // auto = shm when the socket dir can host mmap'd segments.
-  const std::string transport = opts.get("transport", std::string("socket"));
+  pc.heartbeat_interval = spec.heartbeat_interval;
   const long long shm_session = opts.get("shm-session", 0LL);
-  const long long shm_ring_bytes = opts.get("shm-ring-bytes", 0LL);
-  if (transport != "socket" && transport != "shm" && transport != "auto") {
-    std::fprintf(stderr, "rank %d: unknown --transport=%s\n", rank,
-                 transport.c_str());
-    return 2;
-  }
 
   // --- fault injection ---
-  pc.fault.kill_at_phase = opts.get("fault-kill-phase", -1LL);
+  pc.fault.kill_at_phase = spec.fault_kill_phase;
   pc.fault.stop_at_phase = opts.get("fault-stop-phase", -1LL);
   pc.fault.drop_dest = static_cast<int>(opts.get("fault-drop-dest", -2LL));
   pc.fault.drop_tag = static_cast<int>(opts.get("fault-drop-tag", -1LL));
@@ -144,52 +157,35 @@ int worker_main(int argc, const char* const* argv) {
 
   // --- problem ---
   RunnerConfig cfg;
-  cfg.global = lbm::Extents{opts.get("nx", 16LL), opts.get("ny", 6LL),
-                            opts.get("nz", 4LL)};
+  cfg.global = lbm::Extents{spec.nx, spec.ny, spec.nz};
   // The paper's two-component microchannel model; the physical knobs are
   // exposed so campaign sweeps (slipflow_submit --sweep) can scan them.
   cfg.fluid = lbm::FluidParams::microchannel_defaults(
-      opts.get("wall-accel", 0.2), opts.get("wall-decay", 2.5),
-      opts.get("air-fraction", 0.03), opts.get("coupling-g", 1.0),
-      opts.get("gravity", 2e-5));
-  cfg.policy = opts.get("policy", std::string("filtered"));
-  cfg.remap_interval = static_cast<int>(opts.get("remap-interval", 5LL));
-  cfg.balance.window = static_cast<int>(opts.get("window", 3LL));
-  cfg.balance.min_transfer_points = opts.get("min-transfer", 24LL);
-  cfg.threads = static_cast<int>(opts.get("threads", 1LL));
+      spec.wall_accel, spec.wall_decay, spec.air_fraction, spec.coupling_g,
+      spec.gravity);
+  cfg.policy = spec.policy;
+  cfg.remap_interval = spec.remap_interval;
+  cfg.balance.window = spec.window;
+  cfg.balance.min_transfer_points = spec.min_transfer;
+  cfg.threads = spec.threads;
   // Which tile-kernel backend the hot kernels dispatch to. "auto" keeps
   // the CPUID default (widest supported SIMD); naming a backend that this
   // build/CPU cannot run is a configuration error, not a fallback.
-  const std::string backend_name =
-      opts.get("kernel-backend", std::string("auto"));
-  if (backend_name != "auto") {
-    const std::optional<lbm::KernelBackend> kb =
-        lbm::parse_kernel_backend(backend_name);
-    if (!kb) {
-      std::fprintf(stderr, "rank %d: unknown --kernel-backend=%s\n", rank,
-                   backend_name.c_str());
-      return 2;
-    }
-    if (!lbm::kernel_backend_supported(*kb)) {
-      std::fprintf(stderr,
-                   "rank %d: --kernel-backend=%s not supported by this "
-                   "build/CPU\n",
-                   rank, backend_name.c_str());
-      return 2;
-    }
+  const std::string backend = opts.get("kernel-backend", std::string("auto"));
+  if (backend != "auto") {
+    const auto kb = lbm::parse_kernel_backend(backend);
+    if (!kb) return reject("unknown --kernel-backend=" + backend);
+    if (!lbm::kernel_backend_supported(*kb))
+      return reject("--kernel-backend=" + backend +
+                    " not supported by this build/CPU");
     lbm::set_kernel_backend(*kb);
   }
 
-  // --phases is the ABSOLUTE phase target: a fresh run executes that
-  // many phases, a run resumed from --load-checkpoint executes only the
-  // remainder. That is what makes a crash-recovered or warm-started job
-  // finish at the same physical state as a straight-through one.
-  const long long phases = opts.get("phases", 40LL);
   const int slow_rank = static_cast<int>(opts.get("slow-rank", -1LL));
   const double slow_factor = opts.get("slow-factor", 0.0);
   if (slow_rank >= 0 && slow_factor > 0.0) {
-    cfg.slowdown.assign(static_cast<std::size_t>(nranks), 0.0);
-    if (slow_rank < nranks)
+    cfg.slowdown.assign(static_cast<std::size_t>(spec.ranks), 0.0);
+    if (slow_rank < spec.ranks)
       cfg.slowdown[static_cast<std::size_t>(slow_rank)] = slow_factor;
   }
 
@@ -208,59 +204,37 @@ int worker_main(int argc, const char* const* argv) {
       return std::make_shared<obs::CountingClock>(tick);
     };
   } else if (clock != "wall") {
-    std::fprintf(stderr, "rank %d: unknown --clock=%s\n", rank, clock.c_str());
-    return 2;
+    return reject("unknown --clock=" + clock);
   }
 
   // --- output ---
   const std::string observables_out =
       opts.get("observables-out", std::string{});
   const std::string metrics_out = opts.get("metrics-out", std::string{});
-  cfg.output.checkpoint_every =
-      static_cast<int>(opts.get("checkpoint-every", 0LL));
+  cfg.output.checkpoint_every = static_cast<int>(spec.checkpoint_every);
   cfg.output.checkpoint_prefix = opts.get("checkpoint-out", std::string{});
   cfg.output.vtk_every = static_cast<int>(opts.get("vtk-every", 0LL));
   cfg.output.vtk_prefix = opts.get("vtk-out", std::string{});
 
   // --- job-spec mode (campaign server; see src/serve) ---
-  // Resume/seed from a checkpoint, publish an equilibrated warm state,
-  // stream incremental result fragments, and pick the observable set.
+  // Resume or seed from a checkpoint, publish a warm state, stream results.
   const std::string load_ck = opts.get("load-checkpoint", std::string{});
-  const long long warm_phases = opts.get("warm-phases", 0LL);
   const std::string warm_out = opts.get("warm-checkpoint-out", std::string{});
-  const long long stream_every = opts.get("stream-every", 0LL);
   const std::string stream_dir = opts.get("stream-dir", std::string{});
-  const std::string obs_set_name =
-      opts.get("observables", std::string("full"));
-  ObservableSet obs_set = ObservableSet::full;
-  if (obs_set_name == "physics") {
-    obs_set = ObservableSet::physics;
-  } else if (obs_set_name != "full") {
-    std::fprintf(stderr, "rank %d: unknown --observables=%s\n", rank,
-                 obs_set_name.c_str());
-    return 2;
-  }
-  if (!warm_out.empty() && (warm_phases <= 0 || warm_phases > phases)) {
-    std::fprintf(stderr,
-                 "rank %d: --warm-checkpoint-out needs 0 < --warm-phases "
-                 "<= --phases\n",
-                 rank);
-    return 2;
-  }
-  if (stream_every > 0 && stream_dir.empty()) {
-    std::fprintf(stderr, "rank %d: --stream-every needs --stream-dir\n",
-                 rank);
-    return 2;
-  }
-  if (cfg.output.checkpoint_every > 0 && cfg.output.checkpoint_prefix.empty()) {
-    std::fprintf(stderr, "rank %d: --checkpoint-every needs --checkpoint-out\n",
-                 rank);
-    return 2;
-  }
-  if (cfg.output.vtk_every > 0 && cfg.output.vtk_prefix.empty()) {
-    std::fprintf(stderr, "rank %d: --vtk-every needs --vtk-out\n", rank);
-    return 2;
-  }
+  const ObservableSet obs_set =
+      spec.observables == "full" ? ObservableSet::full : ObservableSet::physics;
+  // An output interval needs its path (warm_phases <= phases is checked).
+  const std::pair<bool, const char*> unpaired[] = {
+      {!warm_out.empty() && spec.warm_phases <= 0,
+       "--warm-checkpoint-out needs 0 < --warm-phases <= --phases"},
+      {spec.stream_every > 0 && stream_dir.empty(),
+       "--stream-every needs --stream-dir"},
+      {cfg.output.checkpoint_every > 0 && cfg.output.checkpoint_prefix.empty(),
+       "--checkpoint-every needs --checkpoint-out"},
+      {cfg.output.vtk_every > 0 && cfg.output.vtk_prefix.empty(),
+       "--vtk-every needs --vtk-out"}};
+  for (const auto& [unpaired_interval, why] : unpaired)
+    if (unpaired_interval) return reject(why);
 
   if (const std::string diag = opts.unknown_diagnostic(); !diag.empty()) {
     std::fprintf(stderr, "rank %d: %s", rank, diag.c_str());
@@ -268,20 +242,20 @@ int worker_main(int argc, const char* const* argv) {
   }
 
   try {
-    obs::MetricsRegistry reg(nranks);  // only shard `rank` is written here
+    obs::MetricsRegistry reg(spec.ranks);  // only shard `rank` is written
     cfg.metrics = &reg;
 
     // Every rank resolves "auto" from the same filesystem probe, so the
     // choice is identical across the launch without any coordination.
-    std::string chosen = transport;
+    std::string chosen = spec.transport;
     if (chosen == "auto")
       chosen = transport::shm_dir_usable(pc.dir) ? "shm" : "socket";
     pc.metrics = &reg;
     std::unique_ptr<transport::PeerComm> comm;
     if (chosen == "shm") {
       transport::ShmCommConfig hc{pc};
-      if (shm_ring_bytes > 0)
-        hc.ring_bytes = static_cast<std::size_t>(shm_ring_bytes);
+      if (spec.shm_ring_bytes > 0)
+        hc.ring_bytes = static_cast<std::size_t>(spec.shm_ring_bytes);
       hc.session = static_cast<std::uint64_t>(shm_session);
       comm = std::make_unique<transport::ShmComm>(hc);
     } else {
@@ -295,30 +269,35 @@ int worker_main(int argc, const char* const* argv) {
     else
       run.initialize_uniform();
 
-    // Chunked stepping toward the absolute target: segment boundaries
-    // fall on the warm-checkpoint phase and on stream-fragment
-    // multiples. Chunking run() never changes the physics (each phase
-    // is self-contained), so a streamed job computes the same state as
-    // an unstreamed one.
+    // Chunked stepping toward the ABSOLUTE phase target: a run resumed
+    // from --load-checkpoint executes only the remainder, so a recovered
+    // or warm-started job ends at the same state as a straight-through
+    // one. Segment boundaries fall on the warm-checkpoint phase and on
+    // stream-fragment multiples. Chunking run() never changes the physics
+    // (each phase is self-contained), so a streamed job computes the same
+    // state as an unstreamed one.
     long long at = start_phase;
     std::size_t trace_cursor = 0;
-    while (at < phases) {
-      long long next = phases;
-      if (!warm_out.empty() && at < warm_phases && warm_phases < next)
-        next = warm_phases;
-      if (stream_every > 0)
-        next = std::min(next, (at / stream_every + 1) * stream_every);
+    while (at < spec.phases) {
+      long long next = spec.phases;
+      if (!warm_out.empty() && at < spec.warm_phases &&
+          spec.warm_phases < next)
+        next = spec.warm_phases;
+      if (spec.stream_every > 0)
+        next =
+            std::min(next, (at / spec.stream_every + 1) * spec.stream_every);
       run.run(static_cast<int>(next - at));
       at = next;
       // save_checkpoint publishes by rename, so the warm cache can
       // never promote a torn equilibration state.
-      if (!warm_out.empty() && at == warm_phases)
+      if (!warm_out.empty() && at == spec.warm_phases)
         run.save_checkpoint(warm_out, at);
-      if (stream_every > 0 && at % stream_every == 0 && at < phases)
+      if (spec.stream_every > 0 && at % spec.stream_every == 0 &&
+          at < spec.phases)
         write_stream_fragment(run, *comm, at, stream_dir, trace_cursor);
     }
     // Final fragment: flushes the last segment's trace spans.
-    if (stream_every > 0)
+    if (spec.stream_every > 0)
       write_stream_fragment(run, *comm, at, stream_dir, trace_cursor);
     const std::string observables =
         collect_observables(run, *comm, cfg.global, obs_set);

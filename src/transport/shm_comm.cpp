@@ -79,8 +79,9 @@ std::atomic_ref<std::uint32_t> a32(std::byte* base, std::size_t off) {
 }
 
 std::uint64_t checked_ring_bytes(std::size_t bytes) {
-  SLIPFLOW_REQUIRE_MSG(bytes >= 4096,
-                       "ShmComm ring_bytes must be at least 4096");
+  SLIPFLOW_REQUIRE_MSG(bytes >= kShmMinRingBytes,
+                       "ShmComm ring_bytes must be at least "
+                           << kShmMinRingBytes);
   return (bytes + 7u) & ~std::uint64_t{7};
 }
 

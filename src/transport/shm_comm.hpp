@@ -55,8 +55,12 @@ struct ShmStats : PeerStats {
   long long futex_waits = 0;
 };
 
+/// The smallest ring capacity ShmComm accepts (ShmCommConfig::ring_bytes).
+inline constexpr std::size_t kShmMinRingBytes = 4096;
+
 struct ShmCommConfig : PeerCommConfig {
-  /// Data capacity of each directed ring in bytes (rounded up to 8).
+  /// Data capacity of each directed ring in bytes (rounded up to 8); at
+  /// least kShmMinRingBytes.
   std::size_t ring_bytes = std::size_t{1} << 20;
   /// Launch-wide session tag; a producer only accepts a ring whose
   /// header carries this exact tag. All ranks must agree (the launcher

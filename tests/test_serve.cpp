@@ -34,6 +34,7 @@
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "serve/warm_cache.hpp"
+#include "sim/worker.hpp"
 #include "transport/launcher.hpp"
 #include "util/json.hpp"
 
@@ -150,7 +151,16 @@ TEST(Serve, JobSpecValidatesValues) {
       {R"({"window":-4294967295})", "window"},
       {R"({"threads":4294967297})", "threads"},
       {R"({"fault":{"kill_rank":4294967296}})", "kill_rank"},
-      {R"({"phases":1e300})", "\"phases\" is out of integer range"}};
+      {R"({"phases":1e300})", "\"phases\" is out of integer range"},
+      // phases reaches ParallelLbm::run(int) and checkpoint_every an int
+      // interval: 4294967301 phases once ran as 5.
+      {R"({"phases":4294967301})", "phases"},
+      {R"({"phases":2147483648})", "phases"},
+      {R"({"checkpoint_every":4294967297})", "checkpoint_every"},
+      // A ring below the shm minimum killed every rank; a negative one
+      // silently ran the default.
+      {R"({"transport":"shm","shm_ring_bytes":100})", "shm_ring_bytes"},
+      {R"({"shm_ring_bytes":-5})", "shm_ring_bytes"}};
   for (const auto& [spec, field] : hostile) {
     try {
       JobSpec::from_json(util::json_parse(spec));
@@ -159,6 +169,25 @@ TEST(Serve, JobSpecValidatesValues) {
       EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
           << spec << ": " << e.what();
     }
+  }
+  EXPECT_NO_THROW(JobSpec::from_json(util::json_parse(
+      R"({"phases":2147483647,"transport":"shm","shm_ring_bytes":4096})")));
+}
+
+// The worker reads its job flags through the same table and rules as
+// admission, so a value admission refuses never reaches a running rank.
+TEST(Serve, WorkerRejectsWhatAdmissionRejects) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"--phases=4294967301", "--phases"},
+      {"--checkpoint-every=4294967296", "--checkpoint-every"},
+      {"--policy=bogus", "--policy"}};
+  for (const auto& [flag, name] : cases) {
+    const char* argv[] = {"slipflow_worker", flag};
+    ::testing::internal::CaptureStderr();
+    const int rc = sim::worker_main(2, argv);
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(rc, 2) << flag << ": " << err;
+    EXPECT_NE(err.find(name), std::string::npos) << flag << ": " << err;
   }
 }
 
@@ -245,6 +274,62 @@ TEST(Serve, MakeLaunchConfigLowersSpec) {
   ASSERT_EQ(lc.extra_args.count(1), 1u);
   EXPECT_EQ(lc.extra_args.at(1).front(), "--fault-kill-phase=12");
   EXPECT_EQ(lc.extra_args.count(0), 0u);
+}
+
+// The README quickstart spec, lowered with the paths CampaignServer::run_job
+// passes, keeps its exact worker argv (order included) and its exact
+// warm-cache key: a changed key would orphan every warm checkpoint already
+// on disk.
+TEST(Serve, ReadmeSpecLowersToPinnedArgvAndWarmKey) {
+  const JobSpec spec = JobSpec::from_json(util::json_parse(
+      R"({"geometry": {"nx": 64, "ny": 16, "nz": 8}, "phases": 400,
+          "ranks": 4, "warm_phases": 100, "stream_every": 50,
+          "checkpoint_every": 50})"));
+  serve::JobPaths miss;  // a warm-cache miss: this job produces the entry
+  miss.observables_out = "/work/job_1/observables.txt";
+  miss.checkpoint_prefix = "/work/job_1/ck";
+  miss.stream_dir = "/work/job_1/stream";
+  miss.warm_checkpoint_out = "/work/job_1/warm.ckpt";
+  const transport::LaunchConfig lc =
+      serve::make_launch_config(spec, "worker", miss);
+  const std::vector<std::string> head = {
+      "worker", "--nx=64", "--ny=16", "--nz=8", "--phases=400",
+      "--wall-accel=0.2", "--wall-decay=2.5", "--air-fraction=0.03",
+      "--coupling-g=1", "--gravity=2e-05", "--policy=filtered",
+      "--remap-interval=5", "--window=3", "--min-transfer=24", "--threads=1",
+      "--observables=physics",
+      "--observables-out=/work/job_1/observables.txt"};
+  const std::vector<std::string> tail = {"--stream-every=50",
+                                         "--stream-dir=/work/job_1/stream",
+                                         "--checkpoint-every=50",
+                                         "--checkpoint-out=/work/job_1/ck"};
+  std::vector<std::string> expected = head;
+  expected.push_back("--warm-phases=100");
+  expected.push_back("--warm-checkpoint-out=/work/job_1/warm.ckpt");
+  expected.insert(expected.end(), tail.begin(), tail.end());
+  EXPECT_EQ(lc.worker_command, expected);
+  EXPECT_EQ(lc.ranks, 4);
+  EXPECT_EQ(lc.transport, "socket");
+  EXPECT_EQ(lc.shm_ring_bytes, 0);
+  EXPECT_EQ(lc.heartbeat_interval, 0.25);
+  EXPECT_EQ(lc.heartbeat_grace, 5.0);
+  EXPECT_EQ(lc.wall_clock_timeout, 120.0);
+  EXPECT_TRUE(lc.extra_args.empty());
+
+  // A warm-cache hit seeds from the cached state and publishes none.
+  serve::JobPaths hit = miss;
+  hit.warm_checkpoint_out.clear();
+  hit.load_checkpoint = "/work/warm_cache/entry.ckpt";
+  expected = head;
+  expected.push_back("--load-checkpoint=/work/warm_cache/entry.ckpt");
+  expected.insert(expected.end(), tail.begin(), tail.end());
+  EXPECT_EQ(serve::make_launch_config(spec, "worker", hit).worker_command,
+            expected);
+
+  EXPECT_EQ(spec.warm_key(),
+            R"({"components":2,"geometry":{"nx":64,"ny":16,"nz":8},)"
+            R"("params":{"air_fraction":0.03,"coupling_g":1,"gravity":2e-05,)"
+            R"("wall_accel":0.2,"wall_decay":2.5},"warm_phases":100})");
 }
 
 // ------------------------------------------------------------ fair share --

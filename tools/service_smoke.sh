@@ -2,7 +2,10 @@
 # End-to-end smoke test of the campaign service (src/serve), run by the
 # `service` CI job:
 #
-#   1. start slipflow_served on a fresh socket + work dir;
+#   1. start slipflow_served on a fresh socket + work dir, and check that
+#      a spec the worker could not run ({"phases":4294967301}) is refused
+#      by name at the door: by slipflow_submit --direct (exit 2) and by
+#      the daemon (an error reply, no job queued);
 #   2. submit three concurrent jobs from two tenants — a two-job gravity
 #      sweep plus a chaos job whose rank 1 is killed mid-run by fault
 #      injection;
@@ -71,6 +74,32 @@ for _ in $(seq 1 100); do
   sleep 0.1
 done
 [ -S "$SOCK" ] || fail "daemon never bound $SOCK"
+
+# A phase count beyond the worker's int once ran as 5 phases; admission
+# must refuse it and name the field.
+echo '{"phases":4294967301}' > "$WORK/spec_hostile.json"
+rc=0
+"$SUBMIT" --direct --spec="$WORK/spec_hostile.json" --out-dir="$WORK/hostile" \
+  > "$WORK/hostile_direct.log" 2>&1 || rc=$?
+[ "$rc" -eq 2 ] || { cat "$WORK/hostile_direct.log" >&2; fail "--direct on a hostile spec exited $rc, not 2"; }
+grep -q phases "$WORK/hostile_direct.log" || fail "--direct rejection did not name phases"
+# slipflow_submit checks specs before sending them, so talk to the daemon
+# directly: one raw submit line, then the stats line.
+python3 - "$SOCK" "$WORK/spec_hostile.json" > "$WORK/hostile_served.log" 2>&1 <<'PY' \
+  || { cat "$WORK/hostile_served.log" >&2; fail "daemon did not refuse the hostile spec by name"; }
+import json, socket, sys
+def ask(request):
+    with socket.socket(socket.AF_UNIX) as s:
+        s.connect(sys.argv[1])
+        s.sendall((json.dumps(request) + "\n").encode())
+        return json.loads(s.makefile().readline())
+reply = ask({"cmd": "submit", "tenant": "hostile",
+             "spec": json.load(open(sys.argv[2]))})
+stats = ask({"cmd": "stats"})
+print(reply, stats)
+sys.exit(0 if reply.get("ok") is False and "phases" in reply.get("error", "")
+         and stats["jobs"] == 0 else 1)
+PY
 
 # --- 2. three concurrent jobs, one killed ------------------------------
 mkdir -p "$WORK/out_sweep" "$WORK/out_fault"
