@@ -10,7 +10,7 @@
 ///
 /// --transport=socket switches to a companion measurement on this
 /// machine: the same ParallelLbm phase loop timed over in-process
-/// ThreadComm vs real forked slipflow_worker processes on Unix-domain
+/// ThreadComm vs real launched slipflow_worker processes on Unix-domain
 /// sockets, so the thread-vs-process transport overhead is tracked
 /// across PRs (written to BENCH_fig08_socket.json).
 ///
@@ -28,7 +28,7 @@
 ///            [--max-ranks=4] [--nx=48] [--ny=16] [--nz=8]
 ///
 /// --transport=shm races the two real-process transports against each
-/// other: the same forked workers over Unix-domain sockets vs over
+/// other: the same launched workers over Unix-domain sockets vs over
 /// shared-memory rings, best of --reps launches per point (written to
 /// BENCH_fig08_shm.json). --require-shm-speedup=R exits nonzero when
 /// shm fails to beat socket by factor R at the top rank count — the CI

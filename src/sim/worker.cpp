@@ -6,6 +6,7 @@
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -112,7 +113,17 @@ std::string collect_observables(ParallelLbm& run,
 
 int worker_main(int argc, const char* const* argv) {
   const util::Options opts = util::Options::parse(argc, argv);
-  const int rank = static_cast<int>(opts.get("rank", 0LL));
+  // An int flag outside int is refused, never narrowed into some other
+  // value; the first one refused is reported with the other flag checks.
+  std::string refused;
+  const auto int_flag = [&](const std::string& key, int fallback) {
+    const long long v = opts.get(key, static_cast<long long>(fallback));
+    if (std::in_range<int>(v)) return static_cast<int>(v);
+    if (refused.empty())
+      refused = "--" + key + "=" + std::to_string(v) + " is out of range";
+    return fallback;
+  };
+  const int rank = int_flag("rank", 0);
   // A bad flag is named on stderr and exits 2, before any rank connects.
   const auto reject = [rank](const std::string& why) {
     std::fprintf(stderr, "rank %d: %s\n", rank, why.c_str());
@@ -124,7 +135,7 @@ int worker_main(int argc, const char* const* argv) {
   // Standalone runs keep the ownership lines test_multiprocess compares.
   spec.observables = "full";
   // The launcher passes these; a standalone worker runs one rank.
-  spec.ranks = static_cast<int>(opts.get("ranks", 1LL));
+  spec.ranks = int_flag("ranks", 1);
   spec.transport = opts.get("transport", spec.transport);
   spec.shm_ring_bytes = opts.get("shm-ring-bytes", spec.shm_ring_bytes);
   spec.heartbeat_interval =
@@ -149,9 +160,9 @@ int worker_main(int argc, const char* const* argv) {
   // --- fault injection ---
   pc.fault.kill_at_phase = spec.fault_kill_phase;
   pc.fault.stop_at_phase = opts.get("fault-stop-phase", -1LL);
-  pc.fault.drop_dest = static_cast<int>(opts.get("fault-drop-dest", -2LL));
-  pc.fault.drop_tag = static_cast<int>(opts.get("fault-drop-tag", -1LL));
-  pc.fault.drop_count = static_cast<int>(opts.get("fault-drop-count", 1LL));
+  pc.fault.drop_dest = int_flag("fault-drop-dest", -2);
+  pc.fault.drop_tag = int_flag("fault-drop-tag", -1);
+  pc.fault.drop_count = int_flag("fault-drop-count", 1);
   pc.fault.send_delay = opts.get("fault-send-delay", 0.0);
   pc.fault.throttle_bytes_per_sec = opts.get("fault-throttle-bps", 0.0);
 
@@ -181,7 +192,7 @@ int worker_main(int argc, const char* const* argv) {
     lbm::set_kernel_backend(*kb);
   }
 
-  const int slow_rank = static_cast<int>(opts.get("slow-rank", -1LL));
+  const int slow_rank = int_flag("slow-rank", -1);
   const double slow_factor = opts.get("slow-factor", 0.0);
   if (slow_rank >= 0 && slow_factor > 0.0) {
     cfg.slowdown.assign(static_cast<std::size_t>(spec.ranks), 0.0);
@@ -195,7 +206,7 @@ int worker_main(int argc, const char* const* argv) {
   // are identical across backends and runs.
   const std::string clock = opts.get("clock", std::string("wall"));
   const double clock_step = opts.get("clock-step", 1e-3);
-  const int slow_clock_rank = static_cast<int>(opts.get("slow-clock-rank", -1LL));
+  const int slow_clock_rank = int_flag("slow-clock-rank", -1);
   const double slow_clock_factor = opts.get("slow-clock-factor", 4.0);
   if (clock == "counting") {
     cfg.clock_factory = [=](int r) -> std::shared_ptr<obs::Clock> {
@@ -213,8 +224,9 @@ int worker_main(int argc, const char* const* argv) {
   const std::string metrics_out = opts.get("metrics-out", std::string{});
   cfg.output.checkpoint_every = static_cast<int>(spec.checkpoint_every);
   cfg.output.checkpoint_prefix = opts.get("checkpoint-out", std::string{});
-  cfg.output.vtk_every = static_cast<int>(opts.get("vtk-every", 0LL));
+  cfg.output.vtk_every = int_flag("vtk-every", 0);
   cfg.output.vtk_prefix = opts.get("vtk-out", std::string{});
+  if (!refused.empty()) return reject(refused);
 
   // --- job-spec mode (campaign server; see src/serve) ---
   // Resume or seed from a checkpoint, publish a warm state, stream results.

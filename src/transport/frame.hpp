@@ -9,8 +9,8 @@
 /// peer pair and the receiver can demultiplex into per-(src, tag)
 /// mailboxes without any out-of-band state.
 ///
-/// Byte order is the host's: frames only ever travel between processes
-/// forked on the same machine (the launcher's workers), never across
+/// Byte order is the host's: frames only ever travel between ranks on
+/// the same machine (the launcher's workers), never across
 /// architectures. The magic word catches desynchronized or corrupted
 /// streams immediately instead of letting a bad length prefix stall the
 /// parser.

@@ -223,16 +223,25 @@ void PeerComm::publish_stats() {
                     s.connect_seconds);
 }
 
-PeerCommConfig harness_config(int rank, int nranks, const std::string& dir,
-                              const PeerRunOptions& opts) {
-  PeerCommConfig cfg;
-  cfg.rank = rank;
-  cfg.nranks = nranks;
-  cfg.dir = dir;
-  cfg.comm = opts.comm;
-  cfg.connect_timeout = opts.connect_timeout;
-  if (opts.faults) cfg.fault = opts.faults(rank);
-  return cfg;
+std::vector<PeerCommConfig> harness_configs(int nranks, const std::string& dir,
+                                            const PeerRunOptions& opts) {
+  SLIPFLOW_REQUIRE(nranks >= 1);
+  std::vector<PeerCommConfig> cfgs(static_cast<std::size_t>(nranks));
+  for (int r = 0; r < nranks; ++r) {
+    PeerCommConfig& cfg = cfgs[static_cast<std::size_t>(r)];
+    cfg.rank = r;
+    cfg.nranks = nranks;
+    cfg.dir = dir;
+    cfg.comm = opts.comm;
+    cfg.connect_timeout = opts.connect_timeout;
+    if (opts.faults) cfg.fault = opts.faults(r);
+    SLIPFLOW_REQUIRE_MSG(
+        cfg.fault.kill_at_phase < 0 && cfg.fault.stop_at_phase < 0,
+        "rank " << r
+                << ": a kill/stop fault signals the whole process, so it "
+                   "runs only in workers started by launch_workers");
+  }
+  return cfgs;
 }
 
 }  // namespace slipflow::transport

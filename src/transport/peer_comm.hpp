@@ -159,13 +159,11 @@ class PeerComm : public Communicator {
   std::unique_ptr<HeartbeatSender> hb_;
 };
 
-/// Options shared by the forked and threaded harnesses of the process
-/// transports (run_ranks_sockets, run_ranks_shm, run_ranks_shm_forked).
+/// Options shared by the threaded harnesses of the process transports
+/// (run_ranks_sockets, run_ranks_shm).
 struct PeerRunOptions {
   CommOptions comm;
   double connect_timeout = 10.0;
-  /// Wall-clock bound of the forked harnesses (seconds).
-  double wall_timeout = 60.0;
   /// Rendezvous directory; empty = a fresh mkdtemp under $TMPDIR
   /// (falling back to /tmp), removed after.
   std::string dir;
@@ -173,8 +171,12 @@ struct PeerRunOptions {
   std::function<FaultInjection(int rank)> faults;
 };
 
-/// The endpoint config a harness gives rank `rank` of `nranks`.
-PeerCommConfig harness_config(int rank, int nranks, const std::string& dir,
-                              const PeerRunOptions& opts);
+/// The endpoint configs an in-process harness gives its `nranks` ranks,
+/// built on the calling thread before any rank starts. A kill or stop
+/// fault on any rank is a contract_error here, before a peer waits on
+/// it: the ranks are threads of one process, which the signal would take
+/// down whole; those drills run in real workers (launch_workers).
+std::vector<PeerCommConfig> harness_configs(int nranks, const std::string& dir,
+                                            const PeerRunOptions& opts);
 
 }  // namespace slipflow::transport

@@ -21,7 +21,6 @@
 #include <thread>
 
 #include "transport/fdio.hpp"
-#include "transport/fork_harness.hpp"
 #include "transport/frame.hpp"
 #include "transport/tempdir.hpp"
 #include "transport/thread_comm.hpp"
@@ -106,7 +105,7 @@ std::uint32_t* head_futex_word(std::byte* base) {
   return reinterpret_cast<std::uint32_t*>(base + off);
 }
 
-// No glibc wrapper for futex(2); the segments are shared across forked
+// No glibc wrapper for futex(2); the segments are shared across worker
 // processes, so the non-PRIVATE opcodes are required.
 long futex_call(std::uint32_t* word, int op, std::uint32_t val,
                 const struct timespec* timeout) {
@@ -657,47 +656,21 @@ std::uint64_t fresh_session() {
          counter.fetch_add(1, std::memory_order_relaxed);
 }
 
-ShmCommConfig shm_harness_config(int rank, int nranks, const std::string& dir,
-                                 std::uint64_t session,
-                                 const ShmRunOptions& opts) {
-  return {harness_config(rank, nranks, dir, opts), opts.ring_bytes, session};
-}
-
 }  // namespace
 
 void run_ranks_shm(int nranks, const std::function<void(Communicator&)>& fn,
                    const ShmRunOptions& opts) {
   const HarnessDir dir(opts.dir, nranks);
+  const std::vector<PeerCommConfig> cfgs =
+      harness_configs(nranks, dir.path(), opts);
   const std::uint64_t session = fresh_session();
   run_rank_threads(
       nranks,
       [&](int r) {
-        const ShmCommConfig cfg =
-            shm_harness_config(r, nranks, dir.path(), session, opts);
-        SLIPFLOW_REQUIRE_MSG(
-            cfg.fault.kill_at_phase < 0 && cfg.fault.stop_at_phase < 0,
-            "run_ranks_shm: kill/stop faults need run_ranks_shm_forked");
-        return std::make_unique<ShmComm>(cfg);
+        return std::make_unique<ShmComm>(ShmCommConfig{
+            cfgs[static_cast<std::size_t>(r)], opts.ring_bytes, session});
       },
       fn);
-}
-
-void run_ranks_shm_forked(int nranks,
-                          const std::function<void(Communicator&)>& fn,
-                          const ShmRunOptions& opts) {
-  SLIPFLOW_REQUIRE(fn != nullptr);
-  const HarnessDir dir(opts.dir, nranks);
-  const std::uint64_t session = fresh_session();
-  ForkRunOptions fopts;
-  fopts.wall_timeout = opts.wall_timeout;
-  fopts.who = "run_ranks_shm_forked";
-  run_ranks_forked(
-      nranks,
-      [&](int r) {
-        ShmComm comm(shm_harness_config(r, nranks, dir.path(), session, opts));
-        fn(comm);
-      },
-      fopts);
 }
 
 }  // namespace slipflow::transport

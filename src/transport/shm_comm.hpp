@@ -169,21 +169,14 @@ bool shm_dir_usable(const std::string& dir);
 /// shared ring directory (a fresh mkdtemp when `dir` is empty, removed
 /// after), started and joined by run_rank_threads (thread_comm.hpp). A
 /// rank that throws tears its endpoint down, which unblocks peers with
-/// named closed-ring errors; the first failure recorded is rethrown. Thread-based on purpose: it runs under ThreadSanitizer,
-/// which cannot follow forked children. The threaded harness forbids
-/// kill/stop faults (they would take down the whole process); use
-/// run_ranks_shm_forked for those.
+/// named closed-ring errors; the first failure recorded is rethrown.
+/// Kill/stop faults are refused (harness_configs, peer_comm.hpp); rings
+/// across real processes are the launcher's (launch_workers).
 struct ShmRunOptions : PeerRunOptions {
   std::size_t ring_bytes = std::size_t{1} << 20;
 };
 
 void run_ranks_shm(int nranks, const std::function<void(Communicator&)>& fn,
                    const ShmRunOptions& opts = {});
-
-/// Forked sibling of run_ranks_shm for fault tests that kill or stop a
-/// real process (same supervision and diagnostics as run_ranks_sockets).
-void run_ranks_shm_forked(int nranks,
-                          const std::function<void(Communicator&)>& fn,
-                          const ShmRunOptions& opts = {});
 
 }  // namespace slipflow::transport

@@ -8,12 +8,13 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <memory>
 #include <thread>
 
 #include "transport/fdio.hpp"
-#include "transport/fork_harness.hpp"
 #include "transport/frame.hpp"
 #include "transport/tempdir.hpp"
+#include "transport/thread_comm.hpp"
 
 namespace slipflow::transport {
 
@@ -298,23 +299,21 @@ bool SocketComm::peer_closed(int src) const {
 }
 
 // ---------------------------------------------------------------------------
-// Forked in-process harness.
+// Threaded in-process harness.
 
 void run_ranks_sockets(int nranks,
                        const std::function<void(Communicator&)>& fn,
                        const PeerRunOptions& opts) {
-  SLIPFLOW_REQUIRE(fn != nullptr);
   const HarnessDir dir(opts.dir, nranks);
-  ForkRunOptions fopts;
-  fopts.wall_timeout = opts.wall_timeout;
-  fopts.who = "run_ranks_sockets";
-  run_ranks_forked(
+  const std::vector<PeerCommConfig> cfgs =
+      harness_configs(nranks, dir.path(), opts);
+  run_rank_threads(
       nranks,
       [&](int r) {
-        SocketComm comm(harness_config(r, nranks, dir.path(), opts));
-        fn(comm);
+        return std::make_unique<SocketComm>(
+            cfgs[static_cast<std::size_t>(r)]);
       },
-      fopts);
+      fn);
 }
 
 }  // namespace slipflow::transport

@@ -3,8 +3,9 @@
 /// SocketComm — real multi-process Communicator over Unix-domain
 /// sockets, the repo's stand-in for the paper's MPI-over-GigE cluster.
 ///
-/// Topology: a full mesh of stream connections between N worker
-/// processes. Connection setup is a rank-0 rendezvous (everyone creates
+/// Topology: a full mesh of stream connections between N ranks (the
+/// launcher's worker processes, or the threads of run_ranks_sockets).
+/// Connection setup is a rank-0 rendezvous (everyone creates
 /// their own listener, checks in with rank 0, and dials the mesh only
 /// after rank 0 releases — so no dial can race a missing listener).
 ///
@@ -67,12 +68,14 @@ class SocketComm final : public PeerComm {
 };
 
 /// In-process harness mirroring run_ranks() for the socket backend:
-/// forks `nranks` child processes (no exec), each running `fn` on its
-/// own SocketComm endpoint. The parent supervises with a wall-clock
-/// watchdog, captures each child's stderr, and throws on any child
-/// failure or on timeout with the collected per-rank diagnostics.
-/// For true fresh-address-space workers use transport::launch_workers
-/// with the slipflow_worker binary instead.
+/// runs `fn` on `nranks` threads, each with its own SocketComm endpoint
+/// meshed through a shared socket directory (a fresh mkdtemp when
+/// `opts.dir` is empty, removed after), started and joined by
+/// run_rank_threads (thread_comm.hpp). A rank that throws closes its
+/// connections, so peers fail with the named closed-connection error;
+/// the first failure recorded is rethrown. Ranks in one process are
+/// always threads: a separate process per rank comes only from
+/// transport::launch_workers with the slipflow_worker binary.
 void run_ranks_sockets(int nranks,
                        const std::function<void(Communicator&)>& fn,
                        const PeerRunOptions& opts = {});

@@ -125,15 +125,16 @@ void run_ranks(int nranks, const std::function<void(Communicator&)>& fn) {
 
 void run_ranks(int nranks, const std::function<void(Communicator&)>& fn,
                const CommOptions& opts) {
-  SLIPFLOW_REQUIRE(nranks >= 1);
-  std::vector<Inbox> inboxes(static_cast<std::size_t>(nranks));
   PeerRunOptions ro;
   ro.comm = opts;
+  const std::vector<PeerCommConfig> cfgs =
+      harness_configs(nranks, /*dir=*/"", ro);
+  std::vector<Inbox> inboxes(static_cast<std::size_t>(nranks));
   run_rank_threads(
       nranks,
       [&](int r) {
         return std::make_unique<ThreadComm>(
-            harness_config(r, nranks, /*dir=*/"", ro), inboxes);
+            cfgs[static_cast<std::size_t>(r)], inboxes);
       },
       fn);
 }

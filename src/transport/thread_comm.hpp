@@ -36,11 +36,12 @@ void run_ranks(int nranks, const std::function<void(Communicator&)>& fn);
 void run_ranks(int nranks, const std::function<void(Communicator&)>& fn,
                const CommOptions& opts);
 
-/// The start/join loop of the threaded harnesses (run_ranks,
-/// run_ranks_shm): rank r builds its endpoint with `make(r)` on its own
-/// thread and runs `fn` on it. An error, from `make` or `fn`, is recorded
-/// before the endpoint is destroyed, so the first one recorded is the
-/// root cause; it is rethrown once every thread has joined.
+/// The start/join loop of every in-process harness (run_ranks,
+/// run_ranks_sockets, run_ranks_shm): rank r builds its endpoint with
+/// `make(r)` on its own thread and runs `fn` on it. An error, from `make`
+/// or `fn`, is recorded before the endpoint is destroyed, so the first
+/// one recorded is the root cause; it is rethrown once every thread has
+/// joined.
 void run_rank_threads(
     int nranks,
     const std::function<std::unique_ptr<Communicator>(int rank)>& make,

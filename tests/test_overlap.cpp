@@ -7,8 +7,9 @@
 // policy is left ON so the comparison covers plane migrations and the
 // plan rebuilds they force mid-run.
 //
-// Naming note: tests that fork socket children carry "Socket" in their
-// name so the TSan CI job can exclude them (fork + TSan is unsupported).
+// Naming note: tests that start real worker processes (launch_workers)
+// carry "Socket" in their name so the TSan CI job can exclude them (TSan
+// cannot follow the worker processes).
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -154,7 +155,7 @@ std::string read_file(const std::string& path) {
   return os.str();
 }
 
-/// Fork real worker processes over the given transport ("socket", "shm"
+/// Launch real worker processes over the given transport ("socket", "shm"
 /// or "auto") and return rank 0's observables.
 std::string run_workers(int ranks, int threads, const std::string& transport) {
   const std::string out = temp_path("obs_overlap_" + transport);
@@ -265,7 +266,7 @@ TEST(OverlapSocket, WorkersMatchThreadBackendByByte) {
       << "overlapped worker processes diverged from in-process reference";
 }
 
-// --- differential transport matrix (forks, hence the "Socket" name) ---
+// --- differential transport matrix (launches workers, hence "Socket") ---
 
 TEST(OverlapSocket, ShmWorkersMatchThreadAndSocketByByte) {
   // The tightest cross-transport guarantee in the suite: a 4-rank

@@ -1,7 +1,7 @@
 // Transport stress tests: randomized message storms with verifiable
 // content, exercising FIFO ordering, tag isolation and collective
-// interleaving under concurrency — over both the thread and the real
-// multi-process socket backend.
+// interleaving under concurrency — over the thread, socket and shm
+// backends, each with its ranks on threads of the test process.
 
 #include <gtest/gtest.h>
 

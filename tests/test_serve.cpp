@@ -1,6 +1,6 @@
 // The campaign server (src/serve): spec parsing + admission, fair-share
 // scheduling, the warm-state cache, and — end to end, over the real
-// control socket with real forked workers — the service guarantees the
+// control socket with real launched workers — the service guarantees the
 // design doc promises:
 //
 //   * concurrent tenant jobs produce observables byte-identical to a
@@ -177,18 +177,26 @@ TEST(Serve, JobSpecValidatesValues) {
 // The worker reads its job flags through the same table and rules as
 // admission, so a value admission refuses never reaches a running rank.
 TEST(Serve, WorkerRejectsWhatAdmissionRejects) {
-  const std::pair<const char*, const char*> cases[] = {
-      {"--phases=4294967301", "--phases"},
-      {"--checkpoint-every=4294967296", "--checkpoint-every"},
-      {"--policy=bogus", "--policy"}};
-  for (const auto& [flag, name] : cases) {
-    const char* argv[] = {"slipflow_worker", flag};
+  const std::string dir = temp_dir("worker_flags");
+  const std::string vtk_out = "--vtk-out=" + dir + "/v";
+  const std::pair<std::vector<std::string>, const char*> cases[] = {
+      {{"--phases=4294967301"}, "--phases"},
+      {{"--checkpoint-every=4294967296"}, "--checkpoint-every"},
+      {{"--policy=bogus"}, "--policy"},
+      // Narrowed to int this is 1: a snapshot every phase.
+      {{"--phases=3", "--vtk-every=4294967297", vtk_out}, "--vtk-every"}};
+  for (const auto& [flags, name] : cases) {
+    std::vector<const char*> argv = {"slipflow_worker"};
+    for (const std::string& f : flags) argv.push_back(f.c_str());
     ::testing::internal::CaptureStderr();
-    const int rc = sim::worker_main(2, argv);
+    const int rc = sim::worker_main(static_cast<int>(argv.size()), argv.data());
     const std::string err = ::testing::internal::GetCapturedStderr();
-    EXPECT_EQ(rc, 2) << flag << ": " << err;
-    EXPECT_NE(err.find(name), std::string::npos) << flag << ": " << err;
+    EXPECT_EQ(rc, 2) << flags.front() << ": " << err;
+    EXPECT_NE(err.find(name), std::string::npos)
+        << flags.front() << ": " << err;
   }
+  EXPECT_TRUE(std::filesystem::is_empty(dir));
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Serve, JobSpecRejectsBadBalancerKnobs) {

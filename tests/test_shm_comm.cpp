@@ -4,9 +4,10 @@
 // larger than the ring, spill-based backpressure, stale-segment
 // replacement and cleanup, $TMPDIR-honoring segment paths, named
 // closed-peer/drop/hostile-frame diagnostics, stats publication, and the
-// forked kill-rank fault. Fork-suffixed suites fork real processes and
-// are excluded from TSan runs (TSan cannot follow forks); everything
-// else is threaded via run_ranks_shm.
+// threaded harnesses' refusal of kill/stop faults. Every run is threaded
+// via run_ranks_shm, so the whole suite runs under ThreadSanitizer; rings
+// across real processes and killed ranks are drilled with launched
+// workers (test_multiprocess).
 
 #include <gtest/gtest.h>
 
@@ -33,6 +34,7 @@
 #include "obs/metrics.hpp"
 #include "transport/frame.hpp"
 #include "transport/shm_comm.hpp"
+#include "transport/socket_comm.hpp"
 #include "transport/tempdir.hpp"
 
 using namespace slipflow;
@@ -318,15 +320,42 @@ TEST(ShmComm, DropFaultSurfacesAsNamedTimeout) {
 
 TEST(ShmComm, ThreadedHarnessRejectsKillFaults) {
   // SIGKILL in a threaded harness would take down the whole test
-  // process; the harness names the forked alternative instead.
+  // process; both process-transport harnesses name the launcher instead,
+  // before rank 0 waits out its connect timeout on the faulted rank 1.
   ShmRunOptions o;
-  o.faults = [](int) {
+  o.faults = [](int rank) {
     FaultInjection f;
-    f.kill_at_phase = 1;
+    if (rank == 1) f.kill_at_phase = 1;
     return f;
   };
-  EXPECT_THROW(run_ranks_shm(2, [](Communicator& c) { c.barrier(); }, o),
-               contract_error);
+  const std::function<void(const std::function<void(Communicator&)>&)>
+      harnesses[] = {
+          [&o](const auto& fn) { run_ranks_shm(2, fn, o); },
+          [&o](const auto& fn) { run_ranks_sockets(2, fn, o); },
+      };
+  for (const auto& run : harnesses) {
+    const auto t0 = std::chrono::steady_clock::now();
+    try {
+      run([](Communicator& c) {
+        for (long long phase = 1; phase <= 3; ++phase) {
+          c.note_progress(phase);
+          c.barrier();
+        }
+      });
+      ADD_FAILURE() << "a kill fault must be refused";
+    } catch (const contract_error& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "runs only in workers started by launch_workers"),
+                std::string::npos)
+          << e.what();
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "expected contract_error, got: " << e.what();
+    }
+    EXPECT_LT(std::chrono::duration<double>(
+                  std::chrono::steady_clock::now() - t0)
+                  .count(),
+              o.connect_timeout / 2);
+  }
 }
 
 TEST(ShmComm, StatsCountTrafficAndPublishToMetrics) {
@@ -414,52 +443,4 @@ TEST(ShmComm, DirUsableProbe) {
   EXPECT_TRUE(shm_dir_usable(dir));
   EXPECT_FALSE(shm_dir_usable(dir + "/does-not-exist"));
   std::filesystem::remove_all(dir);
-}
-
-// --- forked fault tests (excluded from TSan via the *Fork* filter) ---
-
-TEST(ShmCommFork, KilledRankIsNamedWithSignal) {
-  ShmRunOptions o;
-  o.comm.recv_timeout = 5.0;
-  o.wall_timeout = 60.0;
-  o.faults = [](int rank) {
-    FaultInjection f;
-    if (rank == 1) f.kill_at_phase = 3;
-    return f;
-  };
-  try {
-    run_ranks_shm_forked(
-        3,
-        [](Communicator& c) {
-          for (long long phase = 1; phase <= 10; ++phase) {
-            c.note_progress(phase);
-            c.barrier();
-          }
-        },
-        o);
-    FAIL() << "the killed rank must fail the run";
-  } catch (const comm_error& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("rank 1 killed by signal 9"), std::string::npos)
-        << msg;
-  }
-}
-
-TEST(ShmCommFork, RunsCleanlyAcrossProcesses) {
-  // The same rings work process-to-process (real shared memory, not
-  // just threads sharing an address space).
-  ShmRunOptions o;
-  o.comm.recv_timeout = 20.0;
-  run_ranks_shm_forked(
-      4,
-      [](Communicator& c) {
-        const double mine = static_cast<double>(c.rank());
-        const auto all = c.allgather(std::span<const double>(&mine, 1));
-        if (all.size() != 4u) throw std::runtime_error("short allgather");
-        for (int r = 0; r < 4; ++r)
-          if (all[static_cast<std::size_t>(r)] != static_cast<double>(r))
-            throw std::runtime_error("misordered allgather");
-        c.barrier();
-      },
-      o);
 }

@@ -1,12 +1,12 @@
 // Transport layer: MPI-semantics message passing over every backend.
 //
 // The parameterized suite runs each contract test over SerialComm,
-// ThreadComm (threads-as-ranks), SocketComm (forked processes over
-// Unix-domain sockets) and ShmComm (threaded endpoints over mmap'd
-// rings). Test bodies make all assertions in-rank so they hold under
-// fork. Thread-only behaviors (shared-memory visibility, failure
-// propagation through run_ranks) keep their own non-parameterized tests
-// below.
+// ThreadComm (threads-as-ranks over in-process inboxes), SocketComm
+// (threaded endpoints over Unix-domain sockets) and ShmComm (threaded
+// endpoints over mmap'd rings). Every backend runs in the test process,
+// so the whole matrix runs under ThreadSanitizer. Thread-only behaviors
+// (shared-memory visibility, failure propagation through run_ranks) keep
+// their own non-parameterized tests below.
 
 #include <gtest/gtest.h>
 

@@ -6,7 +6,7 @@
 // shared-memory transports.
 //
 // This is the composition of two repo invariants, pinned end-to-end
-// with real forked workers:
+// with real launched workers:
 //   * checkpoints are restorable on any decomposition
 //     (tests/test_checkpoint_migration.cpp proves the state level);
 //   * physics observables are bit-identical across ranks / transports /

@@ -1,18 +1,13 @@
 #pragma once
 /// Shared harness for running one transport test body over every
-/// Communicator backend. Serial, Thread and Shm run in-process (Shm on
-/// threads over mmap'd rings — run_ranks_shm — so it works under
-/// ThreadSanitizer, which cannot follow forks); Socket forks real child
-/// processes (run_ranks_sockets), so test bodies used with it must make
-/// ALL assertions in-rank — a gtest failure inside a forked child is
-/// converted to a nonzero exit below and resurfaces in the parent as a
-/// comm_error carrying the child's stderr. For symmetry the Shm runner
-/// applies the same in-rank conversion, so one body serves all four.
+/// Communicator backend. Every multi-rank backend runs its ranks as
+/// threads of the test process (run_ranks, run_ranks_sockets,
+/// run_ranks_shm), so gtest records a failing assertion from a rank
+/// thread directly and the whole matrix runs under ThreadSanitizer.
 
 #include <gtest/gtest.h>
 
 #include <functional>
-#include <stdexcept>
 
 #include "transport/serial_comm.hpp"
 #include "transport/shm_comm.hpp"
@@ -41,7 +36,7 @@ inline bool supports(Backend b, int nranks) {
 inline void run_backend(Backend b, int nranks,
                         const std::function<void(Communicator&)>& fn,
                         const CommOptions& opts = {}) {
-  // A hung multi-process/multi-endpoint test must fail in ctest, never
+  // A hung multi-endpoint test must fail in ctest, never
   // wedge it; bodies that test the timeout itself pass their own bound.
   const auto guard = [&opts] {
     CommOptions o = opts;
@@ -60,30 +55,13 @@ inline void run_backend(Backend b, int nranks,
     case Backend::kSocket: {
       PeerRunOptions ro;
       ro.comm = guard();
-      ro.wall_timeout = 90.0;
-      run_ranks_sockets(
-          nranks,
-          [&fn](Communicator& c) {
-            fn(c);
-            if (::testing::Test::HasFailure())
-              throw std::runtime_error(
-                  "gtest assertion failed in this rank (see messages above)");
-          },
-          ro);
+      run_ranks_sockets(nranks, fn, ro);
       return;
     }
     case Backend::kShm: {
       ShmRunOptions ro;
       ro.comm = guard();
-      run_ranks_shm(
-          nranks,
-          [&fn](Communicator& c) {
-            fn(c);
-            if (::testing::Test::HasFailure())
-              throw std::runtime_error(
-                  "gtest assertion failed in this rank (see messages above)");
-          },
-          ro);
+      run_ranks_shm(nranks, fn, ro);
       return;
     }
   }
