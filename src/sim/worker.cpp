@@ -113,126 +113,132 @@ std::string collect_observables(ParallelLbm& run,
 
 int worker_main(int argc, const char* const* argv) {
   const util::Options opts = util::Options::parse(argc, argv);
-  // An int flag outside int is refused, never narrowed into some other
-  // value; the first one refused is reported with the other flag checks.
-  std::string refused;
-  const auto int_flag = [&](const std::string& key, int fallback) {
-    const long long v = opts.get(key, static_cast<long long>(fallback));
-    if (std::in_range<int>(v)) return static_cast<int>(v);
-    if (refused.empty())
-      refused = "--" + key + "=" + std::to_string(v) + " is out of range";
-    return fallback;
-  };
-  const int rank = int_flag("rank", 0);
+  int rank = 0;
   // A bad flag is named on stderr and exits 2, before any rank connects.
-  const auto reject = [rank](const std::string& why) {
+  const auto reject = [&rank](const std::string& why) {
     std::fprintf(stderr, "rank %d: %s\n", rank, why.c_str());
     return 2;
   };
+  // An int flag outside int is refused, never narrowed into some other
+  // value.
+  const auto int_flag = [&opts](const std::string& key, int fallback) {
+    const long long v = opts.get(key, static_cast<long long>(fallback));
+    if (!std::in_range<int>(v))
+      throw contract_error("--" + key + "=" + std::to_string(v) +
+                           " is out of range");
+    return static_cast<int>(v);
+  };
 
-  // --- the job knobs: the spec table's flags, under admission's rules ---
   serve::JobSpec spec;
-  // Standalone runs keep the ownership lines test_multiprocess compares.
-  spec.observables = "full";
-  // The launcher passes these; a standalone worker runs one rank.
-  spec.ranks = int_flag("ranks", 1);
-  spec.transport = opts.get("transport", spec.transport);
-  spec.shm_ring_bytes = opts.get("shm-ring-bytes", spec.shm_ring_bytes);
-  spec.heartbeat_interval =
-      opts.get("heartbeat-interval", spec.heartbeat_interval);
+  transport::PeerCommConfig pc;
+  long long shm_session = 0;
+  RunnerConfig cfg;
+  std::string observables_out, metrics_out, load_ck, warm_out, stream_dir;
+  // Every flag is read under this try, so a number Options::get cannot
+  // parse (--rank=x, --recv-timeout=abc) is refused like any other.
   try {
+    rank = int_flag("rank", 0);
+
+    // --- the job knobs: the spec table's flags, under admission's rules ---
+    // Standalone runs keep the ownership lines test_multiprocess compares.
+    spec.observables = "full";
+    // The launcher passes these; a standalone worker runs one rank.
+    spec.ranks = int_flag("ranks", 1);
+    spec.transport = opts.get("transport", spec.transport);
+    spec.shm_ring_bytes = opts.get("shm-ring-bytes", spec.shm_ring_bytes);
+    spec.heartbeat_interval =
+        opts.get("heartbeat-interval", spec.heartbeat_interval);
     spec.read_worker_flags(opts);
+
+    // --- transport ---
+    pc.rank = rank;
+    pc.nranks = spec.ranks;
+    pc.dir = opts.get("socket-dir", std::string{});
+    pc.connect_timeout = opts.get("connect-timeout", 10.0);
+    pc.comm.recv_timeout = opts.get("recv-timeout", 30.0);
+    pc.heartbeat_fd = int_flag("heartbeat-fd", -1);
+    pc.heartbeat_interval = spec.heartbeat_interval;
+    shm_session = opts.get("shm-session", 0LL);
+
+    // --- fault injection ---
+    pc.fault.kill_at_phase = spec.fault_kill_phase;
+    pc.fault.stop_at_phase = opts.get("fault-stop-phase", -1LL);
+    pc.fault.drop_dest = int_flag("fault-drop-dest", -2);
+    pc.fault.drop_tag = int_flag("fault-drop-tag", -1);
+    pc.fault.drop_count = int_flag("fault-drop-count", 1);
+    pc.fault.send_delay = opts.get("fault-send-delay", 0.0);
+    pc.fault.throttle_bytes_per_sec = opts.get("fault-throttle-bps", 0.0);
+
+    // --- problem ---
+    cfg.global = lbm::Extents{spec.nx, spec.ny, spec.nz};
+    // The paper's two-component microchannel model; the physical knobs
+    // are exposed so campaign sweeps (slipflow_submit --sweep) can scan
+    // them.
+    cfg.fluid = lbm::FluidParams::microchannel_defaults(
+        spec.wall_accel, spec.wall_decay, spec.air_fraction, spec.coupling_g,
+        spec.gravity);
+    cfg.policy = spec.policy;
+    cfg.remap_interval = spec.remap_interval;
+    cfg.balance.window = spec.window;
+    cfg.balance.min_transfer_points = spec.min_transfer;
+    cfg.threads = spec.threads;
+    // Which tile-kernel backend the hot kernels dispatch to. "auto" keeps
+    // the CPUID default (widest supported SIMD); naming a backend that
+    // this build/CPU cannot run is a configuration error, not a fallback.
+    const std::string backend =
+        opts.get("kernel-backend", std::string("auto"));
+    if (backend != "auto") {
+      const auto kb = lbm::parse_kernel_backend(backend);
+      if (!kb) return reject("unknown --kernel-backend=" + backend);
+      if (!lbm::kernel_backend_supported(*kb))
+        return reject("--kernel-backend=" + backend +
+                      " not supported by this build/CPU");
+      lbm::set_kernel_backend(*kb);
+    }
+
+    const int slow_rank = int_flag("slow-rank", -1);
+    const double slow_factor = opts.get("slow-factor", 0.0);
+    if (slow_rank >= 0 && slow_factor > 0.0) {
+      cfg.slowdown.assign(static_cast<std::size_t>(spec.ranks), 0.0);
+      if (slow_rank < spec.ranks)
+        cfg.slowdown[static_cast<std::size_t>(slow_rank)] = slow_factor;
+    }
+
+    // --- determinism: injected clocks (see obs/clock.hpp) ---
+    // --clock=counting makes "measured" times a pure function of the call
+    // sequence, so the remapping decisions — and hence the observables —
+    // are identical across backends and runs.
+    const std::string clock = opts.get("clock", std::string("wall"));
+    const double clock_step = opts.get("clock-step", 1e-3);
+    const int slow_clock_rank = int_flag("slow-clock-rank", -1);
+    const double slow_clock_factor = opts.get("slow-clock-factor", 4.0);
+    if (clock == "counting") {
+      cfg.clock_factory = [=](int r) -> std::shared_ptr<obs::Clock> {
+        const double tick =
+            r == slow_clock_rank ? clock_step * slow_clock_factor : clock_step;
+        return std::make_shared<obs::CountingClock>(tick);
+      };
+    } else if (clock != "wall") {
+      return reject("unknown --clock=" + clock);
+    }
+
+    // --- output ---
+    observables_out = opts.get("observables-out", std::string{});
+    metrics_out = opts.get("metrics-out", std::string{});
+    cfg.output.checkpoint_every = static_cast<int>(spec.checkpoint_every);
+    cfg.output.checkpoint_prefix = opts.get("checkpoint-out", std::string{});
+    cfg.output.vtk_every = int_flag("vtk-every", 0);
+    cfg.output.vtk_prefix = opts.get("vtk-out", std::string{});
+
+    // --- job-spec mode (campaign server; see src/serve) ---
+    // Resume or seed from a checkpoint, publish a warm state, stream
+    // results.
+    load_ck = opts.get("load-checkpoint", std::string{});
+    warm_out = opts.get("warm-checkpoint-out", std::string{});
+    stream_dir = opts.get("stream-dir", std::string{});
   } catch (const std::exception& e) {
     return reject(e.what());
   }
-
-  // --- transport ---
-  transport::PeerCommConfig pc;
-  pc.rank = rank;
-  pc.nranks = spec.ranks;
-  pc.dir = opts.get("socket-dir", std::string{});
-  pc.connect_timeout = opts.get("connect-timeout", 10.0);
-  pc.comm.recv_timeout = opts.get("recv-timeout", 30.0);
-  pc.heartbeat_path = opts.get("heartbeat-sock", std::string{});
-  pc.heartbeat_interval = spec.heartbeat_interval;
-  const long long shm_session = opts.get("shm-session", 0LL);
-
-  // --- fault injection ---
-  pc.fault.kill_at_phase = spec.fault_kill_phase;
-  pc.fault.stop_at_phase = opts.get("fault-stop-phase", -1LL);
-  pc.fault.drop_dest = int_flag("fault-drop-dest", -2);
-  pc.fault.drop_tag = int_flag("fault-drop-tag", -1);
-  pc.fault.drop_count = int_flag("fault-drop-count", 1);
-  pc.fault.send_delay = opts.get("fault-send-delay", 0.0);
-  pc.fault.throttle_bytes_per_sec = opts.get("fault-throttle-bps", 0.0);
-
-  // --- problem ---
-  RunnerConfig cfg;
-  cfg.global = lbm::Extents{spec.nx, spec.ny, spec.nz};
-  // The paper's two-component microchannel model; the physical knobs are
-  // exposed so campaign sweeps (slipflow_submit --sweep) can scan them.
-  cfg.fluid = lbm::FluidParams::microchannel_defaults(
-      spec.wall_accel, spec.wall_decay, spec.air_fraction, spec.coupling_g,
-      spec.gravity);
-  cfg.policy = spec.policy;
-  cfg.remap_interval = spec.remap_interval;
-  cfg.balance.window = spec.window;
-  cfg.balance.min_transfer_points = spec.min_transfer;
-  cfg.threads = spec.threads;
-  // Which tile-kernel backend the hot kernels dispatch to. "auto" keeps
-  // the CPUID default (widest supported SIMD); naming a backend that this
-  // build/CPU cannot run is a configuration error, not a fallback.
-  const std::string backend = opts.get("kernel-backend", std::string("auto"));
-  if (backend != "auto") {
-    const auto kb = lbm::parse_kernel_backend(backend);
-    if (!kb) return reject("unknown --kernel-backend=" + backend);
-    if (!lbm::kernel_backend_supported(*kb))
-      return reject("--kernel-backend=" + backend +
-                    " not supported by this build/CPU");
-    lbm::set_kernel_backend(*kb);
-  }
-
-  const int slow_rank = int_flag("slow-rank", -1);
-  const double slow_factor = opts.get("slow-factor", 0.0);
-  if (slow_rank >= 0 && slow_factor > 0.0) {
-    cfg.slowdown.assign(static_cast<std::size_t>(spec.ranks), 0.0);
-    if (slow_rank < spec.ranks)
-      cfg.slowdown[static_cast<std::size_t>(slow_rank)] = slow_factor;
-  }
-
-  // --- determinism: injected clocks (see obs/clock.hpp) ---
-  // --clock=counting makes "measured" times a pure function of the call
-  // sequence, so the remapping decisions — and hence the observables —
-  // are identical across backends and runs.
-  const std::string clock = opts.get("clock", std::string("wall"));
-  const double clock_step = opts.get("clock-step", 1e-3);
-  const int slow_clock_rank = int_flag("slow-clock-rank", -1);
-  const double slow_clock_factor = opts.get("slow-clock-factor", 4.0);
-  if (clock == "counting") {
-    cfg.clock_factory = [=](int r) -> std::shared_ptr<obs::Clock> {
-      const double tick =
-          r == slow_clock_rank ? clock_step * slow_clock_factor : clock_step;
-      return std::make_shared<obs::CountingClock>(tick);
-    };
-  } else if (clock != "wall") {
-    return reject("unknown --clock=" + clock);
-  }
-
-  // --- output ---
-  const std::string observables_out =
-      opts.get("observables-out", std::string{});
-  const std::string metrics_out = opts.get("metrics-out", std::string{});
-  cfg.output.checkpoint_every = static_cast<int>(spec.checkpoint_every);
-  cfg.output.checkpoint_prefix = opts.get("checkpoint-out", std::string{});
-  cfg.output.vtk_every = int_flag("vtk-every", 0);
-  cfg.output.vtk_prefix = opts.get("vtk-out", std::string{});
-  if (!refused.empty()) return reject(refused);
-
-  // --- job-spec mode (campaign server; see src/serve) ---
-  // Resume or seed from a checkpoint, publish a warm state, stream results.
-  const std::string load_ck = opts.get("load-checkpoint", std::string{});
-  const std::string warm_out = opts.get("warm-checkpoint-out", std::string{});
-  const std::string stream_dir = opts.get("stream-dir", std::string{});
   const ObservableSet obs_set =
       spec.observables == "full" ? ObservableSet::full : ObservableSet::physics;
   // An output interval needs its path (warm_phases <= phases is checked).

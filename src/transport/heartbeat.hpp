@@ -2,38 +2,33 @@
 /// \file heartbeat.hpp
 /// HeartbeatSender — the worker-side half of the launcher's liveness
 /// protocol, run by the process transports' endpoint core (PeerComm).
-/// Connects to the monitor socket and sends kHeartbeat frames carrying
-/// {last reported phase, sequence number} at a fixed interval from its
-/// own thread, so a rank wedged inside a blocking recv (or connection
-/// setup) is still visible to the monitor.
+/// Sends kHeartbeat frames carrying {last reported phase, sequence
+/// number} at a fixed interval, from its own thread, on the rank's own
+/// heartbeat socket (inherited from the launcher, normally as fd 3), so
+/// a rank wedged inside a blocking recv (or connection setup) is still
+/// visible to the launcher.
 
-#include <signal.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstring>
 #include <mutex>
-#include <string>
 #include <thread>
 
-#include "transport/fdio.hpp"
 #include "transport/frame.hpp"
 
 namespace slipflow::transport {
 
 class HeartbeatSender {
  public:
-  /// Connects to the monitor socket (blocking, bounded by
-  /// connect_timeout) and starts beating immediately — before any mesh
-  /// rendezvous, so a rank stuck in connection setup is already visible.
-  HeartbeatSender(int rank, const std::string& monitor_path,
-                  double interval_seconds, double connect_timeout)
-      : rank_(rank), interval_(interval_seconds) {
-    const double deadline = fdio::mono_now() + connect_timeout;
-    fd_ = fdio::connect_retry(monitor_path, deadline,
-                              "rank " + std::to_string(rank_) + ": heartbeat");
+  /// Takes ownership of the connected heartbeat socket `fd` and starts
+  /// beating immediately — before any mesh rendezvous, so a rank stuck
+  /// in connection setup is already visible.
+  HeartbeatSender(int rank, int fd, double interval_seconds)
+      : rank_(rank), interval_(interval_seconds), fd_(fd) {
     thread_ = std::thread([this] { beat_loop(); });
   }
 
@@ -49,7 +44,7 @@ class HeartbeatSender {
 
   long long count() const { return count_.load(std::memory_order_relaxed); }
 
-  /// Stop the beats and close the monitor connection. Idempotent.
+  /// Stop the beats and close the heartbeat socket. Idempotent.
   void stop() {
     if (thread_.joinable()) {
       {
@@ -78,8 +73,8 @@ class HeartbeatSender {
       std::byte frame[kFrameHeaderBytes + 2 * sizeof(double)];
       std::memcpy(frame, hdr.data(), hdr.size());
       std::memcpy(frame + hdr.size(), payload, sizeof(payload));
-      // Blocking write on the heartbeat's own fd; the monitor always
-      // drains, and a dead monitor (EPIPE) just ends the beats.
+      // Blocking write on the heartbeat's own fd; the launcher always
+      // drains, and a closed launcher end (EPIPE) just ends the beats.
       if (::send(fd_, frame, sizeof(frame), MSG_NOSIGNAL) < 0) return;
       count_.fetch_add(1, std::memory_order_relaxed);
       std::unique_lock<std::mutex> lk(mu_);

@@ -6,13 +6,11 @@
 #include <spawn.h>
 #include <sys/socket.h>
 #include <sys/syscall.h>
-#include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -21,6 +19,7 @@
 
 #include "transport/fdio.hpp"
 #include "transport/frame.hpp"
+#include "transport/shm_comm.hpp"
 #include "transport/tempdir.hpp"
 #include "util/require.hpp"
 
@@ -32,18 +31,12 @@ using fdio::throw_errno;
 
 namespace {
 
-/// One accepted (but not yet rank-identified) or identified heartbeat
-/// connection. Heartbeat frames are parsed with the shared frame codec.
-struct HbConn {
-  int fd = -1;
-  int rank = -1;  ///< -1 until the first beat identifies the sender
-  std::vector<std::byte> buf;
-};
-
 struct Worker {
   pid_t pid = -1;  ///< stays -1 when posix_spawn failed (reaped as 127)
   int err_fd = -1;
   int pid_fd = -1;  ///< readable once the worker exits; -1 = tick-only
+  int hb_fd = -1;   ///< launcher end of the worker's heartbeat socketpair
+  std::vector<std::byte> hb_buf;  ///< heartbeat bytes not yet a whole frame
   bool done = false;
   int status = 0;
   std::string err;
@@ -90,47 +83,13 @@ LaunchResult launch_workers(const LaunchConfig& cfg) {
   SLIPFLOW_REQUIRE(cfg.ranks >= 1);
   SLIPFLOW_REQUIRE_MSG(!cfg.worker_command.empty(),
                        "launch_workers: empty worker command");
-  namespace fs = std::filesystem;
 
-  std::string dir = cfg.dir;
-  bool own_dir = false;
-  if (dir.empty()) {
-    dir = make_socket_temp_dir();
-    own_dir = true;
-  }
-  const std::string monitor_path = dir + "/monitor.sock";
-
-  // Monitor listener first, so even the earliest worker can connect.
-  const int listener = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (listener < 0) throw_errno("socket(monitor)");
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  SLIPFLOW_REQUIRE_MSG(monitor_path.size() + 1 <= sizeof(addr.sun_path),
-                       "monitor socket path too long: " << monitor_path);
-  std::memcpy(addr.sun_path, monitor_path.c_str(), monitor_path.size() + 1);
-  ::unlink(monitor_path.c_str());
-  if (::bind(listener, reinterpret_cast<const sockaddr*>(&addr),
-             sizeof(addr)) < 0 ||
-      ::listen(listener, cfg.ranks + 2) < 0) {
-    const int err = errno;
-    ::close(listener);
-    errno = err;
-    throw_errno("bind/listen(" + monitor_path + ")");
-  }
-  set_nonblocking(listener);
-
+  const std::string dir = make_socket_temp_dir();
   const double t0 = mono_now();
   std::vector<Worker> workers(static_cast<std::size_t>(cfg.ranks));
-  std::vector<HbConn> conns;
-
-  // One session tag per launch: stale ring segments left in a reused dir
-  // by a crashed earlier run carry a different tag and are re-created.
-  const unsigned long long session =
-      (static_cast<unsigned long long>(::getpid()) << 32) ^
-      // det-lint: allow(wall-clock): session-uniqueness tag for stale
-      // shm segment cleanup — an identifier, never a simulated value.
-      static_cast<unsigned long long>(
-          std::chrono::steady_clock::now().time_since_epoch().count());
+  // One ring session tag per launch, distinct even between two launches
+  // a daemon starts in the same clock tick.
+  const std::uint64_t session = fresh_session();
 
   // Output the caller buffered goes out before its workers' own.
   std::fflush(stdout);
@@ -149,7 +108,7 @@ LaunchResult launch_workers(const LaunchConfig& cfg) {
                            std::to_string(cfg.shm_ring_bytes));
       }
     }
-    argv_s.push_back("--heartbeat-sock=" + monitor_path);
+    argv_s.push_back("--heartbeat-fd=3");
     argv_s.push_back("--heartbeat-interval=" +
                      std::to_string(cfg.heartbeat_interval));
     if (const auto it = cfg.extra_args.find(r); it != cfg.extra_args.end())
@@ -159,10 +118,16 @@ LaunchResult launch_workers(const LaunchConfig& cfg) {
     // address space until its exec, so starting a rank copies no page
     // tables however large the launching process (a daemon with many
     // jobs in flight) has grown. The stderr pipe reaches the child as fd
-    // 2 through a file action; both ends are close-on-exec, so no other
-    // worker inherits them.
+    // 2 and its end of the heartbeat socketpair as fd 3, through file
+    // actions. Every end is close-on-exec, so no other worker (of this or
+    // a concurrent launch) inherits them; a child end that already is
+    // fd 3 has the flag cleared by the dup2 action itself (glibc, per
+    // POSIX).
     int pipefd[2];
     if (::pipe2(pipefd, O_CLOEXEC) < 0) throw_errno("pipe2");
+    int hbfd[2];
+    if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, hbfd) < 0)
+      throw_errno("socketpair(heartbeat)");
     std::vector<char*> argv;
     argv.reserve(argv_s.size() + 1);
     for (std::string& s : argv_s) argv.push_back(s.data());
@@ -170,23 +135,28 @@ LaunchResult launch_workers(const LaunchConfig& cfg) {
     posix_spawn_file_actions_t actions;
     posix_spawn_file_actions_init(&actions);
     posix_spawn_file_actions_adddup2(&actions, pipefd[1], 2);
+    posix_spawn_file_actions_adddup2(&actions, hbfd[1], 3);
     pid_t pid = -1;
     const int rc =
         ::posix_spawn(&pid, argv[0], &actions, nullptr, argv.data(), environ);
     posix_spawn_file_actions_destroy(&actions);
     ::close(pipefd[1]);
+    ::close(hbfd[1]);
     Worker& w = workers[static_cast<std::size_t>(r)];
     if (rc != 0) {
       // The exec failed: report the rank as exec's own failure would
       // have exited, code 127, with the reason on its stderr.
       ::close(pipefd[0]);
+      ::close(hbfd[0]);
       w.err = "rank " + std::to_string(r) + ": exec " + argv_s[0] +
               " failed: " + std::strerror(rc) + "\n";
       continue;
     }
     set_nonblocking(pipefd[0]);
+    set_nonblocking(hbfd[0]);
     w.pid = pid;
     w.err_fd = pipefd[0];
+    w.hb_fd = hbfd[0];
     w.pid_fd = open_pidfd(pid);
   }
 
@@ -207,53 +177,50 @@ LaunchResult launch_workers(const LaunchConfig& cfg) {
                  [&](const char* p, std::size_t n) { w.err.append(p, n); });
   };
 
+  // A frame on rank r's channel must be a heartbeat from rank r:
+  // anything else closes the channel, so a rank vouches only for itself.
   auto pump_heartbeats = [&] {
-    for (;;) {
-      const int fd = ::accept(listener, nullptr, nullptr);
-      if (fd < 0) break;
-      set_nonblocking(fd);
-      conns.push_back(HbConn{fd, -1, {}});
-    }
-    for (HbConn& c : conns) {
-      if (c.fd < 0) continue;
-      drain_fd(c.fd, [&](const char* p, std::size_t n) {
-        const auto* b = reinterpret_cast<const std::byte*>(p);
-        c.buf.insert(c.buf.end(), b, b + n);
-      });
+    for (int r = 0; r < cfg.ranks; ++r) {
+      Worker& w = workers[static_cast<std::size_t>(r)];
+      if (w.hb_fd >= 0)
+        drain_fd(w.hb_fd, [&](const char* p, std::size_t n) {
+          const auto* b = reinterpret_cast<const std::byte*>(p);
+          w.hb_buf.insert(w.hb_buf.end(), b, b + n);
+        });
       std::size_t off = 0;
-      while (c.buf.size() - off >= kFrameHeaderBytes) {
+      while (w.hb_buf.size() - off >= kFrameHeaderBytes) {
         FrameHeader h;
+        bool own_beat = false;
         try {
           h = decode_frame_header(
-              std::span<const std::byte>(c.buf).subspan(off));
+              std::span<const std::byte>(w.hb_buf).subspan(off));
+          own_beat = h.kind == FrameKind::kHeartbeat && h.src == r;
         } catch (const comm_error&) {
-          ::close(c.fd);
-          c.fd = -1;
+        }
+        if (!own_beat) {
+          if (w.hb_fd >= 0) ::close(w.hb_fd);
+          w.hb_fd = -1;
+          w.hb_buf.clear();
+          off = 0;
           break;
         }
         const std::size_t need = kFrameHeaderBytes +
                                  static_cast<std::size_t>(h.count) *
                                      sizeof(double);
-        if (c.buf.size() - off < need) break;
-        if (h.kind == FrameKind::kHeartbeat && h.src >= 0 &&
-            h.src < cfg.ranks) {
-          c.rank = h.src;
-          Worker& w = workers[static_cast<std::size_t>(h.src)];
-          w.last_beat = mono_now();
-          if (h.count >= 1) {
-            double phase = 0.0;
-            std::memcpy(&phase, c.buf.data() + off + kFrameHeaderBytes,
-                        sizeof(double));
-            const long long p = static_cast<long long>(phase);
-            if (p != w.last_phase && cfg.on_progress) cfg.on_progress(h.src, p);
-            w.last_phase = p;
-          }
+        if (w.hb_buf.size() - off < need) break;
+        w.last_beat = mono_now();
+        if (h.count >= 1) {
+          double phase = 0.0;
+          std::memcpy(&phase, w.hb_buf.data() + off + kFrameHeaderBytes,
+                      sizeof(double));
+          const long long p = static_cast<long long>(phase);
+          if (p != w.last_phase && cfg.on_progress) cfg.on_progress(r, p);
+          w.last_phase = p;
         }
         off += need;
       }
-      if (off > 0)
-        c.buf.erase(c.buf.begin(),
-                    c.buf.begin() + static_cast<std::ptrdiff_t>(off));
+      w.hb_buf.erase(w.hb_buf.begin(),
+                     w.hb_buf.begin() + static_cast<std::ptrdiff_t>(off));
     }
   };
 
@@ -278,15 +245,13 @@ LaunchResult launch_workers(const LaunchConfig& cfg) {
     }
   };
 
-  // Sleep until something needs the supervisor — a heartbeat connection
-  // or frame, worker stderr, a worker exit (pidfd) — or until `until`.
+  // Sleep until something needs the supervisor — worker stderr, a
+  // heartbeat frame, a worker exit (pidfd) — or until `until`.
   auto wait_for_events = [&](double until) {
     std::vector<pollfd> fds;
-    fds.push_back({listener, POLLIN, 0});
-    for (const HbConn& c : conns)
-      if (c.fd >= 0) fds.push_back({c.fd, POLLIN, 0});
     for (const Worker& w : workers) {
       if (w.err_fd >= 0) fds.push_back({w.err_fd, POLLIN, 0});
+      if (w.hb_fd >= 0) fds.push_back({w.hb_fd, POLLIN, 0});
       if (w.pid_fd >= 0) fds.push_back({w.pid_fd, POLLIN, 0});
     }
     const double wait = until - mono_now();
@@ -382,16 +347,11 @@ LaunchResult launch_workers(const LaunchConfig& cfg) {
   drain_stderr();
   for (Worker& w : workers) {
     if (w.err_fd >= 0) ::close(w.err_fd);
+    if (w.hb_fd >= 0) ::close(w.hb_fd);
     if (w.pid_fd >= 0) ::close(w.pid_fd);
   }
-  for (HbConn& c : conns)
-    if (c.fd >= 0) ::close(c.fd);
-  ::close(listener);
-  ::unlink(monitor_path.c_str());
-  if (own_dir) {
-    std::error_code ec;
-    fs::remove_all(dir, ec);
-  }
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
 
   result.elapsed_seconds = mono_now() - t0;
   for (int r = 0; r < cfg.ranks; ++r)

@@ -2,7 +2,8 @@
 /// \file launcher.hpp
 /// Process launcher for the process transports: starts N worker
 /// processes with posix_spawn (normally the `slipflow_worker` binary),
-/// wires them to a shared socket/ring directory, and supervises the run.
+/// wires them to a fresh socket/ring directory of their own, and
+/// supervises the run.
 /// A worker whose exec fails is reported as exec's failure would exit:
 /// "rank R exited with code 127", with the reason in its stderr.
 ///
@@ -14,9 +15,12 @@
 ///     worker exits (kernels without pidfd_open fall back to the 50 ms
 ///     supervision tick);
 ///   - a worker that freezes (SIGSTOP, livelock) is caught by heartbeat
-///     silence: every worker beats (rank, phase) on the launcher's
-///     monitor socket, and a beat older than `heartbeat_grace` fails the
-///     run naming the stalled rank and its last reported phase;
+///     silence: every worker beats (rank, phase) on its own heartbeat
+///     socket (one socketpair per rank, inherited as fd 3), and a beat
+///     older than `heartbeat_grace` fails the run naming the stalled
+///     rank and its last reported phase. A frame on rank R's socket that
+///     is not a heartbeat from rank R closes that socket: a rank can only
+///     vouch for itself;
 ///   - a run that stops making progress collectively is bounded by
 ///     `wall_clock_timeout`.
 /// On any failure every surviving worker is SIGKILLed before returning,
@@ -34,18 +38,16 @@ struct LaunchConfig {
   /// argv of the worker binary (argv[0] = executable path). The launcher
   /// appends, per rank:
   ///   --rank=R --ranks=N --socket-dir=DIR
-  ///   --heartbeat-sock=DIR/monitor.sock --heartbeat-interval=S
-  /// followed by extra_args[R], so per-rank fault flags go there.
+  ///   --heartbeat-fd=3 --heartbeat-interval=S
+  /// followed by extra_args[R], so per-rank fault flags go there. DIR is
+  /// a fresh mkdtemp under $TMPDIR (falling back to /tmp), removed when
+  /// the launch returns.
   std::vector<std::string> worker_command;
-  /// Socket directory shared by the workers; empty = fresh mkdtemp under
-  /// $TMPDIR (falling back to /tmp), removed when the launch returns.
-  std::string dir;
   /// Transport the workers should use: "" = leave the worker's default
   /// (socket), "socket", "shm", or "auto" (shm when the shared dir
   /// supports mmap, else socket). When set, the launcher appends
   /// --transport=<t>; for "shm"/"auto" it also appends a fresh
-  /// --shm-session=<tag> so stale ring segments from a crashed earlier
-  /// launch can never be mistaken for this run's.
+  /// --shm-session=<tag> (fresh_session(), shm_comm.hpp).
   std::string transport;
   /// Ring capacity per directed peer pair in bytes (0 = worker default).
   /// Only meaningful with transport "shm"/"auto".
@@ -82,7 +84,7 @@ struct LaunchResult {
 
 /// Run the workers to completion (all exit 0) or to the first failure.
 /// Does not throw on worker failure — that is the result — only on
-/// launcher-side setup errors (pipe/socket failures).
+/// launcher-side setup errors (mkdtemp, pipe or socketpair failures).
 LaunchResult launch_workers(const LaunchConfig& cfg);
 
 }  // namespace slipflow::transport

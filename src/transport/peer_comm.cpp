@@ -22,10 +22,9 @@ PeerComm::PeerComm(const PeerCommConfig& cfg, std::string prefix)
   throttle_last_ = mono_now();
   // 0.1 s of burst allowance; see FaultInjection::throttle_bytes_per_sec.
   throttle_tokens_ = 0.1 * cfg_.fault.throttle_bytes_per_sec;
-  if (!cfg_.heartbeat_path.empty())
-    hb_ = std::make_unique<HeartbeatSender>(cfg_.rank, cfg_.heartbeat_path,
-                                            cfg_.heartbeat_interval,
-                                            cfg_.connect_timeout);
+  if (cfg_.heartbeat_fd >= 0)
+    hb_ = std::make_unique<HeartbeatSender>(cfg_.rank, cfg_.heartbeat_fd,
+                                            cfg_.heartbeat_interval);
 }
 
 PeerComm::~PeerComm() = default;

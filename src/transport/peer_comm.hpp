@@ -52,8 +52,9 @@ struct PeerCommConfig {
   /// Bound on connection setup: rendezvous, mesh dial, ring discovery
   /// (seconds).
   double connect_timeout = 10.0;
-  /// Launcher monitor socket; empty = no heartbeat thread.
-  std::string heartbeat_path;
+  /// Heartbeat socket inherited from the launcher, owned (and closed)
+  /// by the endpoint; -1 = no heartbeat thread.
+  int heartbeat_fd = -1;
   double heartbeat_interval = 0.25;
   FaultInjection fault;
   /// When set, publish_stats() writes the endpoint's counters into this
@@ -71,8 +72,8 @@ struct PeerStats {
   long long frames_dropped = 0;  ///< by fault injection
   double recv_wait_seconds = 0.0;
   double throttle_wait_seconds = 0.0;
-  /// Endpoint construction to mesh ready: heartbeat connect, rendezvous
-  /// and mesh dial or ring attach (seconds; 0 until the mesh is up).
+  /// Endpoint construction to mesh ready: rendezvous and mesh dial or
+  /// ring attach (seconds; 0 until the mesh is up).
   double connect_seconds = 0.0;
 };
 
@@ -111,7 +112,7 @@ class PeerComm : public Communicator {
  protected:
   /// Validates the config and starts the heartbeat thread when one is
   /// configured, so a rank stuck in the transport's own setup is
-  /// already visible to the launcher's monitor. `prefix` names the
+  /// already visible to the launcher. `prefix` names the
   /// metrics ("thread", "socket", "shm").
   PeerComm(const PeerCommConfig& cfg, std::string prefix);
 

@@ -644,8 +644,6 @@ bool shm_dir_usable(const std::string& dir) {
   return ok;
 }
 
-namespace {
-
 std::uint64_t fresh_session() {
   static std::atomic<std::uint64_t> counter{0};
   return (static_cast<std::uint64_t>(::getpid()) << 32) ^
@@ -655,8 +653,6 @@ std::uint64_t fresh_session() {
              std::chrono::steady_clock::now().time_since_epoch().count()) ^
          counter.fetch_add(1, std::memory_order_relaxed);
 }
-
-}  // namespace
 
 void run_ranks_shm(int nranks, const std::function<void(Communicator&)>& fn,
                    const ShmRunOptions& opts) {

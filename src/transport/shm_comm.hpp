@@ -164,6 +164,11 @@ class ShmComm final : public PeerComm {
 /// rank, since they probe the same filesystem.
 bool shm_dir_usable(const std::string& dir);
 
+/// A fresh ring session tag (pid, steady clock and a per-process
+/// counter): no two launches or harness runs of one process share one,
+/// even within one clock tick.
+std::uint64_t fresh_session();
+
 /// In-process harness mirroring run_ranks() for the shm backend: runs
 /// `fn` on `nranks` threads, each with its own ShmComm endpoint over a
 /// shared ring directory (a fresh mkdtemp when `dir` is empty, removed

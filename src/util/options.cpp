@@ -11,12 +11,10 @@ Options Options::parse(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--", 0) == 0) {
+      // A bare --flag means --flag=1.
       const auto eq = arg.find('=');
-      if (eq == std::string::npos) {
-        o.kv_[arg.substr(2)] = "1";
-      } else {
-        o.kv_[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
-      }
+      o.kv_[arg.substr(2, eq - 2)] =
+          eq == std::string::npos ? std::string(1, '1') : arg.substr(eq + 1);
     } else {
       o.positional_.push_back(std::move(arg));
     }

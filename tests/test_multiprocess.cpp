@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -23,6 +24,7 @@
 
 #include "obs/clock.hpp"
 #include "sim/worker.hpp"
+#include "transport/frame.hpp"
 #include "transport/launcher.hpp"
 #include "transport/thread_comm.hpp"
 
@@ -236,6 +238,50 @@ TEST(MultiProcess, FrozenRankIsCaughtByHeartbeatSilence) {
   EXPECT_NE(res.diagnostic.find("heartbeat silent"), std::string::npos)
       << res.diagnostic;
   EXPECT_LT(res.elapsed_seconds, 30.0);
+}
+
+TEST(MultiProcess, HeartbeatChannelVouchesOnlyForItsRank) {
+  // Rank 0 keeps writing well-formed heartbeats that claim to come from
+  // rank 1 (phase 7) onto its own channel, fd 3; rank 1 stays silent.
+  // The forged beats must neither keep rank 1 alive nor report progress
+  // for it.
+  transport::FrameHeader h;
+  h.kind = transport::FrameKind::kHeartbeat;
+  h.src = 1;
+  h.count = 2;
+  const double payload[2] = {7.0, 0.0};
+  std::vector<std::byte> frame(transport::kFrameHeaderBytes + sizeof(payload));
+  const auto hdr = transport::encode_frame_header(h);
+  std::memcpy(frame.data(), hdr.data(), hdr.size());
+  std::memcpy(frame.data() + hdr.size(), payload, sizeof(payload));
+  std::string octal;
+  for (const std::byte b : frame) {
+    char esc[8];
+    std::snprintf(esc, sizeof(esc), "\\%03o", static_cast<unsigned>(b));
+    octal += esc;
+  }
+  // SIGPIPE is ignored so rank 0 outlives the launcher closing its
+  // channel; `exec sleep` leaves no orphan when rank 1 is killed.
+  const std::string script =
+      "trap '' PIPE; if [ \"$1\" = --rank=0 ]; then while :; do printf '" +
+      octal + "' >&3 2>/dev/null; sleep 0.05; done; else exec sleep 30; fi";
+  transport::LaunchConfig lc;
+  lc.ranks = 2;
+  lc.worker_command = {"/bin/sh", "-c", script, "sh"};
+  lc.heartbeat_grace = 1.0;
+  lc.wall_clock_timeout = 20.0;
+  bool rank1_progress = false;
+  lc.on_progress = [&](int rank, long long) {
+    if (rank == 1) rank1_progress = true;
+  };
+  const transport::LaunchResult res = transport::launch_workers(lc);
+  EXPECT_FALSE(res.ok);
+  EXPECT_NE(res.diagnostic.find("heartbeat silent"), std::string::npos)
+      << res.diagnostic;
+  EXPECT_LT(res.elapsed_seconds, lc.heartbeat_grace + 2.0);
+  ASSERT_EQ(res.last_phase.size(), 2u);
+  EXPECT_EQ(res.last_phase[1], -1);
+  EXPECT_FALSE(rank1_progress);
 }
 
 TEST(MultiProcess, MissingWorkerBinaryFailsFast) {

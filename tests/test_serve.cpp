@@ -184,7 +184,10 @@ TEST(Serve, WorkerRejectsWhatAdmissionRejects) {
       {{"--checkpoint-every=4294967296"}, "--checkpoint-every"},
       {{"--policy=bogus"}, "--policy"},
       // Narrowed to int this is 1: a snapshot every phase.
-      {{"--phases=3", "--vtk-every=4294967297", vtk_out}, "--vtk-every"}};
+      {{"--phases=3", "--vtk-every=4294967297", vtk_out}, "--vtk-every"},
+      // Malformed numbers: Options::get throws, which must not escape.
+      {{"--recv-timeout=abc"}, "--recv-timeout"},
+      {{"--rank=x"}, "--rank"}};
   for (const auto& [flags, name] : cases) {
     std::vector<const char*> argv = {"slipflow_worker"};
     for (const std::string& f : flags) argv.push_back(f.c_str());
